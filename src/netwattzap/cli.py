@@ -147,14 +147,14 @@ def _load_components(args, registry):
         parsed = parse_components(path, kind=kind)
         components.extend(parsed.components)
         skipped.extend((path, rowno, reason) for rowno, reason in parsed.skipped)
+    resolved = overlap_mod.resolve_components(components, registry)
     links = []
     if args.nodes:
         topo = parse_topology(args.nodes, args.geo, args.links, strict=args.strict)
-        components.extend(overlap_mod.components_from_router_nodes(topo.nodes))
+        zones = overlap_mod.resolve_router_zones(topo.nodes, registry)
+        resolved.extend(overlap_mod.components_from_router_nodes(topo.nodes, zones))
         if args.links:
-            zones = overlap_mod.resolve_router_zones(topo.nodes, registry)
             links = overlap_mod.categorize_links(topo.links, zones).links
-    resolved = overlap_mod.resolve_components(components, registry)
     return resolved, links, skipped
 
 

@@ -5,7 +5,10 @@ Distances are haversine great circles on a sphere of mean radius
 (200,000 km/s, roughly 2c/3, overridable). Zone membership is planar
 even-odd point-in-polygon on lon/lat degrees with the boundary counting
 as inside; polygons crossing the antimeridian must be pre-split in the
-source data.
+source data. ``point_in_region`` tests one point in pure Python and is
+the reference for ``RegionEdges.contains``, which tests many points at
+once in numpy with the same float expressions, so both agree bit for
+bit.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ if TYPE_CHECKING:
 
 EARTH_RADIUS_KM = 6371.0088
 FIBER_KM_PER_SEC = 200_000.0
+# Point x edge elements per block of RegionEdges.contains: each
+# temporary is about 128 KiB of float64.
+BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -116,6 +122,67 @@ def point_in_region(p: GeoPoint, region: "WasgRegion") -> bool:
     return any(_point_in_polygon(p.lon, p.lat, polygon) for polygon in region.boundary)
 
 
+class RegionEdges:
+    """A region's boundary in numpy, for testing many points at once.
+
+    Holds each ring's vertices as a (2, n) lon/lat array and ``bbox``,
+    (min lon, min lat, max lon, max lat) over all vertices. The edge
+    arrays are built inside ``contains`` and dropped when it returns, so
+    a caller walking many regions holds one region's edges at a time.
+
+    Raises:
+        NoBoundary: if the region carries no polygons.
+    """
+
+    def __init__(self, region: "WasgRegion"):
+        if not region.boundary:
+            raise NoBoundary(f"region {region.id!r} has no boundary polygons")
+        self.rings = [np.array(ring, dtype=float).T for polygon in region.boundary for ring in polygon]
+        # Index of each polygon's first edge; a ring of n vertices has n - 1 edges.
+        self.starts = np.cumsum([0] + [sum(len(ring) - 1 for ring in polygon) for polygon in region.boundary[:-1]])
+        self.bbox = (
+            min(float(ring[0].min()) for ring in self.rings),
+            min(float(ring[1].min()) for ring in self.rings),
+            max(float(ring[0].max()) for ring in self.rings),
+            max(float(ring[1].max()) for ring in self.rings),
+        )
+
+    def contains(self, lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
+        """Boolean mask: ``point_in_region`` for each (lon, lat), in blocks of points x edges."""
+        x1, y1 = np.concatenate([ring[:, :-1] for ring in self.rings], axis=1)
+        x2, y2 = np.concatenate([ring[:, 1:] for ring in self.rings], axis=1)
+        dx = x2 - x1
+        dy = y2 - y1
+        inside = np.zeros(len(lons), dtype=bool)
+        step = max(1, BLOCK_ELEMENTS // len(x1))
+        # Horizontal and zero-length edges divide by zero in xi; they never
+        # straddle, so their xi is masked out.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for s in range(0, len(lons), step):
+                px = lons[s : s + step, None]
+                py = lats[s : s + step, None]
+                rel_y = py - y1
+                # The same expressions, in the same operand order, as _on_segment and
+                # _point_in_polygon, so every float matches the scalar test.
+                cross = dx * rel_y - dy * (px - x1)
+                i, j = np.nonzero(cross == 0.0)
+                if len(i):
+                    x = px[i, 0]
+                    y = py[i, 0]
+                    on = (
+                        (np.minimum(x1[j], x2[j]) <= x)
+                        & (x <= np.maximum(x1[j], x2[j]))
+                        & (np.minimum(y1[j], y2[j]) <= y)
+                        & (y <= np.maximum(y1[j], y2[j]))
+                    )
+                    inside[s + i[on]] = True
+                xi = x1 + rel_y * dx / dy
+                crossing = ((y1 > py) != (y2 > py)) & (xi > px)
+                odd = np.logical_xor.reduceat(crossing, self.starts, axis=1)
+                inside[s : s + step] |= odd.any(axis=1)
+        return inside
+
+
 def band_overlap(region: "WasgRegion", threshold_deg: float) -> bool:
     """True iff any part of the region boundary reaches poleward of the threshold.
 
@@ -134,11 +201,8 @@ def band_overlap(region: "WasgRegion", threshold_deg: float) -> bool:
     t = threshold_deg
     for polygon in region.boundary:
         for ring in polygon:
+            # An edge straddling either band parallel has a vertex poleward of it.
             for _, lat in ring:
                 if lat >= t or lat <= -t:
-                    return True
-            # Edges straddling either band parallel count as overlap too.
-            for (_, y1), (_, y2) in _ring_edges(ring):
-                if min(y1, y2) <= t <= max(y1, y2) or min(y1, y2) <= -t <= max(y1, y2):
                     return True
     return False

@@ -10,7 +10,9 @@ resolution (see ``overlap``).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -52,6 +54,8 @@ class WasgRegion:
             raise ValueError(
                 f"region {self.id!r}: internet_users {self.internet_users} exceeds population {self.population}"
             )
+        if not math.isfinite(self.area_km2):
+            raise ValueError(f"region {self.id!r}: area_km2 {self.area_km2!r} is not finite")
         if self.boundary and self.area_km2 <= 0:
             raise ValueError(f"region {self.id!r}: area_km2 must be positive when a boundary is present")
         for polygon in self.boundary:
@@ -155,6 +159,8 @@ def _coerce_ring(raw, region_id: str) -> Ring:
         ring = tuple((float(lon), float(lat)) for lon, lat in raw)
     except (TypeError, ValueError) as exc:
         raise MalformedDocument(f"region {region_id!r}: bad ring coordinates: {exc}") from exc
+    if not all(map(math.isfinite, chain.from_iterable(ring))):
+        raise MalformedDocument(f"region {region_id!r}: non-finite ring coordinate")
     return ring
 
 
@@ -205,7 +211,7 @@ def load_registry(source) -> WasgRegistry:
                 internet_users=int(props.get("internet_users", 0)),
                 area_km2=float(props.get("area_km2", 0.0)),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedDocument(f"feature {i} ({region_id!r}): {exc}") from exc
         regions.append(region)
     return WasgRegistry(regions)

@@ -1,10 +1,12 @@
 """Maps components and link endpoints to grids and builds distribution reports.
 
-Resolution walks every region polygon (with a bounding-box prefilter);
-overlapping polygons are data defects and resolve deterministically to
-the smallest-area region. All counting here is purely additive, so each
-reported figure can be re-derived by a brute-force recount over the raw
-inputs.
+Resolution is batched: ``RegionIndex`` takes all points of a call at
+once and, region by region, picks the points inside the region's
+bounding box and tests them together with ``geo.RegionEdges.contains``.
+Overlapping polygons are data defects and resolve deterministically to
+the smallest-area region, with one warning per call. All counting here
+is purely additive, so each reported figure can be re-derived by a
+brute-force recount over the raw inputs.
 """
 
 from __future__ import annotations
@@ -14,45 +16,67 @@ import random
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import UnknownNode
-from .geo import GeoPoint, point_in_region
-from .grid_model import AggregateResult, WasgRegion, WasgRegistry
+# overlap.point_in_region stays bound: bench/layertrace.py wraps it there.
+from .geo import GeoPoint, RegionEdges, point_in_region  # noqa: F401
+from .grid_model import AggregateResult, WasgRegistry
 from .ingest import COMPONENT_KINDS, InfraComponent, IpLink, RouterNode
 
 logger = logging.getLogger(__name__)
 
 LINK_CATEGORIES = ("both_mapped", "one_mapped", "none_mapped")
-
-
-def _bbox(region: WasgRegion) -> tuple[float, float, float, float]:
-    xs = [x for polygon in region.boundary for ring in polygon for x, _ in ring]
-    ys = [y for polygon in region.boundary for ring in polygon for _, y in ring]
-    return min(xs), min(ys), max(xs), max(ys)
+# Region pairs named in the one warning about points inside several regions.
+AMBIGUOUS_LISTED = 3
 
 
 class RegionIndex:
-    """Bounding-box prefilter over registry polygons."""
+    """Batched point-to-zone resolution over a registry's boundary polygons.
+
+    Built per call from the registry: one ``RegionEdges`` per region with
+    a boundary, ordered by (area_km2, id) so the first hit wins.
+    """
 
     def __init__(self, registry: WasgRegistry):
-        self.entries = [(region, _bbox(region)) for region in registry if region.boundary]
+        self.regions = sorted((r for r in registry if r.boundary), key=lambda r: (r.area_km2, r.id))
+        self.edges = [RegionEdges(region) for region in self.regions]
 
-    def locate(self, point: GeoPoint) -> str | None:
-        hits: list[WasgRegion] = []
-        for region, (x0, y0, x1, y1) in self.entries:
-            if x0 <= point.lon <= x1 and y0 <= point.lat <= y1 and point_in_region(point, region):
-                hits.append(region)
-        if not hits:
-            return None
-        if len(hits) > 1:
-            hits.sort(key=lambda r: (r.area_km2, r.id))
+    def hits(self, lons: np.ndarray, lats: np.ndarray) -> list[np.ndarray]:
+        """Per region, in ``self.regions`` order: indices of the points inside it."""
+        out = []
+        for edges in self.edges:
+            x0, y0, x1, y1 = edges.bbox
+            candidates = np.flatnonzero((x0 <= lons) & (lons <= x1) & (y0 <= lats) & (lats <= y1))
+            if len(candidates):
+                candidates = candidates[edges.contains(lons[candidates], lats[candidates])]
+            out.append(candidates)
+        return out
+
+    def resolve(self, points: Sequence[GeoPoint]) -> list[str | None]:
+        """Zone id per point; one warning for all points inside several regions."""
+        lons = np.fromiter((p.lon for p in points), dtype=float, count=len(points))
+        lats = np.fromiter((p.lat for p in points), dtype=float, count=len(points))
+        zone = np.full(len(points), -1)
+        ambiguous = np.zeros(len(points), dtype=bool)
+        pairs: list[str] = []
+        for k, idx in enumerate(self.hits(lons, lats)):
+            first = zone[idx] < 0
+            taken = idx[~first]
+            ambiguous[taken] = True
+            for i in taken[:AMBIGUOUS_LISTED].tolist():
+                pair = f"{self.regions[zone[i]].id}/{self.regions[k].id}"
+                if len(pairs) < AMBIGUOUS_LISTED and pair not in pairs:
+                    pairs.append(pair)
+            zone[idx[first]] = k
+        if ambiguous.any():
             logger.warning(
-                "point (%s, %s) inside %d regions; resolved to smallest-area %r",
-                point.lat,
-                point.lon,
-                len(hits),
-                hits[0].id,
+                "%d point(s) inside several regions, each resolved to its smallest-area region (e.g. %s)",
+                int(ambiguous.sum()),
+                ", ".join(pairs),
             )
-        return hits[0].id
+        ids = [region.id for region in self.regions]
+        return [ids[k] if k >= 0 else None for k in zone.tolist()]
 
 
 def resolve_components(
@@ -65,8 +89,8 @@ def resolve_components(
     several (overlapping) polygons resolves to the smallest area. The
     result is independent of input order.
     """
-    index = RegionIndex(registry)
-    return [replace(c, zone=index.locate(c.geo)) for c in components]
+    zones = RegionIndex(registry).resolve([c.geo for c in components])
+    return [replace(c, zone=zone) for c, zone in zip(components, zones)]
 
 
 def resolve_router_zones(
@@ -74,14 +98,22 @@ def resolve_router_zones(
     registry: WasgRegistry,
 ) -> dict[int, str | None]:
     """Zone per router node id; nodes without geolocation map to None."""
-    index = RegionIndex(registry)
-    return {n.node_id: (index.locate(n.geo) if n.geo is not None else None) for n in nodes}
+    zones = iter(RegionIndex(registry).resolve([n.geo for n in nodes if n.geo is not None]))
+    return {n.node_id: (next(zones) if n.geo is not None else None) for n in nodes}
 
 
-def components_from_router_nodes(nodes: Sequence[RouterNode]) -> list[InfraComponent]:
-    """Routers with geolocation as kind='router' components (id ``N<node_id>``)."""
+def components_from_router_nodes(
+    nodes: Sequence[RouterNode],
+    zones: Mapping[int, str | None] | None = None,
+) -> list[InfraComponent]:
+    """Routers with geolocation as kind='router' components (id ``N<node_id>``).
+
+    ``zones`` (from ``resolve_router_zones``) fills each component's zone;
+    without it every zone is None.
+    """
+    zones = zones or {}
     return [
-        InfraComponent(id=f"N{n.node_id}", kind="router", geo=n.geo)
+        InfraComponent(id=f"N{n.node_id}", kind="router", geo=n.geo, zone=zones.get(n.node_id))
         for n in nodes
         if n.geo is not None
     ]
@@ -306,24 +338,27 @@ def sample_polygon_overlap(
     ``warn_fraction`` of the samples is reported as a warning.
     """
     index = RegionIndex(registry)
-    if not index.entries:
+    if not index.regions:
         return PolygonOverlapSample(samples=0, pair_hits={}, warnings=[])
-    x0 = min(b[0] for _, b in index.entries)
-    y0 = min(b[1] for _, b in index.entries)
-    x1 = max(b[2] for _, b in index.entries)
-    y1 = max(b[3] for _, b in index.entries)
+    x0 = min(edges.bbox[0] for edges in index.edges)
+    y0 = min(edges.bbox[1] for edges in index.edges)
+    x1 = max(edges.bbox[2] for edges in index.edges)
+    y1 = max(edges.bbox[3] for edges in index.edges)
     rng = random.Random(seed)
+    draws = np.array([(rng.uniform(y0, y1), rng.uniform(x0, x1)) for _ in range(samples)]).reshape(-1, 2)
+    lats, lons = draws[:, 0], draws[:, 1]
+    hits = index.hits(lons, lats)
+    count = np.bincount(np.concatenate(hits), minlength=samples)
+    inside: dict[int, list[str]] = {}
+    for region, idx in zip(index.regions, hits):
+        for i in idx[count[idx] > 1].tolist():
+            inside.setdefault(i, []).append(region.id)
     pair_hits: dict[tuple[str, str], int] = {}
-    for _ in range(samples):
-        point = GeoPoint(lat=rng.uniform(y0, y1), lon=rng.uniform(x0, x1))
-        inside = sorted(
-            region.id
-            for region, (bx0, by0, bx1, by1) in index.entries
-            if bx0 <= point.lon <= bx1 and by0 <= point.lat <= by1 and point_in_region(point, region)
-        )
-        for i in range(len(inside)):
-            for j in range(i + 1, len(inside)):
-                key = (inside[i], inside[j])
+    for i in sorted(inside):
+        ids = sorted(inside[i])
+        for a in range(len(ids)):
+            for b in range(a + 1, len(ids)):
+                key = (ids[a], ids[b])
                 pair_hits[key] = pair_hits.get(key, 0) + 1
     warnings = [
         f"regions {a!r} and {b!r} overlap on {hits}/{samples} sampled points"

@@ -932,10 +932,10 @@ def resolve_candidate_zones(problem: PlacementProblem, registry: WasgRegistry) -
     """Fill missing candidate zones by polygon containment against a registry."""
     from .overlap import RegionIndex
 
-    index = RegionIndex(registry)
+    zones = iter(RegionIndex(registry).resolve([c.geo for c in problem.candidates if c.zone is None]))
     candidates = tuple(
         c if c.zone is not None else Candidate(
-            id=c.id, geo=c.geo, zone=index.locate(c.geo), cost=c.cost, country=c.country
+            id=c.id, geo=c.geo, zone=next(zones), cost=c.cost, country=c.country
         )
         for c in problem.candidates
     )

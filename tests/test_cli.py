@@ -43,6 +43,30 @@ class TestValidate:
         assert code == 2
         assert any("OpenRing" in v for v in out["violations"])
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("geometry", "coordinates", 0, 1, 0), float("nan")),
+            (("geometry", "coordinates", 0, 2, 1), float("inf")),
+            (("properties", "area_km2"), float("nan")),
+            (("properties", "area_km2"), float("-inf")),
+            (("properties", "population"), float("inf")),
+        ],
+    )
+    def test_non_finite_registry_number_is_one_error_line(self, workspace, tmp_path, capsys, path, value):
+        doc = json.loads((workspace / "wasg.geojson").read_text())
+        target = doc["features"][0]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        bad = tmp_path / "wasg_non_finite.geojson"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["overlap", "--wasg", str(bad), "--components", f"ixp={workspace / 'ixps.csv'}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: MalformedDocument: ")
+        assert err.count("\n") == 1
+
     def test_duplicate_candidate_ids_exit_two(self, workspace, capsys):
         code = main(["validate", "--problem", str(workspace / "problem_dup.json")])
         out = json.loads(capsys.readouterr().out)
@@ -64,6 +88,37 @@ class TestValidate:
 
 
 class TestOverlap:
+    def test_each_point_resolved_once(self, workspace, tmp_path, monkeypatch):
+        # 3 IXPs plus 3 geolocated routers: the routers feed both the links and
+        # the router components, from one resolution.
+        from netwattzap import overlap
+
+        resolved = []
+        resolve = overlap.RegionIndex.resolve
+
+        def counting(self, points):
+            resolved.append(len(points))
+            return resolve(self, points)
+
+        monkeypatch.setattr(overlap.RegionIndex, "resolve", counting)
+        out = tmp_path / "report.json"
+        code = main(
+            [
+                "overlap",
+                "--wasg", str(workspace / "wasg.geojson"),
+                "--components", f"ixp={workspace / 'ixps.csv'}",
+                "--nodes", str(workspace / "topo.nodes"),
+                "--geo", str(workspace / "topo.geo"),
+                "--links", str(workspace / "topo.links"),
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert sorted(resolved) == [3, 3]
+        report = json.loads(out.read_text())
+        assert report["coverage"]["router"] == {"zoned": 3, "total": 3}
+        assert report["link_categories"]["both_mapped"] == 3
+
     def test_coverage_two_of_three(self, workspace, tmp_path):
         out = tmp_path / "report.json"
         code = main(

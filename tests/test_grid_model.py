@@ -10,6 +10,7 @@ import pytest
 from netwattzap.errors import DuplicateAbbrev, DuplicateMember, MalformedDocument, MissingStats, OpenRing
 from netwattzap.grid_model import (
     AdminStatRecord,
+    WasgRegion,
     WasgRegistry,
     aggregate_stats,
     load_registry,
@@ -87,6 +88,36 @@ class TestLoadRegistry:
             load_registry({"type": "Feature"})
         doc = collection(feature("A", "A", ["US"]))
         del doc["features"][0]["properties"]["abbrev"]
+        with pytest.raises(MalformedDocument):
+            load_registry(doc)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_ring_coordinate_rejected(self, bad, axis):
+        doc = collection(feature("A", "A", ["US"]))
+        doc["features"][0]["geometry"]["coordinates"][0][2][axis] = bad
+        with pytest.raises(MalformedDocument, match="non-finite ring coordinate"):
+            load_registry(doc)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_area_rejected(self, bad):
+        doc = collection(feature("A", "A", ["US"]))
+        doc["features"][0]["properties"]["area_km2"] = bad
+        with pytest.raises(MalformedDocument, match="not finite"):
+            load_registry(doc)
+
+    def test_nan_area_region_cannot_be_built(self):
+        # A NaN area would win the smallest-area tie-break: NaN < 5 and 5 < NaN are both false.
+        with pytest.raises(ValueError, match="not finite"):
+            WasgRegion(
+                id="A", name="A", abbrev="A", members=frozenset(),
+                boundary=((square_ring(0.0, 0.0, 4.0),),),
+                population=0, internet_users=0, area_km2=float("nan"),
+            )
+
+    def test_infinite_population_rejected(self):
+        doc = collection(feature("A", "A", ["US"]))
+        doc["features"][0]["properties"]["population"] = float("inf")
         with pytest.raises(MalformedDocument):
             load_registry(doc)
 

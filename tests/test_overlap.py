@@ -6,15 +6,20 @@ from the raw inputs, bypassing the module's own counting.
 
 from __future__ import annotations
 
+import logging
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netwattzap.errors import UnknownNode
-from netwattzap.geo import GeoPoint, point_in_region
-from netwattzap.grid_model import WasgRegistry, aggregate_stats
+from netwattzap.geo import GeoPoint, RegionEdges, point_in_region
+from netwattzap.grid_model import WasgRegion, WasgRegistry, aggregate_stats
 from netwattzap.ingest import InfraComponent
 from netwattzap.overlap import (
+    RegionIndex,
     az_collapse,
     categorize_links,
     components_from_router_nodes,
@@ -53,6 +58,26 @@ class TestResolveComponents:
         registry = WasgRegistry([big, small])
         comps = [InfraComponent(id="a", kind="ixp", geo=GeoPoint(3.0, 3.0))]
         assert resolve_components(comps, registry)[0].zone == "SML"
+
+    def test_one_aggregated_ambiguity_warning(self, caplog):
+        big = square_region("BIG", "BG", 0.0, 0.0, 10.0)
+        small = square_region("SML", "SM", 2.0, 2.0, 3.0)
+        registry = WasgRegistry([big, small])
+        comps = [
+            InfraComponent(id=f"c{i}", kind="ixp", geo=GeoPoint(3.0 + i * 0.1, 3.0)) for i in range(20)
+        ] + [InfraComponent(id="far", kind="ixp", geo=GeoPoint(8.0, 8.0))]
+        with caplog.at_level(logging.WARNING, logger="netwattzap.overlap"):
+            resolved = resolve_components(comps, registry)
+        assert [c.zone for c in resolved] == ["SML"] * 20 + ["BIG"]
+        assert len(caplog.records) == 1
+        message = caplog.records[0].getMessage()
+        assert message.startswith("20 point(s) inside several regions")
+        assert "SML/BIG" in message
+
+    def test_disjoint_registry_logs_nothing(self, synthetic_registry, synthetic_components, caplog):
+        with caplog.at_level(logging.WARNING, logger="netwattzap.overlap"):
+            resolve_components(synthetic_components, synthetic_registry)
+        assert caplog.records == []
 
     def test_order_independence(self, synthetic_registry, synthetic_components):
         resolved = resolve_components(synthetic_components, synthetic_registry)
@@ -247,3 +272,109 @@ class TestPolygonOverlapSampler:
         a = sample_polygon_overlap(synthetic_registry, samples=500, seed=42)
         b = sample_polygon_overlap(synthetic_registry, samples=500, seed=42)
         assert a.pair_hits == b.pair_hits
+
+
+# Lattice coordinates make vertices, edges, horizontal and vertical edges,
+# repeated vertices (zero-length edges) and shared edges between regions common.
+_coord = st.integers(-6, 6).map(lambda v: v * 0.5)
+_ring = st.lists(st.tuples(_coord, _coord), min_size=3, max_size=7).map(lambda vs: tuple(vs) + (vs[0],))
+_polygon = st.lists(_ring, min_size=1, max_size=3).map(tuple)  # later rings act as holes
+_boundary = st.lists(_polygon, min_size=1, max_size=3).map(tuple)  # MultiPolygons
+
+
+@st.composite
+def _registries(draw):
+    boundaries = draw(st.lists(_boundary, min_size=1, max_size=4))
+    return WasgRegistry(
+        WasgRegion(
+            id=f"R{i}",
+            name=f"R{i}",
+            abbrev=f"R{i}",
+            members=frozenset(),
+            boundary=boundary,
+            population=0,
+            internet_users=0,
+            # Few distinct areas, so equal-area overlaps fall back to the id.
+            area_km2=draw(st.sampled_from([1.0, 2.0, 3.0])),
+        )
+        for i, boundary in enumerate(boundaries)
+    )
+
+
+def _points(registry):
+    """Points on vertices, edge midpoints and other edge fractions, on a vertex's x or y, or free."""
+    edges = [
+        (ring[k], ring[k + 1])
+        for region in registry
+        for polygon in region.boundary
+        for ring in polygon
+        for k in range(len(ring) - 1)
+    ]
+    vertices = [a for a, _ in edges]
+    free = st.floats(-4.0, 4.0)
+    # Fractions such as 1/3 and 0.7 put points a rounding error off their edge.
+    fractions = st.sampled_from([0.0, 0.1, 0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.7, 1.0])
+    on_edge = st.tuples(st.sampled_from(edges), fractions).map(
+        lambda et: (et[0][0][0] + et[1] * (et[0][1][0] - et[0][0][0]),
+                    et[0][0][1] + et[1] * (et[0][1][1] - et[0][0][1]))
+    )
+    return st.one_of(
+        st.sampled_from(vertices),
+        st.sampled_from(edges).map(lambda e: ((e[0][0] + e[1][0]) / 2, (e[0][1] + e[1][1]) / 2)),
+        on_edge,
+        st.tuples(st.sampled_from(vertices), free).map(lambda vf: (vf[0][0], vf[1])),
+        st.tuples(st.sampled_from(vertices), free).map(lambda vf: (vf[1], vf[0][1])),
+        st.tuples(free, free),
+    ).map(lambda lon_lat: GeoPoint(lat=lon_lat[1], lon=lon_lat[0]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestBatchResolutionDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_batch_matches_scalar(self, data):
+        registry = data.draw(_registries())
+        points = data.draw(st.lists(_points(registry), min_size=1, max_size=25))
+        lons = np.array([p.lon for p in points])
+        lats = np.array([p.lat for p in points])
+        for region in registry:
+            expected = [point_in_region(p, region) for p in points]
+            assert RegionEdges(region).contains(lons, lats).tolist() == expected
+        assert RegionIndex(registry).resolve(points) == [brute_force_zone(p, registry) for p in points]
+
+    def test_block_boundaries(self, monkeypatch):
+        # Blocks of 5 points x 4 edges; 289 points leave a partial last block.
+        from netwattzap import geo
+
+        monkeypatch.setattr(geo, "BLOCK_ELEMENTS", 20)
+        registry = WasgRegistry([square_region("A", "A", 0.0, 0.0, 2.0), square_region("B", "B", 1.0, 1.0, 2.0)])
+        points = [GeoPoint(lat=i * 0.25 - 0.5, lon=j * 0.25 - 0.5) for i in range(17) for j in range(17)]
+        assert RegionIndex(registry).resolve(points) == [brute_force_zone(p, registry) for p in points]
+
+    def test_sampler_matches_scalar_recount(self):
+        ring = ((0.0, 0.0), (6.0, 0.0), (6.0, 6.0), (0.0, 6.0), (0.0, 0.0))
+        hole = ((2.0, 2.0), (4.0, 2.0), (4.0, 4.0), (2.0, 4.0), (2.0, 2.0))
+        islands = (
+            (((3.0, 3.0), (8.0, 3.0), (8.0, 8.0), (3.0, 8.0), (3.0, 3.0)),),
+            (((-2.0, -2.0), (1.0, -2.0), (1.0, 1.0), (-2.0, 1.0), (-2.0, -2.0)),),
+        )
+        regions = [
+            WasgRegion(id="HOLE", name="h", abbrev="H", members=frozenset(), boundary=((ring, hole),),
+                       population=0, internet_users=0, area_km2=32.0),
+            WasgRegion(id="MULTI", name="m", abbrev="M", members=frozenset(), boundary=islands,
+                       population=0, internet_users=0, area_km2=34.0),
+            square_region("SQ", "S", 1.0, 1.0, 4.0),
+        ]
+        registry = WasgRegistry(regions)
+        result = sample_polygon_overlap(registry, samples=3000, seed=5)
+
+        rng = random.Random(5)
+        expected: dict[tuple[str, str], int] = {}
+        for _ in range(3000):
+            point = GeoPoint(lat=rng.uniform(-2.0, 8.0), lon=rng.uniform(-2.0, 8.0))
+            inside = sorted(r.id for r in registry if point_in_region(point, r))
+            for i in range(len(inside)):
+                for j in range(i + 1, len(inside)):
+                    expected[(inside[i], inside[j])] = expected.get((inside[i], inside[j]), 0) + 1
+        assert len(expected) == 3
+        assert list(result.pair_hits.items()) == list(expected.items())
