@@ -12,7 +12,7 @@ Run: python demos/04_resilient_placement.py
 """
 
 from netwattzap import Candidate, DemandPoint, GeoPoint, PlacementProblem, SelectCount, solve_problem
-from netwattzap.placement import build_ilp, solve_pairwise
+from netwattzap.placement import build_ilp, solve_problem
 
 DATACENTERS = [
     # (id, lat, lon, grid)  - a compressed cloud-region catalog
@@ -89,7 +89,7 @@ for objective in ("min_pairwise_distance_sum", "max_pairwise_distance_sum"):
         select_count=SelectCount(mode="exactly", n=2),
         zone_cap=1,
     )
-    solution = solve_pairwise(problem)
+    solution = solve_problem(problem)
     mode = "closest" if objective.startswith("min") else "farthest"
     print(f"\nUse case 3 ({mode} grid-disjoint IXP pair): {' + '.join(solution.chosen)}"
           f"  ({solution.objective_value:.0f} km apart)")

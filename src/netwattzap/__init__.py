@@ -41,7 +41,6 @@ from .overlap import (
     az_collapse,
     categorize_links,
     distribution_report,
-    pair_counts,
     resolve_components,
     smallest_k,
 )
@@ -55,7 +54,6 @@ from .placement import (
     build_ilp,
     check_feasible,
     solve,
-    solve_pairwise,
     solve_problem,
 )
 
@@ -98,7 +96,6 @@ __all__ = [
     "load_registry",
     "max_flow",
     "min_cut",
-    "pair_counts",
     "parse_components",
     "parse_stats",
     "parse_topology",
@@ -108,7 +105,6 @@ __all__ = [
     "resolve_scenario",
     "smallest_k",
     "solve",
-    "solve_pairwise",
     "solve_problem",
     "unavailability",
 ]

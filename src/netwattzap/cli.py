@@ -139,23 +139,27 @@ def _require(args, *names: str) -> None:
         raise ValueError(f"{args.command} requires {', '.join(missing)}")
 
 
+def _load_topology(args, registry):
+    """Parse the topology, resolve each router once, and tally its links.
+
+    Returns (nodes, router zones, link tally).
+    """
+    topo = parse_topology(args.nodes, args.geo, args.links, strict=args.strict)
+    zones = overlap_mod.resolve_router_zones(topo.nodes, registry)
+    return topo.nodes, zones, overlap_mod.categorize_links(topo.links, zones)
+
+
 def _load_components(args, registry):
-    """Parse, resolve, and pool all component inputs; returns (components, skipped)."""
+    """Parse, resolve, and pool all component inputs; returns (components, link tally)."""
     components = []
-    skipped = []
     for kind, path in _parse_component_specs(args.components):
-        parsed = parse_components(path, kind=kind)
-        components.extend(parsed.components)
-        skipped.extend((path, rowno, reason) for rowno, reason in parsed.skipped)
+        components.extend(parse_components(path, kind=kind).components)
     resolved = overlap_mod.resolve_components(components, registry)
-    links = []
+    tally = None
     if args.nodes:
-        topo = parse_topology(args.nodes, args.geo, args.links, strict=args.strict)
-        zones = overlap_mod.resolve_router_zones(topo.nodes, registry)
-        resolved.extend(overlap_mod.components_from_router_nodes(topo.nodes, zones))
-        if args.links:
-            links = overlap_mod.categorize_links(topo.links, zones).links
-    return resolved, links, skipped
+        nodes, zones, tally = _load_topology(args, registry)
+        resolved.extend(overlap_mod.components_from_router_nodes(nodes, zones))
+    return resolved, tally
 
 
 def cmd_validate(args) -> int:
@@ -269,11 +273,11 @@ def _overlap_report_csv(report) -> str:
 def cmd_overlap(args) -> int:
     _require(args, "wasg")
     registry = load_registry(args.wasg)
-    components, links, _skipped = _load_components(args, registry)
+    components, tally = _load_components(args, registry)
     agg = None
     if args.stats:
         agg = aggregate_stats(registry, parse_stats(args.stats), strict=args.strict)
-    report = overlap_mod.distribution_report(components, registry, stats=agg, links=links or None)
+    report = overlap_mod.distribution_report(components, registry, stats=agg, tally=tally)
     if args.format == "csv":
         _emit(_overlap_report_csv(report), args.out)
     else:
@@ -293,12 +297,12 @@ def cmd_failure(args) -> int:
     _require(args, "wasg", "scenario")
     registry = load_registry(args.wasg)
     scenario = failure_mod.load_scenario(args.scenario)
-    components, links, _skipped = _load_components(args, registry)
+    components, tally = _load_components(args, registry)
     agg = None
     if args.stats:
         agg = aggregate_stats(registry, parse_stats(args.stats), strict=args.strict)
     report = failure_mod.unavailability(
-        scenario, registry, components=components, links=links, stats=agg
+        scenario, registry, components=components, tally=tally, stats=agg
     )
     if args.format == "geojson":
         failed_features = [
@@ -316,11 +320,8 @@ def cmd_connectivity(args) -> int:
     _require(args, "wasg", "nodes", "geo", "links", "scenario")
     registry = load_registry(args.wasg)
     scenario = failure_mod.load_scenario(args.scenario)
-    topo = parse_topology(args.nodes, args.geo, args.links, strict=args.strict)
-    zones = overlap_mod.resolve_router_zones(topo.nodes, registry)
-    categorized = overlap_mod.categorize_links(topo.links, zones)
-    counts = overlap_mod.pair_counts(categorized.links)
-    graph = conn.build_graph(counts.pairs)
+    _nodes, _zones, tally = _load_topology(args, registry)
+    graph = conn.build_graph(tally.pairs)
     failed = failure_mod.resolve_scenario(scenario, registry)
     report = conn.flow_reduction(graph, failed)
     if args.format == "csv":

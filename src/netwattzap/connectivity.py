@@ -11,8 +11,6 @@ pairs have flow 0.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -69,10 +67,6 @@ def build_graph(
     return WasgGraph(nodes=frozenset(node_set), edges=edges)
 
 
-def _residual(g: WasgGraph) -> dict[str, dict[str, int]]:
-    return g.adjacency()
-
-
 def _bfs_augmenting_path(residual, s: str, t: str) -> dict[str, str] | None:
     parent: dict[str, str] = {s: s}
     queue = deque([s])
@@ -100,7 +94,7 @@ def min_cut(g: WasgGraph, s: str, t: str) -> tuple[int, frozenset[str]]:
         raise UnknownNode(f"no node {t!r}")
     if s == t:
         raise ValueError("source and sink must differ")
-    residual = _residual(g)
+    residual = g.adjacency()
     flow = 0
     while True:
         parent = _bfs_augmenting_path(residual, s, t)
@@ -302,38 +296,16 @@ def flow_reduction(g: WasgGraph, failed: Iterable[str]) -> FlowReductionReport:
         raise AllNodesFailed("failure scenario removes every connectivity-graph node")
 
     before_tree = gomory_hu(g)
-    after_tree = gomory_hu(subgraph(g, surviving))
+    after_flows = {(u, v): flow for u, v, flow in gomory_hu(subgraph(g, surviving)).all_pairs()}
 
     pairs: list[PairReduction] = []
     total = 0.0
-    for i, u in enumerate(surviving):
-        for v in surviving[i + 1 :]:
-            before = before_tree.min_flow(u, v)
-            if before == 0:
-                continue
-            after = after_tree.min_flow(u, v)
-            reduction = min(1.0, max(0.0, (before - after) / before))
-            pairs.append(PairReduction(u=u, v=v, flow_before=before, flow_after=after, reduction=reduction))
-            total += reduction
+    for u, v, before in before_tree.all_pairs():
+        if before == 0 or u in failed_set or v in failed_set:
+            continue
+        after = after_flows[(u, v)]
+        reduction = min(1.0, max(0.0, (before - after) / before))
+        pairs.append(PairReduction(u=u, v=v, flow_before=before, flow_after=after, reduction=reduction))
+        total += reduction
     mean = total / len(pairs) if pairs else 0.0
     return FlowReductionReport(failed=tuple(sorted(failed_set)), mean_reduction=mean, pairs=tuple(pairs))
-
-
-def graph_to_csv(g: WasgGraph) -> str:
-    """Edge list ``u,v,capacity`` in sorted order."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["u", "v", "capacity"])
-    for (u, v), capacity in sorted(g.edges.items()):
-        writer.writerow([u, v, capacity])
-    return out.getvalue()
-
-
-def tree_to_csv(tree: GomoryHuTree) -> str:
-    """Tree edge list ``u,v,capacity`` in sorted order."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["u", "v", "capacity"])
-    for u, v, capacity in tree.edges:
-        writer.writerow([u, v, capacity])
-    return out.getvalue()

@@ -3,9 +3,11 @@
 A scenario fails whole grids: either an explicit set (regional outages
 from weather or targeted attacks) or every grid reaching poleward of a
 latitude threshold (solar-storm model). Components in no grid are never
-failed - their grid exposure is unknown. A link is unavailable as soon
-as either mapped endpoint sits in a failed grid; links with both ends
-unmapped survive every scenario.
+failed - their grid exposure is unknown. Links enter as the grid-level
+tally of ``overlap.categorize_links``: a link is unavailable as soon as
+either mapped endpoint sits in a failed grid, so the unavailable links
+are the grid pairs and one-end counts touching a failed grid; links with
+both ends unmapped survive every scenario.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from typing import Mapping, Sequence
 from .errors import MalformedDocument, UnknownWasg
 from .geo import band_overlap
 from .grid_model import AggregateResult, WasgRegistry
-from .ingest import InfraComponent, IpLink
-from .overlap import az_collapse
+from .ingest import InfraComponent
+from .overlap import LinkTally, az_collapse
 
 MODES = ("regional", "latitude_band")
 
@@ -148,14 +150,15 @@ def unavailability(
     scenario: FailureScenario,
     registry: WasgRegistry,
     components: Sequence[InfraComponent] = (),
-    links: Sequence[IpLink] = (),
+    tally: LinkTally | None = None,
     stats: AggregateResult | None = None,
 ) -> UnavailabilityReport:
-    """Evaluate a scenario over resolved components, annotated links, and stats.
+    """Evaluate a scenario over resolved components, a link tally, and stats.
 
     Metrics appear only for the inputs supplied: component kinds and
-    datacenter zones need ``components``, the links metric needs
-    categorized ``links``, internet_users needs ``stats``.
+    datacenter zones need ``components``, the links metric needs a
+    ``tally`` that counted at least one link, internet_users needs
+    ``stats``.
     """
     failed = resolve_scenario(scenario, registry)
     details: dict[str, MetricDetail] = {}
@@ -179,19 +182,13 @@ def unavailability(
                 zoned_total=len(collapse.groups),
             )
 
-    if links:
-        unavailable_links = 0
-        zoned_links = 0
-        for link in links:
-            mapped_zones = [z for z in (link.zone_a, link.zone_b) if z is not None]
-            if mapped_zones:
-                zoned_links += 1
-            if any(z in failed for z in mapped_zones):
-                unavailable_links += 1
+    links_total = sum(tally.counts.values()) if tally is not None else 0
+    if links_total:
         details["links"] = MetricDetail(
-            unavailable=unavailable_links,
-            total=len(links),
-            zoned_total=zoned_links,
+            unavailable=sum(c for (a, b), c in tally.pairs.items() if a in failed or b in failed)
+            + sum(c for zone, c in tally.one_end.items() if zone in failed),
+            total=links_total,
+            zoned_total=tally.counts["both_mapped"] + tally.counts["one_mapped"],
         )
 
     if stats is not None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -159,8 +158,11 @@ def _coerce_ring(raw, region_id: str) -> Ring:
         ring = tuple((float(lon), float(lat)) for lon, lat in raw)
     except (TypeError, ValueError) as exc:
         raise MalformedDocument(f"region {region_id!r}: bad ring coordinates: {exc}") from exc
-    if not all(map(math.isfinite, chain.from_iterable(ring))):
-        raise MalformedDocument(f"region {region_id!r}: non-finite ring coordinate")
+    # One range test per coordinate also rejects NaN and +-inf.
+    if not all(-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0 for lon, lat in ring):
+        raise MalformedDocument(
+            f"region {region_id!r}: non-finite ring coordinate or one outside lon [-180, 180], lat [-90, 90]"
+        )
     return ring
 
 

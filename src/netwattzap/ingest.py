@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import logging
+import math
 import re
 from dataclasses import dataclass
 from ipaddress import AddressValueError, IPv4Address, IPv6Address
@@ -39,8 +40,6 @@ _GEO_RE = re.compile(r"^node\.geo\s+N(\d+):\s*(.*)$")
 _LINK_RE = re.compile(r"^link\s+L(\d+):\s*(.*)$")
 _NODE_REF_RE = re.compile(r"N(\d+)(?::\S+)?")
 
-LinkCategory = str  # "both_mapped" | "one_mapped" | "none_mapped"
-
 
 @dataclass(frozen=True)
 class RouterNode:
@@ -55,27 +54,17 @@ class RouterNode:
 class IpLink:
     """A topology edge between two router nodes.
 
-    Zone annotations and the mapping category are absent until the
-    overlap module fills them in.
+    Links carry no grid information: ``overlap.categorize_links`` maps
+    their endpoints to grids and tallies them.
     """
 
     link_id: int
     a: int
     b: int
-    zone_a: str | None = None
-    zone_b: str | None = None
-    category: LinkCategory | None = None
 
     def __post_init__(self) -> None:
         if self.a == self.b:
             raise ValueError(f"link {self.link_id}: endpoints must differ")
-        if self.category is not None:
-            mapped = (self.zone_a is not None) + (self.zone_b is not None)
-            expected = ("none_mapped", "one_mapped", "both_mapped")[mapped]
-            if self.category != expected:
-                raise ValueError(
-                    f"link {self.link_id}: category {self.category!r} inconsistent with zones"
-                )
 
 
 @dataclass(frozen=True)
@@ -92,8 +81,8 @@ class InfraComponent:
     def __post_init__(self) -> None:
         if self.kind not in COMPONENT_KINDS:
             raise ValueError(f"component {self.id!r}: unknown kind {self.kind!r}")
-        if self.weight < 0:
-            raise ValueError(f"component {self.id!r}: negative weight")
+        if not 0 <= self.weight < math.inf:
+            raise ValueError(f"component {self.id!r}: weight {self.weight!r} not finite and non-negative")
         az_count = self.attr("az_count")
         if az_count is not None and (not isinstance(az_count, int) or az_count < 1):
             raise ValueError(f"component {self.id!r}: az_count must be a positive integer")

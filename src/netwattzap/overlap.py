@@ -120,61 +120,53 @@ def components_from_router_nodes(
 
 
 @dataclass
-class CategorizedLinks:
-    links: list[IpLink]
+class LinkTally:
+    """Grid-level link counts from one pass over the links.
+
+    ``counts`` holds the both/one/none-mapped totals, ``pairs`` the
+    links per unordered grid pair (same-grid pairs included) and
+    ``one_end`` each one-mapped link under its single mapped grid.
+    """
+
     counts: dict[str, int]
+    pairs: dict[tuple[str, str], int]
+    one_end: dict[str, int]
 
 
 def categorize_links(
     links: Sequence[IpLink],
     node_zones: Mapping[int, str | None],
-) -> CategorizedLinks:
-    """Tag each link both/one/none-mapped from its endpoint zones.
+) -> LinkTally:
+    """Tally links by how many endpoints map to a grid, and by which grids.
 
     Raises:
         UnknownNode: if a link references a node id absent from the map.
     """
-    counts = {cat: 0 for cat in LINK_CATEGORIES}
-    annotated: list[IpLink] = []
-    for link in links:
-        for endpoint in (link.a, link.b):
-            if endpoint not in node_zones:
-                raise UnknownNode(f"link L{link.link_id} references unknown node N{endpoint}")
-        zone_a = node_zones[link.a]
-        zone_b = node_zones[link.b]
-        mapped = (zone_a is not None) + (zone_b is not None)
-        category = LINK_CATEGORIES[2 - mapped]
-        counts[category] += 1
-        annotated.append(replace(link, zone_a=zone_a, zone_b=zone_b, category=category))
-    return CategorizedLinks(links=annotated, counts=counts)
-
-
-@dataclass
-class PairCounts:
-    """Inter-grid link tallies: unordered pair counts and one-end counts."""
-
-    pairs: dict[tuple[str, str], int]
-    one_end: dict[str, int]
-
-
-def pair_counts(links: Sequence[IpLink]) -> PairCounts:
-    """Count links per unordered WASG pair (same-grid pairs included).
-
-    one_end counts each one-mapped link once, under its single mapped
-    grid. Links must already be categorized.
-    """
     pairs: dict[tuple[str, str], int] = {}
     one_end: dict[str, int] = {}
+    none_mapped = 0
     for link in links:
-        if link.category is None:
-            raise ValueError(f"link L{link.link_id} is not categorized")
-        if link.category == "both_mapped":
-            key = (link.zone_a, link.zone_b) if link.zone_a <= link.zone_b else (link.zone_b, link.zone_a)
+        try:
+            zone_a = node_zones[link.a]
+            zone_b = node_zones[link.b]
+        except KeyError as exc:
+            raise UnknownNode(f"link L{link.link_id} references unknown node N{exc.args[0]}") from None
+        if zone_a is None:
+            if zone_b is None:
+                none_mapped += 1
+            else:
+                one_end[zone_b] = one_end.get(zone_b, 0) + 1
+        elif zone_b is None:
+            one_end[zone_a] = one_end.get(zone_a, 0) + 1
+        else:
+            key = (zone_a, zone_b) if zone_a <= zone_b else (zone_b, zone_a)
             pairs[key] = pairs.get(key, 0) + 1
-        elif link.category == "one_mapped":
-            zone = link.zone_a if link.zone_a is not None else link.zone_b
-            one_end[zone] = one_end.get(zone, 0) + 1
-    return PairCounts(pairs=pairs, one_end=one_end)
+    counts = {
+        "both_mapped": sum(pairs.values()),
+        "one_mapped": sum(one_end.values()),
+        "none_mapped": none_mapped,
+    }
+    return LinkTally(counts=counts, pairs=pairs, one_end=one_end)
 
 
 @dataclass
@@ -251,9 +243,9 @@ def distribution_report(
     components: Sequence[InfraComponent],
     registry: WasgRegistry,
     stats: AggregateResult | None = None,
-    links: Sequence[IpLink] | None = None,
+    tally: LinkTally | None = None,
 ) -> OverlapReport:
-    """Aggregate resolved components (and optionally links/statistics) per grid."""
+    """Aggregate resolved components (and optionally a link tally/statistics) per grid."""
     per_wasg: dict[str, dict[str, float]] = {
         wasg_id: {kind: 0 for kind in COMPONENT_KINDS} for wasg_id in registry.ids
     }
@@ -276,15 +268,8 @@ def distribution_report(
         metrics["components"] = sum(metrics.get(kind, 0) for kind in COMPONENT_KINDS)
     uncovered["components"] = sum(uncovered.get(kind, 0) for kind in COMPONENT_KINDS)
 
-    link_categories = {cat: 0 for cat in LINK_CATEGORIES}
-    pairs: dict[tuple[str, str], int] = {}
-    one_end: dict[str, int] = {}
-    if links is not None:
-        tallies = pair_counts(links)
-        pairs = tallies.pairs
-        one_end = tallies.one_end
-        for link in links:
-            link_categories[link.category] += 1
+    if tally is None:
+        tally = LinkTally(counts=dict.fromkeys(LINK_CATEGORIES, 0), pairs={}, one_end={})
 
     metrics_present = list(COMPONENT_KINDS) + ["components"]
     if stats is not None:
@@ -296,9 +281,9 @@ def distribution_report(
     return OverlapReport(
         per_wasg=per_wasg,
         uncovered=uncovered,
-        link_categories=link_categories,
-        pair_counts=pairs,
-        one_end_counts=one_end,
+        link_categories=tally.counts,
+        pair_counts=tally.pairs,
+        one_end_counts=tally.one_end,
         rankings=rankings,
     )
 

@@ -16,6 +16,7 @@ ascending id order. Candidates without a zone count as singleton zones.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,8 +49,8 @@ class Candidate:
     country: str | None = None
 
     def __post_init__(self) -> None:
-        if self.cost is not None and self.cost < 0:
-            raise ValueError(f"candidate {self.id!r}: negative cost")
+        if self.cost is not None and not 0 <= self.cost < math.inf:
+            raise ValueError(f"candidate {self.id!r}: cost {self.cost!r} not finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,8 @@ class DemandPoint:
     weight: float
 
     def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ValueError(f"demand {self.id!r}: negative weight")
+        if not 0 <= self.weight < math.inf:
+            raise ValueError(f"demand {self.id!r}: weight {self.weight!r} not finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -163,6 +164,9 @@ class PlacementProblem:
             unknown = sorted(set(self.latency_bounds) - known)
             if unknown:
                 raise ValueError(f"latency_bounds reference unknown demands: {unknown}")
+            for demand_id, bound in self.latency_bounds.items():
+                if not math.isfinite(bound):
+                    raise ValueError(f"latency_bounds ({demand_id!r}): {bound!r} not finite")
         if self.latency_override is not None:
             for d in self.demands:
                 row = self.latency_override.get(d.id)
@@ -171,6 +175,8 @@ class PlacementProblem:
                 for c in self.candidates:
                     if c.id not in row:
                         raise ValueError(f"latency_override missing entry ({d.id!r}, {c.id!r})")
+                    if not math.isfinite(row[c.id]):
+                        raise ValueError(f"latency_override ({d.id!r}, {c.id!r}): {row[c.id]!r} not finite")
 
     def zone_key(self, candidate: Candidate) -> str:
         """Grid id, or a singleton key for candidates outside every grid."""
@@ -781,13 +787,6 @@ def solve(model: IlpModel, time_limit: float = 60.0) -> PlacementSolution:
 def solve_problem(problem: PlacementProblem, time_limit: float = 60.0) -> PlacementSolution:
     """Convenience wrapper: build the model, then solve it."""
     return solve(build_ilp(problem), time_limit=time_limit)
-
-
-def solve_pairwise(problem: PlacementProblem, time_limit: float = 60.0) -> PlacementSolution:
-    """Solve a min/max pairwise-distance selection (n >= 2 enforced upstream)."""
-    if problem.objective not in PAIRWISE_OBJECTIVES:
-        raise ValueError(f"solve_pairwise needs a pairwise objective, got {problem.objective!r}")
-    return solve_problem(problem, time_limit=time_limit)
 
 
 def check_feasible(problem: PlacementProblem, chosen: Sequence[str]) -> tuple[bool, list[str]]:

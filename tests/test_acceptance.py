@@ -428,7 +428,7 @@ def test_criterion_07_counting_invariants():
         zones = resolve_router_zones(nodes, registry)
         categorized = categorize_links(links, zones)
         agg = aggregate_stats(registry, stats)
-        report = distribution_report(resolved, registry, stats=agg, links=categorized.links)
+        report = distribution_report(resolved, registry, stats=agg, tally=categorized)
 
         assert sum(report.link_categories.values()) == 2000
 
@@ -560,7 +560,7 @@ def test_criterion_10_dataset_reproduction():
     def run():
         from netwattzap.grid_model import load_registry
         from netwattzap.ingest import parse_components, parse_topology
-        from netwattzap.overlap import az_collapse, pair_counts
+        from netwattzap.overlap import az_collapse
 
         base = Path(os.environ[DATASET_ENV])
         registry = load_registry(base / "wasg.geojson")
@@ -574,10 +574,9 @@ def test_criterion_10_dataset_reproduction():
         assert round(categorized.counts["none_mapped"] / 1e6, 1) == 1.3
 
         # Top both-mapped pair: (NA-E, EU) at 1661 K.
-        tallies = pair_counts(categorized.links)
         na_e = registry.by_abbrev("NA-E").id
         eu = registry.by_abbrev("EU").id
-        cross = {k: v for k, v in tallies.pairs.items() if k[0] != k[1]}
+        cross = {k: v for k, v in categorized.pairs.items() if k[0] != k[1]}
         top_pair, top_count = max(cross.items(), key=lambda item: item[1])
         assert set(top_pair) == {na_e, eu}
         assert round(top_count / 1e3) == 1661

@@ -67,6 +67,22 @@ class TestValidate:
         assert err.startswith("error: MalformedDocument: ")
         assert err.count("\n") == 1
 
+    def test_ring_outside_coordinate_range_exits_two(self, workspace, tmp_path, capsys):
+        # A ring reaching lat 95 used to load and validate as "clean".
+        doc = json.loads((workspace / "wasg.geojson").read_text())
+        region = doc["features"][0]["properties"]["id"]
+        doc["features"][0]["geometry"] = {
+            "type": "Polygon",
+            "coordinates": [[[0.0, 80.0], [10.0, 80.0], [10.0, 95.0], [0.0, 95.0], [0.0, 80.0]]],
+        }
+        bad = tmp_path / "wasg_polar.geojson"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["validate", "--wasg", str(bad)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert out["status"] == "violations"
+        assert any(v.startswith("MalformedDocument: ") and repr(region) in v for v in out["violations"])
+
     def test_duplicate_candidate_ids_exit_two(self, workspace, capsys):
         code = main(["validate", "--problem", str(workspace / "problem_dup.json")])
         out = json.loads(capsys.readouterr().out)
@@ -210,6 +226,17 @@ class TestOverlap:
         assert code == 2
         assert "KIND=PATH" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_component_weight_is_one_error_line(self, workspace, tmp_path, capsys, bad):
+        path = tmp_path / "ixps_non_finite.csv"
+        path.write_text(f"id,kind,lat,lon,weight,attrs_json\nix1,ixp,9.0,-146.0,{bad},\n", encoding="utf-8")
+        code = main(["overlap", "--wasg", str(workspace / "wasg.geojson"), "--components", f"ixp={path}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: MalformedRow: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestFailureCommand:
     def test_single_grid_all_fractions_one(self, workspace, tmp_path):
@@ -325,6 +352,30 @@ class TestConnectivity:
 
 
 class TestPlace:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "field",
+        ["demand_weight", "candidate_cost", "latency_bounds", "latency_override"],
+    )
+    def test_non_finite_number_is_one_error_line(self, workspace, tmp_path, capsys, field, bad):
+        doc = json.loads((workspace / "problem.json").read_text())
+        if field == "demand_weight":
+            doc["demands"][0]["weight"] = bad
+        elif field == "candidate_cost":
+            doc["candidates"][0]["cost"] = bad
+        elif field == "latency_bounds":
+            doc["latency_bounds"] = {"d1": bad}
+        else:
+            doc["latency_override"]["d1"]["c2"] = bad
+        path = tmp_path / "problem_non_finite.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["place", "--problem", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: MalformedDocument: ")
+        assert captured.err.count("\n") == 1
+
     def test_eq_fixture(self, workspace, tmp_path):
         out = tmp_path / "solution.json"
         code = main(["place", "--problem", str(workspace / "problem.json"), "--out", str(out)])

@@ -12,11 +12,9 @@ from netwattzap.connectivity import (
     build_graph,
     flow_reduction,
     gomory_hu,
-    graph_to_csv,
     max_flow,
     min_cut,
     subgraph,
-    tree_to_csv,
 )
 from netwattzap.errors import AllNodesFailed, UnknownNode
 
@@ -238,16 +236,6 @@ class TestFlowReduction:
         doc = flow_reduction(g, {"B"}).to_dict()
         assert doc["failed"] == ["B"]
         assert doc["pairs"][0]["u"] == "A"
-
-
-class TestCsvExports:
-    def test_graph_and_tree_edge_lists(self):
-        g = graph_from_edges([("A", "B", 3), ("B", "C", 2)])
-        assert graph_to_csv(g) == "u,v,capacity\nA,B,3\nB,C,2\n"
-        tree = gomory_hu(g)
-        text = tree_to_csv(tree)
-        assert text.startswith("u,v,capacity\n")
-        assert len(text.strip().splitlines()) == 3
 
 
 class TestConstructionBudget:

@@ -155,8 +155,8 @@ class TestUnavailability:
             IpLink(link_id=4, a=3, b=4),  # unmapped both ends, never fails
         ]
         zones = resolve_router_zones(nodes, synthetic_registry)
-        annotated = categorize_links(links, zones).links
-        report = unavailability(regional("W00"), synthetic_registry, links=annotated)
+        tally = categorize_links(links, zones)
+        report = unavailability(regional("W00"), synthetic_registry, tally=tally)
         assert report.details["links"].unavailable == 2
         assert report.fractions["links"] == pytest.approx(2 / 4)
 

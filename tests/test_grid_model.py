@@ -99,6 +99,16 @@ class TestLoadRegistry:
         with pytest.raises(MalformedDocument, match="non-finite ring coordinate"):
             load_registry(doc)
 
+    @pytest.mark.parametrize("lon0, lat0", [(0.0, 80.0), (0.0, -95.0), (175.0, 0.0), (-185.0, 0.0)])
+    def test_ring_coordinate_outside_range_rejected(self, lon0, lat0):
+        doc = collection(feature("A", "A", ["US"], lon0=lon0, lat0=lat0, size=15.0))
+        with pytest.raises(MalformedDocument, match="'A'.*outside lon"):
+            load_registry(doc)
+
+    def test_ring_on_range_limits_loads(self):
+        registry = load_registry(collection(feature("A", "A", ["US"], lon0=165.0, lat0=75.0, size=15.0)))
+        assert max(lat for _, lat in registry.get("A").boundary[0][0]) == 90.0
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_area_rejected(self, bad):
         doc = collection(feature("A", "A", ["US"]))

@@ -160,6 +160,12 @@ class TestParseComponents:
         with pytest.raises(MalformedRow):
             parse_components(io.StringIO(csv_doc))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_weight(self, bad):
+        csv_doc = f"id,kind,lat,lon,weight,attrs_json\nbad,ixp,5,0,{bad},\n"
+        with pytest.raises(MalformedRow, match="not finite"):
+            parse_components(io.StringIO(csv_doc))
+
     def test_unknown_kind(self):
         csv_doc = "id,kind,lat,lon,weight,attrs_json\nbad,teapot,5,0,,\n"
         with pytest.raises(MalformedRow):
@@ -209,12 +215,13 @@ def test_duplicate_node_id_rejected():
         parse_topology(io.StringIO("node N1: 1.2.3.4\nnode N1: 2.3.4.5"), None, None)
 
 
-def test_link_category_must_match_zones():
-    from netwattzap.ingest import IpLink
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_component_weight_must_be_finite(bad):
+    from netwattzap.geo import GeoPoint
+    from netwattzap.ingest import InfraComponent
 
-    with pytest.raises(ValueError):
-        IpLink(link_id=1, a=1, b=2, zone_a="A", zone_b=None, category="both_mapped")
-    IpLink(link_id=1, a=1, b=2, zone_a="A", zone_b=None, category="one_mapped")
+    with pytest.raises(ValueError, match="not finite"):
+        InfraComponent(id="c", kind="ixp", geo=GeoPoint(0, 0), weight=bad)
 
 
 def test_datacenter_az_count_validated():

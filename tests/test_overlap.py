@@ -15,16 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netwattzap.errors import UnknownNode
+from netwattzap.failure import FailureScenario, unavailability
 from netwattzap.geo import GeoPoint, RegionEdges, point_in_region
 from netwattzap.grid_model import WasgRegion, WasgRegistry, aggregate_stats
-from netwattzap.ingest import InfraComponent
+from netwattzap.ingest import InfraComponent, IpLink
 from netwattzap.overlap import (
     RegionIndex,
     az_collapse,
     categorize_links,
     components_from_router_nodes,
     distribution_report,
-    pair_counts,
     resolve_components,
     resolve_router_zones,
     sample_polygon_overlap,
@@ -92,17 +92,52 @@ class TestResolveComponents:
             assert comp.zone == brute_force_zone(comp.geo, synthetic_registry)
 
 
+def recount_links(links, node_zones):
+    """Per-link reference: each link's mapped endpoint zones, counted one link at a time."""
+    counts = {"both_mapped": 0, "one_mapped": 0, "none_mapped": 0}
+    pairs: dict[tuple[str, str], int] = {}
+    one_end: dict[str, int] = {}
+    for link in links:
+        mapped = [z for z in (node_zones[link.a], node_zones[link.b]) if z is not None]
+        counts[("none_mapped", "one_mapped", "both_mapped")[len(mapped)]] += 1
+        if len(mapped) == 2:
+            key = tuple(sorted(mapped))
+            pairs[key] = pairs.get(key, 0) + 1
+        elif len(mapped) == 1:
+            one_end[mapped[0]] = one_end.get(mapped[0], 0) + 1
+    return counts, pairs, one_end
+
+
+def recount_unavailable_links(links, node_zones, failed):
+    """Per-link reference for the links metric: (unavailable, total, zoned_total)."""
+    unavailable = zoned = 0
+    for link in links:
+        mapped = [z for z in (node_zones[link.a], node_zones[link.b]) if z is not None]
+        zoned += bool(mapped)
+        unavailable += any(z in failed for z in mapped)
+    return unavailable, len(links), zoned
+
+
+def tally_of(zone_pairs):
+    """Tally of one link per (zone_a, zone_b), each between two fresh nodes."""
+    node_zones = {}
+    links = []
+    for i, (za, zb) in enumerate(zone_pairs, start=1):
+        node_zones[2 * i], node_zones[2 * i + 1] = za, zb
+        links.append(IpLink(link_id=i, a=2 * i, b=2 * i + 1))
+    return categorize_links(links, node_zones)
+
+
+TALLY_ZONES = ("G0", "G1", "G2", "G3")
+
+
 class TestCategorizeLinks:
     def test_categories(self, synthetic_registry, synthetic_topology):
         nodes, links = synthetic_topology
         zones = resolve_router_zones(nodes, synthetic_registry)
         result = categorize_links(links, zones)
         assert sum(result.counts.values()) == len(links)
-        # Independent recount per link.
-        for link in result.links:
-            mapped = (zones[link.a] is not None) + (zones[link.b] is not None)
-            expected = {2: "both_mapped", 1: "one_mapped", 0: "none_mapped"}[mapped]
-            assert link.category == expected
+        assert (result.counts, result.pairs, result.one_end) == recount_links(links, zones)
 
     def test_unknown_node(self, synthetic_registry, synthetic_topology):
         nodes, links = synthetic_topology
@@ -111,39 +146,43 @@ class TestCategorizeLinks:
             categorize_links(links, zones)
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_tally_matches_per_link_recount(self, data):
+        nodes = data.draw(st.integers(min_value=2, max_value=10))
+        node_zones = {n: data.draw(st.sampled_from((None,) + TALLY_ZONES)) for n in range(nodes)}
+        ends = st.tuples(st.integers(0, nodes - 1), st.integers(0, nodes - 1)).filter(lambda e: e[0] != e[1])
+        drawn = data.draw(st.lists(ends, max_size=30))
+        links = [IpLink(link_id=i, a=a, b=b) for i, (a, b) in enumerate(drawn)]
+        tally = categorize_links(links, node_zones)
+        assert (tally.counts, tally.pairs, tally.one_end) == recount_links(links, node_zones)
+
+        registry = WasgRegistry(
+            [square_region(z, f"A{i}", -150.0 + 20.0 * i, 5.0) for i, z in enumerate(TALLY_ZONES)]
+        )
+        failed = data.draw(st.frozensets(st.sampled_from(TALLY_ZONES), min_size=1))
+        scenario = FailureScenario(name="t", mode="regional", failed=failed)
+        details = unavailability(scenario, registry, tally=tally).details
+        if not links:
+            assert "links" not in details
+        else:
+            d = details["links"]
+            expected = recount_unavailable_links(links, node_zones, failed)
+            assert (d.unavailable, d.total, d.zoned_total) == expected
+
+
 class TestPairCounts:
-    def _annotate(self, zone_pairs):
-        from netwattzap.ingest import IpLink
-
-        links = []
-        for i, (za, zb) in enumerate(zone_pairs, start=1):
-            category = (
-                "both_mapped"
-                if za and zb
-                else ("one_mapped" if za or zb else "none_mapped")
-            )
-            links.append(IpLink(link_id=i, a=2 * i, b=2 * i + 1, zone_a=za, zone_b=zb, category=category))
-        return links
-
     def test_unordered_and_same_zone(self):
-        links = self._annotate([("A", "B"), ("B", "A"), ("A", "B"), ("A", "A"), ("A", None), (None, "B")])
-        result = pair_counts(links)
+        result = tally_of([("A", "B"), ("B", "A"), ("A", "B"), ("A", "A"), ("A", None), (None, "B")])
         assert result.pairs == {("A", "B"): 3, ("A", "A"): 1}
         assert result.one_end == {"A": 1, "B": 1}
+        assert result.counts == {"both_mapped": 4, "one_mapped": 2, "none_mapped": 0}
 
     def test_permutation_invariant(self):
         zone_pairs = [("A", "B"), ("C", "A"), ("B", None), ("C", "C"), (None, None)] * 10
-        links = self._annotate(zone_pairs)
-        shuffled = links[:]
+        shuffled = zone_pairs[:]
         random.Random(4).shuffle(shuffled)
-        assert pair_counts(links).pairs == pair_counts(shuffled).pairs
-        assert pair_counts(links).one_end == pair_counts(shuffled).one_end
-
-    def test_uncategorized_rejected(self):
-        from netwattzap.ingest import IpLink
-
-        with pytest.raises(ValueError):
-            pair_counts([IpLink(link_id=1, a=1, b=2)])
+        assert tally_of(zone_pairs) == tally_of(shuffled)
 
 
 class TestAzCollapse:
@@ -201,7 +240,7 @@ class TestDistributionReport:
         categorized = categorize_links(links, zones)
         agg = aggregate_stats(synthetic_registry, synthetic_stats)
         resolved = resolve_components(synthetic_components, synthetic_registry)
-        report = distribution_report(resolved, synthetic_registry, stats=agg, links=categorized.links)
+        report = distribution_report(resolved, synthetic_registry, stats=agg, tally=categorized)
 
         # Brute-force recount of every per-grid/kind cell from raw inputs.
         for wasg_id in synthetic_registry.ids:

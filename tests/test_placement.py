@@ -30,7 +30,6 @@ from netwattzap.placement import (
     problem_from_dict,
     solution_to_dict,
     solve,
-    solve_pairwise,
     solve_problem,
 )
 
@@ -337,7 +336,7 @@ class TestSolveFixtures:
                 objective=objective,
                 select_count=SelectCount(mode="exactly", n=2),
             )
-            solution = solve_pairwise(problem)
+            solution = solve_problem(problem)
             assert solution.chosen == ("a", "b")
 
     def test_square_corners_max_picks_diagonal_min_picks_side(self):
@@ -355,7 +354,7 @@ class TestSolveFixtures:
                 select_count=SelectCount(mode="exactly", n=2),
             )
             oracle = enumerate_optimum(problem)
-            solution = solve_pairwise(problem)
+            solution = solve_problem(problem)
             assert solution.objective_value == oracle[0]
             assert solution.chosen == oracle[1]
             chosen = set(solution.chosen)
@@ -364,10 +363,6 @@ class TestSolveFixtures:
             else:
                 # The 1-degree lon side at lat 1 is marginally shorter.
                 assert chosen == {"ne", "nw"}
-
-    def test_solve_pairwise_rejects_other_objectives(self):
-        with pytest.raises(ValueError):
-            solve_pairwise(eq_fixture())
 
     def test_time_limit_returns_incumbent_flag(self):
         solution = solve_problem(eq_fixture(), time_limit=0.0)
@@ -566,6 +561,39 @@ class TestProblemIo:
         assert doc["chosen"] == ["c1", "c3"]
         timed = solution_to_dict(solution, include_wall_time=True)
         assert "wall_time_s" in timed["solve_stats"]
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_demand_weight_rejected(self, bad):
+        # A NaN weight used to pass `weight < 0` and solve to objective_value nan, proof "optimal".
+        with pytest.raises(ValueError, match="not finite"):
+            demand("d1", weight=bad)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_candidate_cost_rejected(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            cand("c1", cost=bad)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("field", ["latency_bounds", "latency_override"])
+    def test_latency_values_rejected(self, field, bad):
+        fixture = eq_fixture()
+        values = {
+            "latency_bounds": {"d1": bad},
+            "latency_override": {"d1": {"c1": 10.0, "c2": bad, "c3": 30.0}},
+        }
+        with pytest.raises(ValueError, match="not finite"):
+            PlacementProblem(
+                candidates=fixture.candidates,
+                demands=fixture.demands,
+                objective=fixture.objective,
+                select_count=fixture.select_count,
+                **{field: values[field]},
+            )
 
 
 class TestCheckFeasible:
