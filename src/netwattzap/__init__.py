@@ -30,7 +30,6 @@ from .grid_model import (
 )
 from .ingest import (
     InfraComponent,
-    IpLink,
     RouterNode,
     parse_components,
     parse_stats,
@@ -69,7 +68,6 @@ __all__ = [
     "GeoPoint",
     "GomoryHuTree",
     "InfraComponent",
-    "IpLink",
     "LocationRule",
     "NetWattZapError",
     "OverlapReport",

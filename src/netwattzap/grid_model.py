@@ -89,6 +89,8 @@ class AdminStatRecord:
             raise ValueError(f"stat {self.code!r}: negative internet_users")
         if self.penetration is not None and not 0.0 <= self.penetration <= 1.0:
             raise ValueError(f"stat {self.code!r}: penetration {self.penetration} outside [0, 1]")
+        if self.area_km2 is not None and not 0 <= self.area_km2 < math.inf:
+            raise ValueError(f"stat {self.code!r}: area_km2 {self.area_km2!r} not finite and non-negative")
 
     def effective_internet_users(self) -> int:
         if self.internet_users is not None:

@@ -6,9 +6,10 @@ multicast-range (224.0.0.0-239.255.255.255) interfaces, drops nodes
 left without interfaces, and drops links whose endpoints disappeared;
 every removal is counted so input totals reconcile exactly.
 
-Parsers stream their input line by line and hold only the accumulated
-records, so memory stays bounded per record even for multi-million-row
-link files.
+Parsers stream their input line by line. Kept links are data, not
+objects: ``ParsedTopology.links`` is one ``(k, 3)`` int64 array of link
+id and endpoint node ids, 24 bytes per link, so multi-million-row link
+files stay small in memory.
 """
 
 from __future__ import annotations
@@ -19,10 +20,13 @@ import json
 import logging
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from ipaddress import AddressValueError, IPv4Address, IPv6Address
 from pathlib import Path
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import DanglingLinkEndpoint, MalformedLine, MalformedRow
 from .geo import GeoPoint
@@ -32,6 +36,12 @@ logger = logging.getLogger(__name__)
 
 MULTICAST_LO = IPv4Address("224.0.0.0")
 MULTICAST_HI = IPv4Address("239.255.255.255")
+
+# Largest node or link id: ids are stored as int64.
+MAX_ID = 2**63 - 1
+# Field indices of latitude and longitude on a ``node.geo`` line.
+GEO_LAT_COL = 4
+GEO_LON_COL = 5
 
 COMPONENT_KINDS = ("router", "ixp", "dns_root", "datacenter", "demand_point", "custom")
 
@@ -43,28 +53,10 @@ _NODE_REF_RE = re.compile(r"N(\d+)(?::\S+)?")
 
 @dataclass(frozen=True)
 class RouterNode:
-    """A router with its surviving interfaces and optional geolocation."""
+    """A router that kept at least one interface, with optional geolocation."""
 
     node_id: int
-    interfaces: tuple[str, ...]
     geo: GeoPoint | None = None
-
-
-@dataclass(frozen=True)
-class IpLink:
-    """A topology edge between two router nodes.
-
-    Links carry no grid information: ``overlap.categorize_links`` maps
-    their endpoints to grids and tallies them.
-    """
-
-    link_id: int
-    a: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise ValueError(f"link {self.link_id}: endpoints must differ")
 
 
 @dataclass(frozen=True)
@@ -119,8 +111,13 @@ class CleaningReport:
 
 @dataclass
 class ParsedTopology:
+    """Kept nodes sorted by id, kept links in file order, and the removal counts.
+
+    ``links`` has shape ``(k, 3)``, columns link id, a and b.
+    """
+
     nodes: list[RouterNode]
-    links: list[IpLink]
+    links: np.ndarray
     report: CleaningReport
 
 
@@ -162,28 +159,21 @@ def _classify_interface(token: str, lineno: int) -> str:
     return "keep"
 
 
-def parse_topology(
-    nodes_source,
-    geo_source=None,
-    links_source=None,
-    *,
-    strict: bool = False,
-    geo_lat_col: int = 4,
-    geo_lon_col: int = 5,
-) -> ParsedTopology:
+def parse_topology(nodes_source, geo_source=None, links_source=None, *, strict: bool = False) -> ParsedTopology:
     """Parse ITDK-style nodes/geo/links files and apply the cleaning rules.
 
     Node lines look like ``node N1: 1.2.3.4 5.6.7.8``, geo lines
-    ``node.geo N1: <fields...>`` with lat/lon at the configured column
-    indices, link lines ``link L1: N1:1.2.3.4 N2 ...`` (only the first
-    two node references of a hyperedge are used).
+    ``node.geo N1: <fields...>`` with lat/lon at field indices
+    ``GEO_LAT_COL``/``GEO_LON_COL``, link lines ``link L1: N1:1.2.3.4 N2 ...``
+    (only the first two node references of a hyperedge are used).
 
     Raises:
-        MalformedLine: on lines that do not match the format.
+        MalformedLine: on lines that do not match the format, and on
+            node or link ids above ``MAX_ID``.
         DanglingLinkEndpoint: strict mode, links naming unknown nodes.
     """
     report = CleaningReport()
-    interfaces_by_node: dict[int, tuple[str, ...]] = {}
+    kept_nodes: set[int] = set()
     declared_nodes: set[int] = set()
 
     for lineno, line in _lines(nodes_source):
@@ -191,22 +181,23 @@ def parse_topology(
         if not m:
             raise MalformedLine(lineno, f"expected 'node N<id>: ...', got {line!r}")
         node_id = int(m.group(1))
+        if node_id > MAX_ID:
+            raise MalformedLine(lineno, f"node id N{node_id} above {MAX_ID}")
         if node_id in declared_nodes:
             raise MalformedLine(lineno, f"duplicate node id N{node_id}")
         declared_nodes.add(node_id)
         report.input_nodes += 1
-        kept: list[str] = []
+        kept = False
         for token in m.group(2).split():
             fate = _classify_interface(token, lineno)
             if fate == "multicast":
                 report.removed_interfaces += 1
-            elif fate == "ipv6":
-                report.ipv6_interfaces += 1
-                kept.append(token)
             else:
-                kept.append(token)
+                kept = True
+                if fate == "ipv6":
+                    report.ipv6_interfaces += 1
         if kept:
-            interfaces_by_node[node_id] = tuple(kept)
+            kept_nodes.add(node_id)
         else:
             report.removed_nodes += 1
 
@@ -223,26 +214,28 @@ def parse_topology(
             rest = m.group(2)
             fields = rest.split("\t") if "\t" in rest else rest.split()
             try:
-                lat = float(fields[geo_lat_col])
-                lon = float(fields[geo_lon_col])
+                lat = float(fields[GEO_LAT_COL])
+                lon = float(fields[GEO_LON_COL])
             except (IndexError, ValueError):
-                raise MalformedLine(lineno, f"no lat/lon at columns {geo_lat_col}/{geo_lon_col}") from None
+                raise MalformedLine(lineno, f"no lat/lon at columns {GEO_LAT_COL}/{GEO_LON_COL}") from None
             try:
                 point = GeoPoint(lat, lon)
             except ValueError as exc:
                 raise MalformedLine(lineno, str(exc)) from None
-            if node_id in interfaces_by_node:
+            if node_id in kept_nodes:
                 geo_by_node[node_id] = point
             else:
                 report.geo_for_unknown_nodes += 1
 
-    links: list[IpLink] = []
+    flat = array("q")  # link id, a, b of each kept link, 8 bytes per value
     if links_source is not None:
         for lineno, line in _lines(links_source):
             m = _LINK_RE.match(line)
             if not m:
                 raise MalformedLine(lineno, f"expected 'link L<id>: ...', got {line!r}")
             link_id = int(m.group(1))
+            if link_id > MAX_ID:
+                raise MalformedLine(lineno, f"link id L{link_id} above {MAX_ID}")
             report.input_links += 1
             refs = _NODE_REF_RE.findall(m.group(2))
             if len(refs) < 2:
@@ -251,7 +244,7 @@ def parse_topology(
             if a == b:
                 report.self_links += 1
                 continue
-            missing = [n for n in (a, b) if n not in interfaces_by_node]
+            missing = [n for n in (a, b) if n not in kept_nodes]
             if missing:
                 undeclared = [n for n in missing if n not in declared_nodes]
                 if undeclared:
@@ -263,12 +256,10 @@ def parse_topology(
                 else:
                     report.removed_links += 1
                 continue
-            links.append(IpLink(link_id=link_id, a=a, b=b))
+            flat.extend((link_id, a, b))
 
-    nodes = [
-        RouterNode(node_id=nid, interfaces=ifaces, geo=geo_by_node.get(nid))
-        for nid, ifaces in sorted(interfaces_by_node.items())
-    ]
+    nodes = [RouterNode(node_id=nid, geo=geo_by_node.get(nid)) for nid in sorted(kept_nodes)]
+    links = np.frombuffer(flat, dtype=np.int64).reshape(-1, 3)
     return ParsedTopology(nodes=nodes, links=links, report=report)
 
 

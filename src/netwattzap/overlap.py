@@ -22,7 +22,7 @@ from .errors import UnknownNode
 # overlap.point_in_region stays bound: bench/layertrace.py wraps it there.
 from .geo import GeoPoint, RegionEdges, point_in_region  # noqa: F401
 from .grid_model import AggregateResult, WasgRegistry
-from .ingest import COMPONENT_KINDS, InfraComponent, IpLink, RouterNode
+from .ingest import COMPONENT_KINDS, InfraComponent, RouterNode
 
 logger = logging.getLogger(__name__)
 
@@ -134,37 +134,54 @@ class LinkTally:
 
 
 def categorize_links(
-    links: Sequence[IpLink],
+    links: np.ndarray,
     node_zones: Mapping[int, str | None],
 ) -> LinkTally:
     """Tally links by how many endpoints map to a grid, and by which grids.
 
+    ``links`` is a ``(k, 3)`` integer array of link id, a and b, as in
+    ``ParsedTopology.links``.
+
     Raises:
         UnknownNode: if a link references a node id absent from the map.
     """
-    pairs: dict[tuple[str, str], int] = {}
-    one_end: dict[str, int] = {}
-    none_mapped = 0
-    for link in links:
-        try:
-            zone_a = node_zones[link.a]
-            zone_b = node_zones[link.b]
-        except KeyError as exc:
-            raise UnknownNode(f"link L{link.link_id} references unknown node N{exc.args[0]}") from None
-        if zone_a is None:
-            if zone_b is None:
-                none_mapped += 1
-            else:
-                one_end[zone_b] = one_end.get(zone_b, 0) + 1
-        elif zone_b is None:
-            one_end[zone_a] = one_end.get(zone_a, 0) + 1
-        else:
-            key = (zone_a, zone_b) if zone_a <= zone_b else (zone_b, zone_a)
-            pairs[key] = pairs.get(key, 0) + 1
+    zone_ids = sorted({zone for zone in node_zones.values() if zone is not None})
+    # Codes follow sorted zone ids, so min/max of two codes is the sorted
+    # pair; G, one past the last code, stands for "no zone".
+    g = len(zone_ids)
+    code_of = {zone: code for code, zone in enumerate(zone_ids)}
+    node_ids = np.fromiter(node_zones, dtype=np.int64, count=len(node_zones))
+    node_codes = np.fromiter(
+        (g if zone is None else code_of[zone] for zone in node_zones.values()),
+        dtype=np.int64,
+        count=len(node_zones),
+    )
+    order = np.argsort(node_ids)
+    node_ids, node_codes = node_ids[order], node_codes[order]
+
+    # Look up each distinct endpoint once: ends = uniq[inverse], a and b interleaved.
+    uniq, inverse = np.unique(links[:, 1:].ravel(), return_inverse=True)
+    pos = np.searchsorted(node_ids, uniq)
+    found = pos < len(node_ids)
+    found[found] = node_ids[pos[found]] == uniq[found]
+    if not found.all():
+        row, col = divmod(int(np.argmin(found[inverse])), 2)
+        raise UnknownNode(f"link L{links[row, 0]} references unknown node N{links[row, 1 + col]}")
+    codes = node_codes[pos][inverse].reshape(-1, 2)
+    lo, hi = np.minimum(codes[:, 0], codes[:, 1]), np.maximum(codes[:, 0], codes[:, 1])
+
+    both = hi < g
+    keys, key_counts = np.unique(lo[both] * g + hi[both], return_counts=True)
+    pairs = {
+        (zone_ids[key // g], zone_ids[key % g]): count for key, count in zip(keys.tolist(), key_counts.tolist())
+    }
+    one = (lo < g) & ~both
+    one_end_counts = np.bincount(lo[one], minlength=g).tolist()
+    one_end = {zone_ids[code]: count for code, count in enumerate(one_end_counts) if count}
     counts = {
-        "both_mapped": sum(pairs.values()),
-        "one_mapped": sum(one_end.values()),
-        "none_mapped": none_mapped,
+        "both_mapped": int(both.sum()),
+        "one_mapped": int(one.sum()),
+        "none_mapped": int((lo == g).sum()),
     }
     return LinkTally(counts=counts, pairs=pairs, one_end=one_end)
 

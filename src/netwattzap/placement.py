@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -932,33 +932,16 @@ def resolve_candidate_zones(problem: PlacementProblem, registry: WasgRegistry) -
     from .overlap import RegionIndex
 
     zones = iter(RegionIndex(registry).resolve([c.geo for c in problem.candidates if c.zone is None]))
-    candidates = tuple(
-        c if c.zone is not None else Candidate(
-            id=c.id, geo=c.geo, zone=next(zones), cost=c.cost, country=c.country
-        )
-        for c in problem.candidates
-    )
-    return PlacementProblem(
-        candidates=candidates,
-        demands=problem.demands,
-        objective=problem.objective,
-        select_count=problem.select_count,
-        zone_cap=problem.zone_cap,
-        location_rules=problem.location_rules,
-        latency_bounds=problem.latency_bounds,
-        latency_override=problem.latency_override,
-    )
+    candidates = tuple(c if c.zone is not None else replace(c, zone=next(zones)) for c in problem.candidates)
+    return replace(problem, candidates=candidates)
 
 
-def solution_to_dict(solution: PlacementSolution, include_wall_time: bool = False) -> dict:
-    """JSON layout for a solution; wall time is volatile and off by default."""
-    doc = {
+def solution_to_dict(solution: PlacementSolution) -> dict:
+    """JSON layout for a solution; the volatile wall time is left out."""
+    return {
         "chosen": list(solution.chosen),
         "objective_value": solution.objective_value,
         "assignment": dict(sorted(solution.assignment.items())),
         "proof": solution.proof,
         "solve_stats": {"nodes_explored": solution.nodes_explored},
     }
-    if include_wall_time:
-        doc["solve_stats"]["wall_time_s"] = solution.wall_time_s
-    return doc

@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import random
 
+import numpy as np
 import pytest
 
 from netwattzap.geo import GeoPoint
 from netwattzap.grid_model import AdminStatRecord, WasgRegion, WasgRegistry, registry_to_geojson
-from netwattzap.ingest import InfraComponent, IpLink, RouterNode
+from netwattzap.ingest import InfraComponent, RouterNode
 
 
 def square_ring(lon0: float, lat0: float, size: float):
@@ -115,7 +116,11 @@ def synthetic_components() -> list[InfraComponent]:
 
 
 def build_topology(seed: int = 11, n_nodes: int = 300, n_links: int = 2000):
-    """Router nodes (some without geo) and random links between them."""
+    """Router nodes (some without geo) and random links between them.
+
+    Links are a ``(k, 3)`` int64 array of link id, a and b, as
+    ``parse_topology`` returns them.
+    """
     rng = random.Random(seed)
     nodes = []
     for node_id in range(1, n_nodes + 1):
@@ -129,15 +134,15 @@ def build_topology(seed: int = 11, n_nodes: int = 300, n_links: int = 2000):
                 lat=lat0 + rng.uniform(0.05, size - 0.05),
                 lon=lon0 + rng.uniform(0.05, size - 0.05),
             )
-        nodes.append(RouterNode(node_id=node_id, interfaces=(f"10.0.{node_id // 256}.{node_id % 256}",), geo=geo))
+        nodes.append(RouterNode(node_id=node_id, geo=geo))
     links = []
     for link_id in range(1, n_links + 1):
         a = rng.randint(1, n_nodes)
         b = rng.randint(1, n_nodes)
         while b == a:
             b = rng.randint(1, n_nodes)
-        links.append(IpLink(link_id=link_id, a=a, b=b))
-    return nodes, links
+        links.append((link_id, a, b))
+    return nodes, np.array(links, dtype=np.int64)
 
 
 @pytest.fixture(scope="session")

@@ -436,8 +436,8 @@ def test_criterion_07_counting_invariants():
         expected_pairs = {}
         expected_one_end = {}
         node_zone = {n.node_id: (_brute_zone(n.geo, registry) if n.geo else None) for n in nodes}
-        for link in links:
-            za, zb = node_zone[link.a], node_zone[link.b]
+        for _, a, b in links.tolist():
+            za, zb = node_zone[a], node_zone[b]
             mapped = (za is not None) + (zb is not None)
             if mapped == 2:
                 expected_categories["both_mapped"] += 1

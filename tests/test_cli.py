@@ -237,6 +237,27 @@ class TestOverlap:
         assert captured.err.startswith("error: MalformedRow: ")
         assert captured.err.count("\n") == 1
 
+    def test_nan_stats_area_is_one_error_line(self, workspace, tmp_path, capsys):
+        # A NaN area used to exit 0 and write "area_km2": NaN into the JSON report.
+        rows = (workspace / "stats.csv").read_text(encoding="utf-8").splitlines()
+        rows[1] = rows[1].rsplit(",", 1)[0] + ",nan"
+        path = tmp_path / "stats_nan.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code = main(
+            [
+                "overlap",
+                "--wasg", str(workspace / "wasg.geojson"),
+                "--components", f"ixp={workspace / 'ixps.csv'}",
+                "--stats", str(path),
+                "--out", str(tmp_path / "r.json"),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: MalformedRow: ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestFailureCommand:
     def test_single_grid_all_fractions_one(self, workspace, tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 
+import numpy as np
 import pytest
 
 from netwattzap.errors import UnknownWasg
@@ -18,7 +19,7 @@ from netwattzap.failure import (
 )
 from netwattzap.geo import GeoPoint
 from netwattzap.grid_model import AdminStatRecord, WasgRegistry, aggregate_stats
-from netwattzap.ingest import InfraComponent, IpLink
+from netwattzap.ingest import InfraComponent
 from netwattzap.overlap import categorize_links, resolve_components, resolve_router_zones
 
 from conftest import square_region
@@ -143,17 +144,17 @@ class TestUnavailability:
         from netwattzap.ingest import RouterNode
 
         nodes = [
-            RouterNode(node_id=1, interfaces=("1.1.1.1",), geo=GeoPoint(9.0, -146.0)),   # W00
-            RouterNode(node_id=2, interfaces=("2.2.2.2",), geo=GeoPoint(9.0, -106.0)),   # W01
-            RouterNode(node_id=3, interfaces=("3.3.3.3",), geo=GeoPoint(-40.0, -60.0)),  # ocean
-            RouterNode(node_id=4, interfaces=("4.4.4.4",), geo=None),
+            RouterNode(node_id=1, geo=GeoPoint(9.0, -146.0)),   # W00
+            RouterNode(node_id=2, geo=GeoPoint(9.0, -106.0)),   # W01
+            RouterNode(node_id=3, geo=GeoPoint(-40.0, -60.0)),  # ocean
+            RouterNode(node_id=4, geo=None),
         ]
-        links = [
-            IpLink(link_id=1, a=1, b=2),  # both mapped, one end fails
-            IpLink(link_id=2, a=1, b=3),  # one mapped (W00), fails with W00
-            IpLink(link_id=3, a=2, b=3),  # one mapped (W01), survives
-            IpLink(link_id=4, a=3, b=4),  # unmapped both ends, never fails
-        ]
+        links = np.array([
+            (1, 1, 2),  # both mapped, one end fails
+            (2, 1, 3),  # one mapped (W00), fails with W00
+            (3, 2, 3),  # one mapped (W01), survives
+            (4, 3, 4),  # unmapped both ends, never fails
+        ], dtype=np.int64)
         zones = resolve_router_zones(nodes, synthetic_registry)
         tally = categorize_links(links, zones)
         report = unavailability(regional("W00"), synthetic_registry, tally=tally)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 
+import numpy as np
 import pytest
 
 from netwattzap.errors import DanglingLinkEndpoint, MalformedLine, MalformedRow
@@ -43,14 +44,14 @@ class TestParseTopology:
         topo = parse_topology(io.StringIO(NODES), io.StringIO(GEO), io.StringIO(LINKS))
         by_id = {n.node_id: n for n in topo.nodes}
         # N2 keeps one interface, N3 loses its only interface and drops.
-        assert by_id[2].interfaces == ("9.9.9.9",)
-        assert 3 not in by_id
+        assert sorted(by_id) == [1, 2, 4]
         assert topo.report.input_nodes == 4
         assert topo.report.removed_nodes == 1
         assert topo.report.removed_interfaces == 2
         assert topo.report.kept_nodes == 3
         # L2 and L3 reference dropped N3; L5 dangles on N99.
-        assert [l.link_id for l in topo.links] == [1, 4]
+        assert topo.links.dtype == np.int64
+        assert topo.links.tolist() == [[1, 1, 2], [4, 2, 4]]
         assert topo.report.input_links == 5
         assert topo.report.removed_links == 2
         assert topo.report.dangling_links == 1
@@ -76,17 +77,12 @@ class TestParseTopology:
 
     def test_cleaning_idempotent(self):
         topo = parse_topology(io.StringIO(NODES), io.StringIO(GEO), io.StringIO(LINKS))
-        nodes_text = "\n".join(
-            f"node N{n.node_id}: " + " ".join(n.interfaces) for n in topo.nodes
-        )
-        links_text = "\n".join(f"link L{l.link_id}: N{l.a} N{l.b}" for l in topo.links)
+        # Interface strings are not kept: write each kept node with one unicast address.
+        nodes_text = "\n".join(f"node N{n.node_id}: 10.0.0.{n.node_id}" for n in topo.nodes)
+        links_text = "\n".join(f"link L{link_id}: N{a} N{b}" for link_id, a, b in topo.links.tolist())
         again = parse_topology(io.StringIO(nodes_text), None, io.StringIO(links_text))
-        assert [(n.node_id, n.interfaces) for n in again.nodes] == [
-            (n.node_id, n.interfaces) for n in topo.nodes
-        ]
-        assert [(l.link_id, l.a, l.b) for l in again.links] == [
-            (l.link_id, l.a, l.b) for l in topo.links
-        ]
+        assert [n.node_id for n in again.nodes] == [n.node_id for n in topo.nodes]
+        assert again.links.tolist() == topo.links.tolist()
         assert again.report.removed_interfaces == 0
         assert again.report.removed_nodes == 0
         assert again.report.removed_links == 0
@@ -97,7 +93,7 @@ class TestParseTopology:
 
     def test_self_link_dropped(self):
         topo = parse_topology(io.StringIO("node N1: 1.2.3.4\nnode N2: 2.3.4.5"), None, io.StringIO("link L1: N1 N1\nlink L2: N1 N2"))
-        assert [l.link_id for l in topo.links] == [2]
+        assert topo.links[:, 0].tolist() == [2]
         assert topo.report.self_links == 1
 
     def test_hyperedge_uses_first_two_refs(self):
@@ -106,12 +102,13 @@ class TestParseTopology:
             None,
             io.StringIO("link L1: N2:2.2.2.2 N3 N1"),
         )
-        assert (topo.links[0].a, topo.links[0].b) == (2, 3)
+        assert topo.links.tolist() == [[1, 2, 3]]
 
     def test_ipv6_passthrough(self):
-        topo = parse_topology(io.StringIO("node N1: 2001:db8::1 1.2.3.4"), None, None)
-        assert topo.nodes[0].interfaces == ("2001:db8::1", "1.2.3.4")
-        assert topo.report.ipv6_interfaces == 1
+        topo = parse_topology(io.StringIO("node N1: 2001:db8::1 1.2.3.4\nnode N2: 2001:db8::2"), None, None)
+        assert [n.node_id for n in topo.nodes] == [1, 2]
+        assert topo.report.ipv6_interfaces == 2
+        assert topo.links.shape == (0, 3)
 
     def test_malformed_lines(self):
         with pytest.raises(MalformedLine) as err:
@@ -125,6 +122,26 @@ class TestParseTopology:
             parse_topology(io.StringIO("node N1: 1.2.3.4"), io.StringIO("node.geo N1: NA US XX City 95.0 10.0"), None)
         with pytest.raises(MalformedLine):
             parse_topology(io.StringIO("node N1: 1.2.3.4"), None, io.StringIO("link L1: N1"))
+
+    @pytest.mark.parametrize(
+        "nodes, links",
+        [
+            (f"node N1: 1.2.3.4\nnode N{2**63}: 2.3.4.5", None),
+            ("node N1: 1.2.3.4\nnode N2: 2.3.4.5", f"link L1: N1 N2\nlink L{2**63}: N1 N2"),
+        ],
+        ids=["node_id", "link_id"],
+    )
+    def test_id_above_int64_rejected(self, nodes, links):
+        with pytest.raises(MalformedLine, match="above") as err:
+            parse_topology(io.StringIO(nodes), None, io.StringIO(links) if links else None)
+        assert err.value.lineno == 2
+
+    def test_largest_int64_id_kept(self):
+        top = 2**63 - 1
+        topo = parse_topology(
+            io.StringIO(f"node N1: 1.2.3.4\nnode N{top}: 2.3.4.5"), None, io.StringIO(f"link L{top}: N1 N{top}")
+        )
+        assert topo.links.tolist() == [[top, 1, top]]
 
     def test_tab_separated_geo_with_spaced_city(self):
         geo = "node.geo N1:\tNA\tUS\tNY\tNew York\t40.71\t-74.00\textra"
@@ -203,6 +220,11 @@ class TestParseStats:
     def test_missing_users_and_penetration(self):
         with pytest.raises(MalformedRow):
             parse_stats(io.StringIO("code,population,internet_users,penetration,area_km2\nX,5,,,\n"))
+
+    @pytest.mark.parametrize("area", ["nan", "inf", "-inf", "-5"])
+    def test_bad_area_rejected(self, area):
+        with pytest.raises(MalformedRow, match="area_km2"):
+            parse_stats(io.StringIO(f"code,population,internet_users,penetration,area_km2\nX,5,1,,{area}\n"))
 
     def test_file_source(self, tmp_path):
         path = tmp_path / "stats.csv"

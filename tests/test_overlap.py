@@ -18,7 +18,7 @@ from netwattzap.errors import UnknownNode
 from netwattzap.failure import FailureScenario, unavailability
 from netwattzap.geo import GeoPoint, RegionEdges, point_in_region
 from netwattzap.grid_model import WasgRegion, WasgRegistry, aggregate_stats
-from netwattzap.ingest import InfraComponent, IpLink
+from netwattzap.ingest import InfraComponent, parse_topology
 from netwattzap.overlap import (
     RegionIndex,
     az_collapse,
@@ -97,8 +97,8 @@ def recount_links(links, node_zones):
     counts = {"both_mapped": 0, "one_mapped": 0, "none_mapped": 0}
     pairs: dict[tuple[str, str], int] = {}
     one_end: dict[str, int] = {}
-    for link in links:
-        mapped = [z for z in (node_zones[link.a], node_zones[link.b]) if z is not None]
+    for _, a, b in links.tolist():
+        mapped = [z for z in (node_zones[a], node_zones[b]) if z is not None]
         counts[("none_mapped", "one_mapped", "both_mapped")[len(mapped)]] += 1
         if len(mapped) == 2:
             key = tuple(sorted(mapped))
@@ -111,8 +111,8 @@ def recount_links(links, node_zones):
 def recount_unavailable_links(links, node_zones, failed):
     """Per-link reference for the links metric: (unavailable, total, zoned_total)."""
     unavailable = zoned = 0
-    for link in links:
-        mapped = [z for z in (node_zones[link.a], node_zones[link.b]) if z is not None]
+    for _, a, b in links.tolist():
+        mapped = [z for z in (node_zones[a], node_zones[b]) if z is not None]
         zoned += bool(mapped)
         unavailable += any(z in failed for z in mapped)
     return unavailable, len(links), zoned
@@ -124,8 +124,8 @@ def tally_of(zone_pairs):
     links = []
     for i, (za, zb) in enumerate(zone_pairs, start=1):
         node_zones[2 * i], node_zones[2 * i + 1] = za, zb
-        links.append(IpLink(link_id=i, a=2 * i, b=2 * i + 1))
-    return categorize_links(links, node_zones)
+        links.append((i, 2 * i, 2 * i + 1))
+    return categorize_links(np.array(links, dtype=np.int64), node_zones)
 
 
 TALLY_ZONES = ("G0", "G1", "G2", "G3")
@@ -138,22 +138,40 @@ class TestCategorizeLinks:
         result = categorize_links(links, zones)
         assert sum(result.counts.values()) == len(links)
         assert (result.counts, result.pairs, result.one_end) == recount_links(links, zones)
+        # Plain ints: json cannot write numpy integers.
+        assert all(type(v) is int for d in (result.counts, result.pairs, result.one_end) for v in d.values())
 
     def test_unknown_node(self, synthetic_registry, synthetic_topology):
         nodes, links = synthetic_topology
         zones = resolve_router_zones(nodes[:10], synthetic_registry)
-        with pytest.raises(UnknownNode):
+        # The first missing endpoint in link order, a before b.
+        link_id, node_id = next((lid, n) for lid, a, b in links.tolist() for n in (a, b) if n not in zones)
+        with pytest.raises(UnknownNode, match=rf"^link L{link_id} references unknown node N{node_id}$"):
             categorize_links(links, zones)
 
+    def test_empty_node_zones(self):
+        links = np.array([(7, 1, 2)], dtype=np.int64)
+        with pytest.raises(UnknownNode, match=r"^link L7 references unknown node N1$"):
+            categorize_links(links, {})
+
+    def test_zero_links(self, synthetic_registry):
+        topo = parse_topology(["node N1: 1.2.3.4", "node N2: 2.3.4.5"], None, ["link L1: N1 N1"])
+        assert topo.links.shape == (0, 3)
+        tally = categorize_links(topo.links, resolve_router_zones(topo.nodes, synthetic_registry))
+        assert tally.counts == {"both_mapped": 0, "one_mapped": 0, "none_mapped": 0}
+        assert (tally.pairs, tally.one_end) == ({}, {})
+        scenario = FailureScenario(name="t", mode="regional", failed=frozenset({"W00"}))
+        assert "links" not in unavailability(scenario, synthetic_registry, tally=tally).details
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_tally_matches_per_link_recount(self, data):
-        nodes = data.draw(st.integers(min_value=2, max_value=10))
-        node_zones = {n: data.draw(st.sampled_from((None,) + TALLY_ZONES)) for n in range(nodes)}
-        ends = st.tuples(st.integers(0, nodes - 1), st.integers(0, nodes - 1)).filter(lambda e: e[0] != e[1])
+        # Sparse ids up to the int64 limit, in no particular order.
+        nodes = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=2, max_size=10, unique=True))
+        node_zones = {n: data.draw(st.sampled_from((None,) + TALLY_ZONES)) for n in nodes}
+        ends = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(lambda e: e[0] != e[1])
         drawn = data.draw(st.lists(ends, max_size=30))
-        links = [IpLink(link_id=i, a=a, b=b) for i, (a, b) in enumerate(drawn)]
+        links = np.array([(i, a, b) for i, (a, b) in enumerate(drawn)], dtype=np.int64).reshape(-1, 3)
         tally = categorize_links(links, node_zones)
         assert (tally.counts, tally.pairs, tally.one_end) == recount_links(links, node_zones)
 
@@ -163,7 +181,7 @@ class TestCategorizeLinks:
         failed = data.draw(st.frozensets(st.sampled_from(TALLY_ZONES), min_size=1))
         scenario = FailureScenario(name="t", mode="regional", failed=failed)
         details = unavailability(scenario, registry, tally=tally).details
-        if not links:
+        if not len(links):
             assert "links" not in details
         else:
             d = details["links"]
@@ -266,8 +284,8 @@ class TestDistributionReport:
         expected_counts = {"both_mapped": 0, "one_mapped": 0, "none_mapped": 0}
         expected_pairs: dict[tuple[str, str], int] = {}
         expected_one_end: dict[str, int] = {}
-        for link in links:
-            za, zb = node_zone[link.a], node_zone[link.b]
+        for _, a, b in links.tolist():
+            za, zb = node_zone[a], node_zone[b]
             mapped = (za is not None) + (zb is not None)
             if mapped == 2:
                 expected_counts["both_mapped"] += 1

@@ -559,8 +559,6 @@ class TestProblemIo:
         doc = solution_to_dict(solution)
         assert "wall_time_s" not in doc["solve_stats"]
         assert doc["chosen"] == ["c1", "c3"]
-        timed = solution_to_dict(solution, include_wall_time=True)
-        assert "wall_time_s" in timed["solve_stats"]
 
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
