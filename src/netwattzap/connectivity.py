@@ -3,10 +3,11 @@
 Nodes are grids; an edge's capacity is the count of IP links whose two
 endpoints map to the two grids (same-grid links are excluded). Max flow
 uses Edmonds-Karp on the undirected graph; all-pairs values come from a
-Gomory-Hu tree built with Gusfield's method, one max-flow call per
-non-root node, processed in sorted node order so outputs are
-deterministic. Disconnected inputs produce a forest; cross-component
-pairs have flow 0.
+Gomory-Hu tree built with Gusfield's method over the whole graph, one
+max-flow call per non-root node, processed in sorted node order so
+outputs are deterministic. A cut between two components has value 0
+and zero-weight tree edges are dropped, so disconnected inputs produce
+a forest; cross-component pairs have flow 0.
 """
 
 from __future__ import annotations
@@ -47,17 +48,14 @@ class WasgGraph:
         return 2 * len(self.edges) / len(self.nodes) if self.nodes else 0.0
 
 
-def build_graph(
-    pair_counts: Mapping[tuple[str, str], int],
-    nodes: Iterable[str] | None = None,
-) -> WasgGraph:
+def build_graph(pair_counts: Mapping[tuple[str, str], int]) -> WasgGraph:
     """Build the grid graph from unordered pair counts.
 
-    Same-grid entries and zero counts are dropped. ``nodes`` may add
-    isolated grids beyond the edge endpoints.
+    Same-grid entries and zero counts are dropped; the nodes are the
+    endpoints of the remaining edges.
     """
     edges: dict[tuple[str, str], int] = {}
-    node_set = set(nodes) if nodes is not None else set()
+    node_set: set[str] = set()
     for (a, b), count in pair_counts.items():
         if a == b or count <= 0:
             continue
@@ -67,7 +65,11 @@ def build_graph(
     return WasgGraph(nodes=frozenset(node_set), edges=edges)
 
 
-def _bfs_augmenting_path(residual, s: str, t: str) -> dict[str, str] | None:
+def _bfs_augmenting_path(residual, s: str, t: str) -> dict[str, str]:
+    """BFS parent map from s over positive residual capacity.
+
+    When t is not among its keys, the keys are every node s reaches.
+    """
     parent: dict[str, str] = {s: s}
     queue = deque([s])
     while queue:
@@ -78,7 +80,7 @@ def _bfs_augmenting_path(residual, s: str, t: str) -> dict[str, str] | None:
             if capacity > 0 and v not in parent:
                 parent[v] = u
                 queue.append(v)
-    return parent if t in parent else None
+    return parent
 
 
 def min_cut(g: WasgGraph, s: str, t: str) -> tuple[int, frozenset[str]]:
@@ -98,8 +100,8 @@ def min_cut(g: WasgGraph, s: str, t: str) -> tuple[int, frozenset[str]]:
     flow = 0
     while True:
         parent = _bfs_augmenting_path(residual, s, t)
-        if parent is None:
-            break
+        if t not in parent:
+            return flow, frozenset(parent)
         bottleneck = None
         v = t
         while v != s:
@@ -114,15 +116,6 @@ def min_cut(g: WasgGraph, s: str, t: str) -> tuple[int, frozenset[str]]:
             residual[v][u] = residual[v].get(u, 0) + bottleneck
             v = u
         flow += bottleneck
-    reachable = {s}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for v, capacity in residual[u].items():
-            if capacity > 0 and v not in reachable:
-                reachable.add(v)
-                queue.append(v)
-    return flow, frozenset(reachable)
 
 
 def max_flow(g: WasgGraph, s: str, t: str) -> int:
@@ -149,27 +142,6 @@ class GomoryHuTree:
             adj[v].append((u, w))
         return adj
 
-    def min_flow(self, s: str, t: str) -> int:
-        """Minimum edge weight on the s-t tree path (0 if disconnected)."""
-        if s not in self.nodes:
-            raise UnknownNode(f"no node {s!r}")
-        if t not in self.nodes:
-            raise UnknownNode(f"no node {t!r}")
-        if s == t:
-            raise ValueError("source and sink must differ")
-        adj = self._adjacency()
-        best: dict[str, int] = {s: 0}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v, w in adj[u]:
-                if v not in best:
-                    best[v] = w if u == s else min(best[u], w)
-                    if v == t:
-                        return best[v]
-                    queue.append(v)
-        return 0
-
     def all_pairs(self) -> Iterator[tuple[str, str, int]]:
         """All unordered pairs (u, v, flow), u < v, in sorted order."""
         ordered = sorted(self.nodes)
@@ -188,54 +160,36 @@ class GomoryHuTree:
                 yield s, t, best.get(t, 0)
 
 
-def _components(g: WasgGraph) -> list[list[str]]:
-    adj = g.adjacency()
-    seen: set[str] = set()
-    components: list[list[str]] = []
-    for start in sorted(g.nodes):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-                    queue.append(v)
-        components.append(sorted(comp))
-    return components
-
-
 def gomory_hu(g: WasgGraph) -> GomoryHuTree:
-    """Gusfield's construction: |V|-1 max-flow calls per connected component."""
+    """Gusfield's construction over all nodes: |V|-1 max-flow calls.
+
+    The smallest node is the root. A cut between components has value
+    0 and its tree edge is dropped; within a component every cut is at
+    least 1, because capacities are positive integers.
+    """
+    ordered = sorted(g.nodes)
+    parent = {n: ordered[0] for n in ordered}
+    weight: dict[str, int] = {}
+    for s in ordered[1:]:
+        t = parent[s]
+        value, source_side = min_cut(g, s, t)
+        weight[s] = value
+        for other in source_side:
+            if other != s and parent[other] == t:
+                parent[other] = s
+        grand = parent[t]
+        if grand != t and grand in source_side:
+            # The cut also separates t from its parent: s takes over
+            # t's tree edge and t hangs off s instead.
+            parent[s] = grand
+            parent[t] = s
+            weight[s] = weight[t]
+            weight[t] = value
     edges: list[tuple[str, str, int]] = []
-    for comp in _components(g):
-        if len(comp) == 1:
-            continue
-        root = comp[0]
-        parent = {n: root for n in comp}
-        weight: dict[str, int] = {}
-        for s in comp[1:]:
-            t = parent[s]
-            value, source_side = min_cut(g, s, t)
-            weight[s] = value
-            for other in comp:
-                if other != s and other in source_side and parent[other] == t:
-                    parent[other] = s
-            grand = parent[t]
-            if grand != t and grand in source_side:
-                # The cut also separates t from its parent: s takes over
-                # t's tree edge and t hangs off s instead.
-                parent[s] = grand
-                parent[t] = s
-                weight[s] = weight[t]
-                weight[t] = value
-        for n in comp[1:]:
+    for n, w in weight.items():
+        if w:
             u, v = sorted((n, parent[n]))
-            edges.append((u, v, weight[n]))
+            edges.append((u, v, w))
     return GomoryHuTree(nodes=g.nodes, edges=tuple(sorted(edges)))
 
 

@@ -12,14 +12,12 @@ both ends unmapped survive every scenario.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import MalformedDocument, UnknownWasg
 from .geo import band_overlap
-from .grid_model import AggregateResult, WasgRegistry
+from .grid_model import AggregateResult, WasgRegistry, _load_document
 from .ingest import InfraComponent
 from .overlap import LinkTally, az_collapse
 
@@ -57,27 +55,12 @@ def scenario_from_dict(doc: Mapping) -> FailureScenario:
             failed=frozenset(str(w) for w in doc.get("failed", [])),
             threshold_deg=float(doc["threshold_deg"]) if "threshold_deg" in doc else None,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedDocument(f"bad scenario document: {exc}") from exc
 
 
 def load_scenario(path) -> FailureScenario:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise MalformedDocument(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"invalid JSON in {path}: {exc}") from exc
-    return scenario_from_dict(doc)
-
-
-def scenario_to_dict(scenario: FailureScenario) -> dict:
-    doc: dict = {"name": scenario.name, "mode": scenario.mode}
-    if scenario.mode == "regional":
-        doc["failed"] = sorted(scenario.failed)
-    else:
-        doc["threshold_deg"] = scenario.threshold_deg
-    return doc
+    return scenario_from_dict(_load_document(path))
 
 
 def resolve_scenario(scenario: FailureScenario, registry: WasgRegistry) -> frozenset[str]:

@@ -171,6 +171,8 @@ def _coerce_ring(raw, region_id: str) -> Ring:
 def _coerce_geometry(geometry: Mapping, region_id: str) -> MultiPolygon:
     if geometry is None:
         return ()
+    if not isinstance(geometry, Mapping):
+        raise MalformedDocument(f"region {region_id!r}: geometry is not an object")
     gtype = geometry.get("type")
     coords = geometry.get("coordinates")
     if gtype == "Polygon":
@@ -185,21 +187,26 @@ def _coerce_geometry(geometry: Mapping, region_id: str) -> MultiPolygon:
 def load_registry(source) -> WasgRegistry:
     """Load a registry from a GeoJSON FeatureCollection.
 
-    ``source`` may be a path, a JSON string starting with '{', or an
-    already-parsed mapping. Each feature must carry properties
+    ``source`` may be a path or an already-parsed mapping. Each feature
+    must carry properties
     ``id, name, abbrev, members, population, internet_users, area_km2``
     and a Polygon/MultiPolygon geometry.
 
     Raises:
-        MalformedDocument: on parse failure or missing properties.
+        MalformedDocument: on parse failure, a value of the wrong JSON
+            type, or missing properties.
         DuplicateAbbrev, DuplicateMember, OpenRing: on invariant violations.
     """
-    doc = _load_document(source)
-    if doc.get("type") != "FeatureCollection" or "features" not in doc:
+    doc = source if isinstance(source, Mapping) else _load_document(source)
+    if doc.get("type") != "FeatureCollection" or not isinstance(doc.get("features"), list):
         raise MalformedDocument("expected a GeoJSON FeatureCollection with a 'features' list")
     regions = []
     for i, feature in enumerate(doc["features"]):
+        if not isinstance(feature, Mapping):
+            raise MalformedDocument(f"feature {i}: not an object")
         props = feature.get("properties") or {}
+        if not isinstance(props, Mapping):
+            raise MalformedDocument(f"feature {i}: properties is not an object")
         missing = [k for k in ("id", "name", "abbrev", "members") if k not in props]
         if missing:
             raise MalformedDocument(f"feature {i}: missing properties {missing}")
@@ -221,23 +228,25 @@ def load_registry(source) -> WasgRegistry:
     return WasgRegistry(regions)
 
 
-def _load_document(source) -> Mapping:
-    if isinstance(source, Mapping):
-        return source
-    if isinstance(source, (str, Path)):
-        text = str(source)
-        if text.lstrip().startswith("{"):
-            payload = text
-        else:
-            try:
-                payload = Path(source).read_text(encoding="utf-8")
-            except OSError as exc:
-                raise MalformedDocument(f"cannot read {source}: {exc}") from exc
-        try:
-            return json.loads(payload)
-        except json.JSONDecodeError as exc:
-            raise MalformedDocument(f"invalid JSON: {exc}") from exc
-    raise MalformedDocument(f"unsupported document source type {type(source).__name__}")
+def _load_document(path) -> Mapping:
+    """Read one JSON object from a file; every JSON document loader uses this.
+
+    Raises:
+        MalformedDocument: the file cannot be read, is not JSON, or holds
+            something other than an object.
+    """
+    if not isinstance(path, (str, Path)):
+        raise MalformedDocument(f"unsupported document source type {type(path).__name__}")
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise MalformedDocument(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's stack allows.
+        raise MalformedDocument(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(doc, Mapping):
+        raise MalformedDocument(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def registry_to_geojson(registry: WasgRegistry) -> dict:

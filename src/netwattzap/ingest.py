@@ -15,7 +15,6 @@ files stay small in memory.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 import math
@@ -24,7 +23,7 @@ from array import array
 from dataclasses import dataclass
 from ipaddress import AddressValueError, IPv4Address, IPv6Address
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -313,17 +312,6 @@ def parse_components(source, kind: str | None = None) -> ParsedComponents:
     if skipped:
         logger.info("skipped %d component rows without geolocation", len(skipped))
     return ParsedComponents(components=components, skipped=skipped)
-
-
-def components_to_csv(components: Sequence[InfraComponent]) -> str:
-    """Serialize components to the canonical CSV accepted by parse_components."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["id", "kind", "lat", "lon", "weight", "attrs_json"])
-    for c in components:
-        attrs = json.dumps(dict(c.attrs), sort_keys=True) if c.attrs else ""
-        writer.writerow([c.id, c.kind, repr(c.geo.lat), repr(c.geo.lon), repr(c.weight), attrs])
-    return out.getvalue()
 
 
 def parse_stats(source) -> list[AdminStatRecord]:

@@ -15,16 +15,14 @@ ascending id order. Candidates without a zone count as singleton zones.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import MalformedDocument, UnsatisfiableStructure
 from .geo import GeoPoint, haversine_km, pairwise_latency_ms
-from .grid_model import WasgRegistry
+from .grid_model import WasgRegistry, _load_document
 
 OBJECTIVES = (
     "min_weighted_sum_all",
@@ -871,18 +869,18 @@ def problem_from_dict(doc: Mapping) -> PlacementProblem:
             )
             for d in doc.get("demands", [])
         )
-        sc = doc.get("select_count", {})
+        sc = _object(doc.get("select_count", {}), "select_count")
         select_count = SelectCount(mode=str(sc.get("mode", "exactly")), n=int(sc.get("n", 1)))
         rules = tuple(_rule_from_dict(r) for r in doc.get("location_rules", []))
         latency_bounds = (
-            {str(k): float(v) for k, v in doc["latency_bounds"].items()}
+            {str(k): float(v) for k, v in _object(doc["latency_bounds"], "latency_bounds").items()}
             if doc.get("latency_bounds")
             else None
         )
         override = (
             {
-                str(dk): {str(ck): float(cv) for ck, cv in row.items()}
-                for dk, row in doc["latency_override"].items()
+                str(dk): {str(ck): float(cv) for ck, cv in _object(row, f"latency_override[{dk!r}]").items()}
+                for dk, row in _object(doc["latency_override"], "latency_override").items()
             }
             if doc.get("latency_override")
             else None
@@ -899,12 +897,19 @@ def problem_from_dict(doc: Mapping) -> PlacementProblem:
         )
     except KeyError as exc:
         raise MalformedDocument(f"bad placement problem: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedDocument(f"bad placement problem: {exc}") from exc
 
 
+def _object(value, what: str) -> Mapping:
+    """``value`` if it is a JSON object; TypeError (so MalformedDocument) if not."""
+    if not isinstance(value, Mapping):
+        raise TypeError(f"{what} is not an object")
+    return value
+
+
 def _rule_from_dict(doc: Mapping) -> LocationRule:
-    predicate = doc["predicate"]
+    predicate = _object(doc["predicate"], "location rule predicate")
     if len(predicate) != 1:
         raise ValueError(f"predicate must have exactly one key, got {sorted(predicate)}")
     kind, value = next(iter(predicate.items()))
@@ -918,13 +923,7 @@ def _rule_from_dict(doc: Mapping) -> LocationRule:
 
 
 def load_problem(path) -> PlacementProblem:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise MalformedDocument(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"invalid JSON in {path}: {exc}") from exc
-    return problem_from_dict(doc)
+    return problem_from_dict(_load_document(path))
 
 
 def resolve_candidate_zones(problem: PlacementProblem, registry: WasgRegistry) -> PlacementProblem:

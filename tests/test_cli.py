@@ -258,6 +258,35 @@ class TestOverlap:
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize(
+        "shape",
+        ["registry_array", "features_number", "feature_string", "geometry_array", "properties_bool"],
+    )
+    def test_wrong_shaped_registry_is_one_error_line(self, workspace, tmp_path, capsys, shape):
+        doc = json.loads((workspace / "wasg.geojson").read_text())
+        if shape == "registry_array":
+            doc = [doc]
+        elif shape == "features_number":
+            doc["features"] = 7
+        elif shape == "feature_string":
+            doc["features"][0] = "W00"
+        elif shape == "geometry_array":
+            doc["features"][0]["geometry"] = [1, 2]
+        else:
+            doc["features"][0]["properties"] = True
+        bad = tmp_path / "wasg_wrong_shape.geojson"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["overlap", "--wasg", str(bad), "--components", f"ixp={workspace / 'ixps.csv'}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: MalformedDocument: ")
+        assert captured.err.count("\n") == 1
+        code = main(["validate", "--wasg", str(bad)])
+        violations = json.loads(capsys.readouterr().out)["violations"]
+        assert code == 2
+        assert len(violations) == 1 and violations[0].startswith("MalformedDocument: ")
+
 
 class TestFailureCommand:
     def test_single_grid_all_fractions_one(self, workspace, tmp_path):
@@ -389,6 +418,31 @@ class TestPlace:
         else:
             doc["latency_override"]["d1"]["c2"] = bad
         path = tmp_path / "problem_non_finite.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["place", "--problem", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: MalformedDocument: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "shape",
+        ["select_count", "latency_bounds", "latency_override", "latency_override_row", "predicate"],
+    )
+    def test_wrong_shaped_problem_is_one_error_line(self, workspace, tmp_path, capsys, shape):
+        doc = json.loads((workspace / "problem.json").read_text())
+        if shape == "select_count":
+            doc["select_count"] = [2]
+        elif shape == "latency_bounds":
+            doc["latency_bounds"] = [500.0]
+        elif shape == "latency_override":
+            doc["latency_override"] = [1]
+        elif shape == "latency_override_row":
+            doc["latency_override"]["d1"] = [10.0, 20.0, 30.0]
+        else:
+            doc["location_rules"] = [{"predicate": ["hemisphere"], "min_count": 1}]
+        path = tmp_path / "problem_wrong_shape.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         code = main(["place", "--problem", str(path)])
         captured = capsys.readouterr()

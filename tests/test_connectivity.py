@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netwattzap.connectivity import (
     WasgGraph,
@@ -44,6 +46,10 @@ def exhaustive_min_cut(g: WasgGraph, s: str, t: str) -> int:
     return best
 
 
+def tree_flows(g: WasgGraph) -> dict[tuple[str, str], int]:
+    return {(s, t): f for s, t, f in gomory_hu(g).all_pairs()}
+
+
 def random_graph(rng: random.Random, n: int, connected: bool = False, max_cap: int = 20) -> WasgGraph:
     names = [f"n{i:02d}" for i in range(n)]
     edges = {}
@@ -70,11 +76,6 @@ class TestBuildGraph:
     def test_empty(self):
         g = build_graph({})
         assert not g.nodes and not g.edges
-
-    def test_extra_nodes_stay_isolated(self):
-        g = build_graph({("A", "B"): 1}, nodes=["A", "B", "C"])
-        assert "C" in g.nodes
-        assert max_flow(g, "A", "C") == 0
 
     def test_average_degree(self):
         g = graph_from_edges([("A", "B", 1), ("B", "C", 1), ("A", "C", 1)])
@@ -139,14 +140,11 @@ class TestMaxFlow:
 class TestGomoryHu:
     def test_triangle_all_ones(self):
         g = graph_from_edges([("A", "B", 1), ("B", "C", 1), ("A", "C", 1)])
-        tree = gomory_hu(g)
-        for s, t in itertools.combinations(sorted(g.nodes), 2):
-            assert tree.min_flow(s, t) == 2
+        assert tree_flows(g) == {("A", "B"): 2, ("A", "C"): 2, ("B", "C"): 2}
 
     def test_star_bottleneck(self):
         g = graph_from_edges([("C", "L1", 5), ("C", "L2", 3)])
-        tree = gomory_hu(g)
-        assert tree.min_flow("L1", "L2") == 3
+        assert tree_flows(g)[("L1", "L2")] == 3
 
     def test_edge_count_per_component(self):
         g = graph_from_edges([("A", "B", 1), ("C", "D", 2), ("D", "E", 2)])
@@ -158,18 +156,37 @@ class TestGomoryHu:
         rng = random.Random(21)
         for _ in range(40):
             g = random_graph(rng, rng.randint(3, 12), connected=rng.random() < 0.7)
-            tree = gomory_hu(g)
-            for s, t in itertools.combinations(sorted(g.nodes), 2):
-                assert tree.min_flow(s, t) == max_flow(g, s, t)
+            assert tree_flows(g) == {
+                (s, t): max_flow(g, s, t) for s, t in itertools.combinations(sorted(g.nodes), 2)
+            }
 
-    def test_all_pairs_iterator_matches_min_flow(self):
-        rng = random.Random(31)
-        g = random_graph(rng, 9, connected=True)
-        tree = gomory_hu(g)
-        listed = {(u, v): f for u, v, f in tree.all_pairs()}
-        for (u, v), f in listed.items():
-            assert tree.min_flow(u, v) == f
-        assert len(listed) == 9 * 8 // 2
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=9),
+        edges=st.lists(
+            st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(1, 6)), max_size=20
+        ),
+    )
+    def test_matches_networkx_per_component(self, n, edges):
+        nx = pytest.importorskip("networkx")
+        names = [f"n{i}" for i in range(n)]
+        caps: dict[tuple[str, str], int] = {}
+        for a, b, c in edges:
+            if a < b < n:
+                caps[(names[a], names[b])] = caps.get((names[a], names[b]), 0) + c
+        g = WasgGraph(nodes=frozenset(names), edges=caps)
+        reference = nx.Graph()
+        reference.add_nodes_from(names)
+        reference.add_edges_from((u, v, {"capacity": c}) for (u, v), c in caps.items())
+        want = dict.fromkeys(itertools.combinations(names, 2), 0)
+        for comp in nx.connected_components(reference):
+            if len(comp) < 2:
+                continue
+            tree = nx.gomory_hu_tree(reference.subgraph(comp))
+            for s, t in itertools.combinations(sorted(comp), 2):
+                path = nx.shortest_path(tree, s, t)
+                want[(s, t)] = min(tree[u][v]["weight"] for u, v in zip(path, path[1:]))
+        assert tree_flows(g) == want
 
     def test_deterministic(self):
         rng = random.Random(55)
@@ -187,8 +204,7 @@ class TestFlowReduction:
         assert report.pairs[0].flow_after == 0
 
     def test_isolated_failure_means_zero(self):
-        g = graph_from_edges([("A", "B", 3), ("B", "C", 2)])
-        g = build_graph(dict(g.edges), nodes=list(g.nodes) + ["X"])
+        g = WasgGraph(nodes=frozenset("ABCX"), edges={("A", "B"): 3, ("B", "C"): 2})
         report = flow_reduction(g, {"X"})
         assert report.mean_reduction == 0.0
         assert all(p.reduction == 0.0 for p in report.pairs)
@@ -239,11 +255,10 @@ class TestFlowReduction:
 
 
 class TestConstructionBudget:
-    def test_one_max_flow_call_per_non_root_node(self, monkeypatch):
+    @staticmethod
+    def min_cut_calls(monkeypatch, g) -> int:
         import netwattzap.connectivity as conn_mod
 
-        rng = random.Random(71)
-        g = random_graph(rng, 11, connected=True)
         calls = []
         real_min_cut = conn_mod.min_cut
 
@@ -253,4 +268,15 @@ class TestConstructionBudget:
 
         monkeypatch.setattr(conn_mod, "min_cut", counting_min_cut)
         conn_mod.gomory_hu(g)
-        assert len(calls) == len(g.nodes) - 1
+        return len(calls)
+
+    def test_one_max_flow_call_per_non_root_node(self, monkeypatch):
+        g = random_graph(random.Random(71), 11, connected=True)
+        assert self.min_cut_calls(monkeypatch, g) == len(g.nodes) - 1
+
+    def test_disconnected_graph_takes_one_call_per_non_root_node(self, monkeypatch):
+        g = WasgGraph(
+            nodes=frozenset({"A", "B", "C", "D", "E", "X"}),
+            edges={("A", "B"): 1, ("C", "D"): 2, ("D", "E"): 2},
+        )
+        assert self.min_cut_calls(monkeypatch, g) == len(g.nodes) - 1

@@ -1,0 +1,129 @@
+"""The three JSON document loaders on wrong-shaped input.
+
+Any one node of a valid registry, scenario or problem document is
+replaced by arbitrary JSON; the loader must then return or raise a
+``NetWattZapError``, never another exception.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from netwattzap.errors import MalformedDocument, NetWattZapError
+from netwattzap.failure import load_scenario
+from netwattzap.grid_model import load_registry, registry_to_geojson
+from netwattzap.placement import load_problem
+
+from conftest import build_registry
+
+REGISTRY = registry_to_geojson(build_registry())
+REGISTRY["features"] = REGISTRY["features"][:2]
+
+SCENARIO = {"name": "s", "mode": "regional", "failed": ["W00"], "threshold_deg": 40.0}
+
+PROBLEM = {
+    "candidates": [
+        {"id": "c1", "lat": 10.0, "lon": 10.0, "zone": "Z1", "cost": 1.0, "country": "US"},
+        {"id": "c2", "lat": -20.0, "lon": 20.0, "zone": "Z2", "cost": 2.0},
+    ],
+    "demands": [{"id": "d1", "lat": 0.0, "lon": 0.0, "weight": 2.0}],
+    "select_count": {"mode": "exactly", "n": 1},
+    "zone_cap": 1,
+    "location_rules": [
+        {"predicate": {"bbox": [0.0, 0.0, 30.0, 30.0]}, "min_count": 1},
+        {"predicate": {"country_codes": ["US"]}, "min_count": 1},
+        {"predicate": {"hemisphere": "northern"}, "min_count": 1},
+    ],
+    "latency_bounds": {"d1": 500.0},
+    "latency_override": {"d1": {"c1": 10.0, "c2": 20.0}},
+    "objective": "min_cost",
+}
+
+LOADERS = {
+    "registry": (load_registry, REGISTRY),
+    "scenario": (load_scenario, SCENARIO),
+    "problem": (load_problem, PROBLEM),
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=10,
+)
+
+
+def node_paths(doc, prefix=()):
+    """Key paths of every node of a JSON document, the root included."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in items:
+        yield from node_paths(child, prefix + (key,))
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("documents") / "doc.json"
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_valid_documents_load(name, doc_path):
+    loader, doc = LOADERS[name]
+    doc_path.write_text(json.dumps(doc), encoding="utf-8")
+    loader(doc_path)
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+@pytest.mark.parametrize(
+    "text", ["", "[1, 2", '"a string"', "[" * 100_000 + "]" * 100_000], ids=["empty", "truncated", "string", "deep"]
+)
+def test_bad_json_is_malformed_document(name, doc_path, text):
+    doc_path.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedDocument):
+        LOADERS[name][0](doc_path)
+
+
+@pytest.mark.parametrize(
+    "name, path, value",
+    [("problem", ("select_count", "n"), float("inf")), ("scenario", ("threshold_deg",), 10**400)],
+)
+def test_number_overflow_is_malformed_document(name, path, value, doc_path):
+    loader, doc = LOADERS[name]
+    doc_path.write_text(json.dumps(replaced(doc, path, value)), encoding="utf-8")
+    with pytest.raises(MalformedDocument):
+        loader(doc_path)
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_missing_file_is_malformed_document(name, tmp_path):
+    with pytest.raises(MalformedDocument, match="cannot read"):
+        LOADERS[name][0](tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), value=json_values)
+def test_any_node_replaced_returns_or_raises_toolkit_error(name, doc_path, data, value):
+    loader, doc = LOADERS[name]
+    path = data.draw(st.sampled_from(list(node_paths(doc))), label="path")
+    doc_path.write_text(json.dumps(replaced(doc, path, value)), encoding="utf-8")
+    try:
+        loader(doc_path)
+    except NetWattZapError:
+        pass

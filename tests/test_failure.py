@@ -14,7 +14,6 @@ from netwattzap.failure import (
     load_scenario,
     resolve_scenario,
     scenario_from_dict,
-    scenario_to_dict,
     unavailability,
 )
 from netwattzap.geo import GeoPoint
@@ -49,9 +48,12 @@ class TestScenarioValidation:
             FailureScenario(name="x", mode="sideways", failed=frozenset({"A"}))
 
     def test_json_round_trip(self, tmp_path):
-        for scenario in (regional("W01", "W02"), storm(40.0)):
+        for doc, scenario in (
+            ({"name": "test", "mode": "regional", "failed": ["W02", "W01"]}, regional("W01", "W02")),
+            ({"name": "storm", "mode": "latitude_band", "threshold_deg": 40.0}, storm(40.0)),
+        ):
             path = tmp_path / "s.json"
-            path.write_text(json.dumps(scenario_to_dict(scenario)), encoding="utf-8")
+            path.write_text(json.dumps(doc), encoding="utf-8")
             assert load_scenario(path) == scenario
 
     def test_from_dict_layouts(self):

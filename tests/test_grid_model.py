@@ -81,9 +81,11 @@ class TestLoadRegistry:
         with pytest.raises(OpenRing):
             load_registry(doc)
 
-    def test_parse_failures(self):
-        with pytest.raises(MalformedDocument):
-            load_registry('{"type": "FeatureCollection"')
+    def test_parse_failures(self, tmp_path):
+        truncated = tmp_path / "truncated.geojson"
+        truncated.write_text('{"type": "FeatureCollection"', encoding="utf-8")
+        with pytest.raises(MalformedDocument, match="invalid JSON"):
+            load_registry(truncated)
         with pytest.raises(MalformedDocument):
             load_registry({"type": "Feature"})
         doc = collection(feature("A", "A", ["US"]))

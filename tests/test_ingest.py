@@ -9,7 +9,6 @@ import pytest
 
 from netwattzap.errors import DanglingLinkEndpoint, MalformedLine, MalformedRow
 from netwattzap.ingest import (
-    components_to_csv,
     parse_components,
     parse_stats,
     parse_topology,
@@ -191,11 +190,6 @@ class TestParseComponents:
     def test_missing_header_column(self):
         with pytest.raises(MalformedRow):
             parse_components(io.StringIO("id,kind,lat,lon\n"))
-
-    def test_round_trip(self):
-        parsed = parse_components(io.StringIO(COMPONENTS_CSV), kind="ixp")
-        again = parse_components(io.StringIO(components_to_csv(parsed.components)))
-        assert again.components == parsed.components
 
 
 STATS_CSV = """\
