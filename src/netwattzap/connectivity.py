@@ -2,18 +2,19 @@
 
 Nodes are grids; an edge's capacity is the count of IP links whose two
 endpoints map to the two grids (same-grid links are excluded). Max flow
-uses Edmonds-Karp on the undirected graph; all-pairs values come from a
-Gomory-Hu tree built with Gusfield's method over the whole graph, one
-max-flow call per non-root node, processed in sorted node order so
-outputs are deterministic. A cut between two components has value 0
-and zero-weight tree edges are dropped, so disconnected inputs produce
-a forest; cross-component pairs have flow 0.
+is Dinic's algorithm on an integer-indexed residual network. All-pairs
+values come from a Gomory-Hu tree, built once per graph by Gusfield's
+method: one cut per non-root node, in sorted node order so outputs are
+deterministic. A cut between two components has value 0 and zero-weight
+tree edges are dropped, so disconnected inputs produce a forest;
+cross-component pairs have flow 0.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .errors import AllNodesFailed, UnknownNode
@@ -27,6 +28,9 @@ class WasgGraph:
     edges: Mapping[tuple[str, str], int]
 
     def __post_init__(self) -> None:
+        # Read-only copies, so the tree cached on first use cannot go stale.
+        object.__setattr__(self, "nodes", frozenset(self.nodes))
+        object.__setattr__(self, "edges", MappingProxyType(dict(self.edges)))
         for (u, v), capacity in self.edges.items():
             if u == v:
                 raise ValueError(f"self-loop on {u!r}")
@@ -37,12 +41,13 @@ class WasgGraph:
             if not isinstance(capacity, int) or capacity <= 0:
                 raise ValueError(f"edge ({u!r}, {v!r}) capacity {capacity!r} not a positive integer")
 
-    def adjacency(self) -> dict[str, dict[str, int]]:
-        adj: dict[str, dict[str, int]] = {n: {} for n in sorted(self.nodes)}
-        for (u, v), capacity in sorted(self.edges.items()):
-            adj[u][v] = capacity
-            adj[v][u] = capacity
-        return adj
+    def __reduce__(self):  # a mappingproxy does not pickle; the tree is rebuilt on use
+        return WasgGraph, (self.nodes, dict(self.edges))
+
+    @cached_property
+    def gomory_hu_tree(self) -> GomoryHuTree:
+        """``gomory_hu(self)``, built on first use and kept."""
+        return gomory_hu(self)
 
     def average_degree(self) -> float:
         return 2 * len(self.edges) / len(self.nodes) if self.nodes else 0.0
@@ -55,32 +60,70 @@ def build_graph(pair_counts: Mapping[tuple[str, str], int]) -> WasgGraph:
     endpoints of the remaining edges.
     """
     edges: dict[tuple[str, str], int] = {}
-    node_set: set[str] = set()
     for (a, b), count in pair_counts.items():
-        if a == b or count <= 0:
-            continue
-        key = (a, b) if a <= b else (b, a)
-        edges[key] = edges.get(key, 0) + int(count)
-        node_set.update(key)
-    return WasgGraph(nodes=frozenset(node_set), edges=edges)
+        if a != b and count > 0:
+            key = (a, b) if a <= b else (b, a)
+            edges[key] = edges.get(key, 0) + int(count)
+    return WasgGraph(nodes=frozenset(n for key in edges for n in key), edges=edges)
 
 
-def _bfs_augmenting_path(residual, s: str, t: str) -> dict[str, str]:
-    """BFS parent map from s over positive residual capacity.
+class _ResidualNetwork:
+    """Node indices 0..n-1 in name order; an undirected edge is the arc pair e, e ^ 1."""
 
-    When t is not among its keys, the keys are every node s reaches.
-    """
-    parent: dict[str, str] = {s: s}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        if u == t:
-            break
-        for v, capacity in residual[u].items():
-            if capacity > 0 and v not in parent:
-                parent[v] = u
-                queue.append(v)
-    return parent
+    def __init__(self, g: WasgGraph):
+        self.names = sorted(g.nodes)
+        index = {name: i for i, name in enumerate(self.names)}
+        self.adj: list[list[int]] = [[] for _ in self.names]
+        self.head: list[int] = []  # arc -> node it enters
+        self.cap: list[int] = []  # arc -> capacity
+        for (u, v), capacity in sorted(g.edges.items()):
+            self.adj[index[u]].append(len(self.head))
+            self.adj[index[v]].append(len(self.head) + 1)
+            self.head += (index[v], index[u])
+            self.cap += (capacity, capacity)
+
+    def cut(self, s: int, t: int) -> tuple[int, list[int]]:
+        """Dinic's max flow from s to t on a copy of the capacities: (value, s side)."""
+        adj, head, cap = self.adj, self.head, self.cap[:]
+        flow = 0
+        while True:
+            level = [-1] * len(adj)
+            level[s] = 0
+            queue = [s]
+            for u in queue:
+                for e in adj[u]:
+                    if cap[e] and level[head[e]] < 0:
+                        level[head[e]] = level[u] + 1
+                        queue.append(head[e])
+                if level[t] >= 0:
+                    break
+            else:  # t unreachable: every maximum flow leaves s reaching this same set
+                return flow, queue
+            # Blocking flow with current-arc pointers; retreat from dead ends.
+            pointer = [0] * len(adj)
+            path: list[int] = []
+            u = s
+            while True:
+                arcs, i, want = adj[u], pointer[u], level[u] + 1
+                while i < len(arcs) and not (cap[arcs[i]] and level[head[arcs[i]]] == want):
+                    i += 1
+                pointer[u] = i
+                if i == len(arcs):
+                    if not path:
+                        break
+                    u = head[path.pop() ^ 1]
+                    pointer[u] += 1
+                    continue
+                path.append(arcs[i])
+                u = head[arcs[i]]
+                if u == t:
+                    push = min(cap[e] for e in path)
+                    for e in path:
+                        cap[e] -= push
+                        cap[e ^ 1] += push
+                    flow += push
+                    del path[next(k for k, e in enumerate(path) if not cap[e]) :]
+                    u = head[path[-1]] if path else s
 
 
 def min_cut(g: WasgGraph, s: str, t: str) -> tuple[int, frozenset[str]]:
@@ -90,32 +133,14 @@ def min_cut(g: WasgGraph, s: str, t: str) -> tuple[int, frozenset[str]]:
         UnknownNode: s or t not in the graph.
         ValueError: s == t.
     """
-    if s not in g.nodes:
-        raise UnknownNode(f"no node {s!r}")
-    if t not in g.nodes:
-        raise UnknownNode(f"no node {t!r}")
+    for node in (s, t):
+        if node not in g.nodes:
+            raise UnknownNode(f"no node {node!r}")
     if s == t:
         raise ValueError("source and sink must differ")
-    residual = g.adjacency()
-    flow = 0
-    while True:
-        parent = _bfs_augmenting_path(residual, s, t)
-        if t not in parent:
-            return flow, frozenset(parent)
-        bottleneck = None
-        v = t
-        while v != s:
-            u = parent[v]
-            c = residual[u][v]
-            bottleneck = c if bottleneck is None else min(bottleneck, c)
-            v = u
-        v = t
-        while v != s:
-            u = parent[v]
-            residual[u][v] -= bottleneck
-            residual[v][u] = residual[v].get(u, 0) + bottleneck
-            v = u
-        flow += bottleneck
+    net = _ResidualNetwork(g)
+    value, source_side = net.cut(net.names.index(s), net.names.index(t))
+    return value, frozenset(net.names[i] for i in source_side)
 
 
 def max_flow(g: WasgGraph, s: str, t: str) -> int:
@@ -127,31 +152,25 @@ def max_flow(g: WasgGraph, s: str, t: str) -> int:
 class GomoryHuTree:
     """Weighted tree (forest, for disconnected inputs) encoding all-pairs min cuts.
 
-    The minimum edge capacity on the tree path between two nodes equals
-    their max flow in the source graph; nodes in different trees have
-    flow 0.
+    The minimum edge capacity on the tree path between two nodes equals their
+    max flow in the source graph; nodes in different trees have flow 0.
     """
 
     nodes: frozenset[str]
     edges: tuple[tuple[str, str, int], ...]
 
-    def _adjacency(self) -> dict[str, list[tuple[str, int]]]:
+    def all_pairs(self) -> Iterator[tuple[str, str, int]]:
+        """All unordered pairs (u, v, flow), u < v, in sorted order."""
         adj: dict[str, list[tuple[str, int]]] = {n: [] for n in self.nodes}
         for u, v, w in self.edges:
             adj[u].append((v, w))
             adj[v].append((u, w))
-        return adj
-
-    def all_pairs(self) -> Iterator[tuple[str, str, int]]:
-        """All unordered pairs (u, v, flow), u < v, in sorted order."""
         ordered = sorted(self.nodes)
-        adj = self._adjacency()
         for i, s in enumerate(ordered):
-            # One BFS per source carries the running path minimum.
+            # One search per source carries the running path minimum.
             best: dict[str, int] = {s: 0}
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
+            queue = [s]
+            for u in queue:
                 for v, w in adj[u]:
                     if v not in best:
                         best[v] = w if u == s else min(best[u], w)
@@ -161,35 +180,30 @@ class GomoryHuTree:
 
 
 def gomory_hu(g: WasgGraph) -> GomoryHuTree:
-    """Gusfield's construction over all nodes: |V|-1 max-flow calls.
+    """Gusfield's construction over all nodes: |V|-1 cuts on one residual network.
 
     The smallest node is the root. A cut between components has value
     0 and its tree edge is dropped; within a component every cut is at
     least 1, because capacities are positive integers.
     """
-    ordered = sorted(g.nodes)
-    parent = {n: ordered[0] for n in ordered}
-    weight: dict[str, int] = {}
-    for s in ordered[1:]:
+    net = _ResidualNetwork(g)
+    names = net.names
+    parent, weight = [0] * len(names), [0] * len(names)
+    for s in range(1, len(names)):
         t = parent[s]
-        value, source_side = min_cut(g, s, t)
+        value, source_side = net.cut(s, t)
         weight[s] = value
         for other in source_side:
             if other != s and parent[other] == t:
                 parent[other] = s
         grand = parent[t]
         if grand != t and grand in source_side:
-            # The cut also separates t from its parent: s takes over
-            # t's tree edge and t hangs off s instead.
+            # The cut also separates t from its parent: s takes t's place.
             parent[s] = grand
             parent[t] = s
             weight[s] = weight[t]
             weight[t] = value
-    edges: list[tuple[str, str, int]] = []
-    for n, w in weight.items():
-        if w:
-            u, v = sorted((n, parent[n]))
-            edges.append((u, v, w))
+    edges = ((names[min(n, p)], names[max(n, p)], w) for n, (p, w) in enumerate(zip(parent, weight)) if w)
     return GomoryHuTree(nodes=g.nodes, edges=tuple(sorted(edges)))
 
 
@@ -221,16 +235,7 @@ class FlowReductionReport:
         return {
             "failed": list(self.failed),
             "mean_reduction": self.mean_reduction,
-            "pairs": [
-                {
-                    "u": p.u,
-                    "v": p.v,
-                    "flow_before": p.flow_before,
-                    "flow_after": p.flow_after,
-                    "reduction": p.reduction,
-                }
-                for p in self.pairs
-            ],
+            "pairs": [dict(vars(p)) for p in self.pairs],  # fields in declaration order
         }
 
 
@@ -248,18 +253,13 @@ def flow_reduction(g: WasgGraph, failed: Iterable[str]) -> FlowReductionReport:
     surviving = sorted(g.nodes - failed_set)
     if not surviving:
         raise AllNodesFailed("failure scenario removes every connectivity-graph node")
-
-    before_tree = gomory_hu(g)
     after_flows = {(u, v): flow for u, v, flow in gomory_hu(subgraph(g, surviving)).all_pairs()}
-
     pairs: list[PairReduction] = []
-    total = 0.0
-    for u, v, before in before_tree.all_pairs():
+    for u, v, before in g.gomory_hu_tree.all_pairs():
         if before == 0 or u in failed_set or v in failed_set:
             continue
         after = after_flows[(u, v)]
         reduction = min(1.0, max(0.0, (before - after) / before))
         pairs.append(PairReduction(u=u, v=v, flow_before=before, flow_after=after, reduction=reduction))
-        total += reduction
-    mean = total / len(pairs) if pairs else 0.0
+    mean = sum(p.reduction for p in pairs) / len(pairs) if pairs else 0.0
     return FlowReductionReport(failed=tuple(sorted(failed_set)), mean_reduction=mean, pairs=tuple(pairs))

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .errors import MalformedDocument, UnknownWasg
 from .geo import band_overlap
-from .grid_model import AggregateResult, WasgRegistry, _load_document
+from .grid_model import AggregateResult, WasgRegistry, _json_list, _load_document
 from .ingest import InfraComponent
 from .overlap import LinkTally, az_collapse
 
@@ -52,7 +52,7 @@ def scenario_from_dict(doc: Mapping) -> FailureScenario:
         return FailureScenario(
             name=str(doc["name"]),
             mode=str(doc["mode"]),
-            failed=frozenset(str(w) for w in doc.get("failed", [])),
+            failed=frozenset(str(w) for w in _json_list(doc.get("failed", []), "failed")),
             threshold_deg=float(doc["threshold_deg"]) if "threshold_deg" in doc else None,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

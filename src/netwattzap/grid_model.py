@@ -157,7 +157,10 @@ class WasgRegistry:
 
 def _coerce_ring(raw, region_id: str) -> Ring:
     try:
-        ring = tuple((float(lon), float(lat)) for lon, lat in raw)
+        ring = tuple((float(lon), float(lat)) for lon, lat in _json_list(raw, "ring"))
+        # One type pass, not a call per point: a string point "12" unpacks as (1, 2).
+        if not {list, tuple}.issuperset(map(type, raw)):
+            raise TypeError("ring point is not a list")
     except (TypeError, ValueError) as exc:
         raise MalformedDocument(f"region {region_id!r}: bad ring coordinates: {exc}") from exc
     # One range test per coordinate also rejects NaN and +-inf.
@@ -178,10 +181,12 @@ def _coerce_geometry(geometry: Mapping, region_id: str) -> MultiPolygon:
     if gtype == "Polygon":
         polygons = [coords]
     elif gtype == "MultiPolygon":
-        polygons = coords
+        polygons = _json_list(coords, "MultiPolygon coordinates")
     else:
         raise MalformedDocument(f"region {region_id!r}: unsupported geometry type {gtype!r}")
-    return tuple(tuple(_coerce_ring(ring, region_id) for ring in polygon) for polygon in polygons)
+    return tuple(
+        tuple(_coerce_ring(ring, region_id) for ring in _json_list(polygon, "polygon")) for polygon in polygons
+    )
 
 
 def load_registry(source) -> WasgRegistry:
@@ -216,7 +221,7 @@ def load_registry(source) -> WasgRegistry:
                 id=region_id,
                 name=str(props["name"]),
                 abbrev=str(props["abbrev"]),
-                members=frozenset(str(m) for m in props["members"]),
+                members=frozenset(str(m) for m in _json_list(props["members"], "members")),
                 boundary=_coerce_geometry(feature.get("geometry"), region_id),
                 population=int(props.get("population", 0)),
                 internet_users=int(props.get("internet_users", 0)),
@@ -247,6 +252,16 @@ def _load_document(path) -> Mapping:
     if not isinstance(doc, Mapping):
         raise MalformedDocument(f"{path}: expected a JSON object, got {type(doc).__name__}")
     return doc
+
+
+def _json_list(value, what: str):
+    """``value`` if it is a JSON array; TypeError (so MalformedDocument) if not.
+
+    A string is refused too: iterating it would yield its characters.
+    """
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{what} is not a list")
+    return value
 
 
 def registry_to_geojson(registry: WasgRegistry) -> dict:

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from .errors import MalformedDocument, UnsatisfiableStructure
 from .geo import GeoPoint, haversine_km, pairwise_latency_ms
-from .grid_model import WasgRegistry, _load_document
+from .grid_model import WasgRegistry, _json_list, _load_document
 
 OBJECTIVES = (
     "min_weighted_sum_all",
@@ -859,7 +859,7 @@ def problem_from_dict(doc: Mapping) -> PlacementProblem:
                 cost=(float(c["cost"]) if c.get("cost") is not None else None),
                 country=(str(c["country"]) if c.get("country") is not None else None),
             )
-            for c in doc["candidates"]
+            for c in _json_list(doc["candidates"], "candidates")
         )
         demands = tuple(
             DemandPoint(
@@ -867,11 +867,11 @@ def problem_from_dict(doc: Mapping) -> PlacementProblem:
                 geo=GeoPoint(float(d["lat"]), float(d["lon"])),
                 weight=float(d.get("weight", 1.0)),
             )
-            for d in doc.get("demands", [])
+            for d in _json_list(doc.get("demands", []), "demands")
         )
         sc = _object(doc.get("select_count", {}), "select_count")
         select_count = SelectCount(mode=str(sc.get("mode", "exactly")), n=int(sc.get("n", 1)))
-        rules = tuple(_rule_from_dict(r) for r in doc.get("location_rules", []))
+        rules = tuple(_rule_from_dict(r) for r in _json_list(doc.get("location_rules", []), "location_rules"))
         latency_bounds = (
             {str(k): float(v) for k, v in _object(doc["latency_bounds"], "latency_bounds").items()}
             if doc.get("latency_bounds")
@@ -914,9 +914,9 @@ def _rule_from_dict(doc: Mapping) -> LocationRule:
         raise ValueError(f"predicate must have exactly one key, got {sorted(predicate)}")
     kind, value = next(iter(predicate.items()))
     if kind == "bbox":
-        value = tuple(float(v) for v in value)
+        value = tuple(float(v) for v in _json_list(value, "bbox"))
     elif kind == "country_codes":
-        value = frozenset(str(v) for v in value)
+        value = frozenset(str(v) for v in _json_list(value, "country_codes"))
     else:
         value = str(value)
     return LocationRule(kind=kind, value=value, min_count=int(doc["min_count"]))

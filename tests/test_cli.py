@@ -520,6 +520,35 @@ class TestPlace:
         assert code == 2
 
 
+class TestStringWhereListExpected:
+    """A JSON string where a list belongs is refused, not iterated by character."""
+
+    @pytest.mark.parametrize("where", ["scenario_failed", "registry_members", "country_codes", "bbox"])
+    def test_one_error_line(self, workspace, tmp_path, capsys, where):
+        wasg = workspace / "wasg.geojson"
+        bad = tmp_path / f"{where}.json"
+        if where == "scenario_failed":
+            bad.write_text(json.dumps({"name": "x", "mode": "regional", "failed": "W01"}), encoding="utf-8")
+            argv = ["failure", "--wasg", str(wasg), "--scenario", str(bad)]
+        elif where == "registry_members":
+            doc = json.loads(wasg.read_text())
+            doc["features"][0]["properties"]["members"] = "MX"
+            bad.write_text(json.dumps(doc), encoding="utf-8")
+            argv = ["overlap", "--wasg", str(bad), "--components", f"ixp={workspace / 'ixps.csv'}"]
+        else:
+            doc = json.loads((workspace / "problem.json").read_text())
+            value = "US" if where == "country_codes" else "1234"
+            doc["location_rules"] = [{"predicate": {where: value}, "min_count": 1}]
+            bad.write_text(json.dumps(doc), encoding="utf-8")
+            argv = ["place", "--problem", str(bad)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: MalformedDocument: ")
+        assert captured.err.count("\n") == 1
+
+
 class TestDeterminism:
     def _run_twice(self, argv_base, tmp_path, name):
         outs = []

@@ -1,9 +1,18 @@
-"""Max flow, Gomory-Hu trees, and flow reduction against brute-force oracles."""
+"""Max flow, Gomory-Hu trees, and flow reduction against brute-force oracles.
+
+The Dinic cuts are also held to ``edmonds_karp``, the slow reference
+max flow, cut for cut and tree edge for tree edge.
+"""
 
 from __future__ import annotations
 
+import copy
 import itertools
+import json
+import pickle
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +28,8 @@ from netwattzap.connectivity import (
     subgraph,
 )
 from netwattzap.errors import AllNodesFailed, UnknownNode
+
+import edmonds_karp
 
 
 def graph_from_edges(edges) -> WasgGraph:
@@ -65,6 +76,20 @@ def random_graph(rng: random.Random, n: int, connected: bool = False, max_cap: i
         if key not in edges and rng.random() < 0.35:
             edges[key] = rng.randint(1, max_cap)
     return WasgGraph(nodes=frozenset(names), edges=edges)
+
+
+@st.composite
+def graphs(draw, max_nodes: int = 9) -> WasgGraph:
+    """Small graphs with isolated nodes, several components and capacities up to 2**40."""
+    n = draw(st.integers(min_value=0, max_value=max_nodes))
+    names = [f"n{i:02d}" for i in range(n)]
+    index = st.integers(0, max_nodes)
+    capacity = st.integers(1, 6) | st.integers(1, 2**40)
+    caps: dict[tuple[str, str], int] = {}
+    for a, b, c in draw(st.lists(st.tuples(index, index, capacity), max_size=20)):
+        if a < b < n:
+            caps[(names[a], names[b])] = caps.get((names[a], names[b]), 0) + c
+    return WasgGraph(nodes=frozenset(names), edges=caps)
 
 
 class TestBuildGraph:
@@ -161,24 +186,13 @@ class TestGomoryHu:
             }
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        n=st.integers(min_value=0, max_value=9),
-        edges=st.lists(
-            st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(1, 6)), max_size=20
-        ),
-    )
-    def test_matches_networkx_per_component(self, n, edges):
+    @given(g=graphs(max_nodes=11))
+    def test_matches_networkx_per_component(self, g):
         nx = pytest.importorskip("networkx")
-        names = [f"n{i}" for i in range(n)]
-        caps: dict[tuple[str, str], int] = {}
-        for a, b, c in edges:
-            if a < b < n:
-                caps[(names[a], names[b])] = caps.get((names[a], names[b]), 0) + c
-        g = WasgGraph(nodes=frozenset(names), edges=caps)
         reference = nx.Graph()
-        reference.add_nodes_from(names)
-        reference.add_edges_from((u, v, {"capacity": c}) for (u, v), c in caps.items())
-        want = dict.fromkeys(itertools.combinations(names, 2), 0)
+        reference.add_nodes_from(g.nodes)
+        reference.add_edges_from((u, v, {"capacity": c}) for (u, v), c in g.edges.items())
+        want = dict.fromkeys(itertools.combinations(sorted(g.nodes), 2), 0)
         for comp in nx.connected_components(reference):
             if len(comp) < 2:
                 continue
@@ -257,16 +271,17 @@ class TestFlowReduction:
 class TestConstructionBudget:
     @staticmethod
     def min_cut_calls(monkeypatch, g) -> int:
+        """Cuts ``gomory_hu`` makes on its residual network."""
         import netwattzap.connectivity as conn_mod
 
         calls = []
-        real_min_cut = conn_mod.min_cut
+        real_cut = conn_mod._ResidualNetwork.cut
 
-        def counting_min_cut(graph, s, t):
+        def counting_cut(net, s, t):
             calls.append((s, t))
-            return real_min_cut(graph, s, t)
+            return real_cut(net, s, t)
 
-        monkeypatch.setattr(conn_mod, "min_cut", counting_min_cut)
+        monkeypatch.setattr(conn_mod._ResidualNetwork, "cut", counting_cut)
         conn_mod.gomory_hu(g)
         return len(calls)
 
@@ -280,3 +295,97 @@ class TestConstructionBudget:
             edges={("A", "B"): 1, ("C", "D"): 2, ("D", "E"): 2},
         )
         assert self.min_cut_calls(monkeypatch, g) == len(g.nodes) - 1
+
+
+class TestDinicAgainstEdmondsKarp:
+    @settings(max_examples=150, deadline=None)
+    @given(g=graphs())
+    def test_min_cut_value_and_source_side_for_every_ordered_pair(self, g):
+        for s, t in itertools.permutations(sorted(g.nodes), 2):
+            assert min_cut(g, s, t) == edmonds_karp.min_cut(g, s, t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=graphs(max_nodes=11))
+    def test_gomory_hu_edges_match_gusfield(self, g):
+        assert gomory_hu(g).edges == edmonds_karp.gomory_hu(g).edges
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=graphs(), data=st.data())
+    def test_flow_reduction_report_matches(self, g, data):
+        import netwattzap.connectivity as conn_mod
+
+        failed = data.draw(st.sets(st.sampled_from(sorted(g.nodes))), label="failed") if g.nodes else set()
+        if failed == g.nodes:
+            return
+        fast = flow_reduction(g, failed).to_dict()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(conn_mod, "gomory_hu", edmonds_karp.gomory_hu)
+            slow = flow_reduction(WasgGraph(nodes=g.nodes, edges=dict(g.edges)), failed).to_dict()
+        assert fast == slow
+
+
+def sweep_inputs(out: Path):
+    """The benchmark's seed-1 resilience sweep: its grid graph and 60 resolved failure sets."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import gen
+    finally:
+        sys.path.pop(0)
+    from netwattzap.failure import resolve_scenario, scenario_from_dict
+    from netwattzap.grid_model import load_registry
+
+    gen.gen_resilience_sweep(1, out)
+    pairs = json.loads((out / "pairs.json").read_text())
+    registry = load_registry(out / "wasg.geojson")
+    scenarios = json.loads((out / "scenarios.json").read_text())
+    return (
+        {(a, b): c for a, b, c in pairs},
+        [resolve_scenario(scenario_from_dict(doc), registry) for doc in scenarios],
+    )
+
+
+class TestCachedTree:
+    def test_sweep_on_one_graph_matches_a_fresh_graph_per_scenario(self, tmp_path):
+        pair_counts, failure_sets = sweep_inputs(tmp_path)
+        assert len(failure_sets) == 60
+        shared = build_graph(pair_counts)
+        for failed in failure_sets:
+            cached = json.dumps(flow_reduction(shared, failed).to_dict())
+            fresh = json.dumps(flow_reduction(build_graph(pair_counts), failed).to_dict())
+            assert cached == fresh
+
+    def test_distinct_graphs_never_share_a_tree(self):
+        caps = {("A", "B"): 3, ("B", "C"): 2}
+        first = graph_from_edges([("A", "B", 3), ("B", "C", 2)])
+        twin = WasgGraph(nodes=frozenset("ABC"), edges=caps)
+        other = WasgGraph(nodes=frozenset("ABC"), edges={("A", "B"): 1, ("B", "C"): 2})
+        assert first == twin
+        assert first.gomory_hu_tree is not twin.gomory_hu_tree
+        assert first.gomory_hu_tree == twin.gomory_hu_tree
+        assert other.gomory_hu_tree == gomory_hu(other) != first.gomory_hu_tree
+        assert flow_reduction(first, {"C"}).pairs[0].flow_before == 3
+        assert flow_reduction(other, {"C"}).pairs[0].flow_before == 1
+
+    def test_edges_are_a_read_only_copy(self):
+        caps = {("A", "B"): 3, ("B", "C"): 2}
+        nodes = {"A", "B", "C"}
+        g = WasgGraph(nodes=nodes, edges=caps)
+        tree = g.gomory_hu_tree
+        with pytest.raises(TypeError):
+            g.edges[("A", "B")] = 1
+        caps[("A", "B")] = 1
+        caps[("A", "C")] = 9
+        nodes.add("D")
+        assert g.edges == {("A", "B"): 3, ("B", "C"): 2}
+        assert g.nodes == {"A", "B", "C"}
+        assert g.gomory_hu_tree is tree
+        assert tree == gomory_hu(g)
+        assert flow_reduction(g, {"B"}).pairs[0].flow_before == 2
+
+    def test_graph_pickles_and_copies(self):
+        g = graph_from_edges([("A", "B", 3), ("B", "C", 2)])
+        g.gomory_hu_tree
+        for clone in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
+            assert clone == g
+            assert "gomory_hu_tree" not in vars(clone)
+            assert clone.gomory_hu_tree == g.gomory_hu_tree

@@ -2,7 +2,9 @@
 
 Any one node of a valid registry, scenario or problem document is
 replaced by arbitrary JSON; the loader must then return or raise a
-``NetWattZapError``, never another exception.
+``NetWattZapError``, never another exception. A list node replaced by a
+string must raise ``MalformedDocument``: iterated, it would load its
+characters.
 """
 
 from __future__ import annotations
@@ -66,6 +68,12 @@ def node_paths(doc, prefix=()):
         yield from node_paths(child, prefix + (key,))
 
 
+def node_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 def replaced(doc, path, value):
     if not path:
         return value
@@ -106,6 +114,34 @@ def test_bad_json_is_malformed_document(name, doc_path, text):
 def test_number_overflow_is_malformed_document(name, path, value, doc_path):
     loader, doc = LOADERS[name]
     doc_path.write_text(json.dumps(replaced(doc, path, value)), encoding="utf-8")
+    with pytest.raises(MalformedDocument):
+        loader(doc_path)
+
+
+@pytest.mark.parametrize(
+    "name, path, value",
+    [
+        ("scenario", ("failed",), "W00"),
+        ("problem", ("location_rules", 1, "predicate", "country_codes"), "US"),
+        ("problem", ("location_rules", 0, "predicate", "bbox"), "1234"),
+        ("registry", ("features", 0, "properties", "members"), "MX"),
+    ],
+)
+def test_string_for_a_list_is_malformed_document(name, path, value, doc_path):
+    loader, doc = LOADERS[name]
+    doc_path.write_text(json.dumps(replaced(doc, path, value)), encoding="utf-8")
+    with pytest.raises(MalformedDocument, match="is not a list"):
+        loader(doc_path)
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), text=st.text(max_size=6))
+def test_any_list_node_swapped_for_a_string_is_malformed_document(name, doc_path, data, text):
+    loader, doc = LOADERS[name]
+    lists = [path for path in node_paths(doc) if isinstance(node_at(doc, path), list)]
+    path = data.draw(st.sampled_from(lists), label="path")
+    doc_path.write_text(json.dumps(replaced(doc, path, text)), encoding="utf-8")
     with pytest.raises(MalformedDocument):
         loader(doc_path)
 
