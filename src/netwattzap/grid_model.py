@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -158,9 +159,12 @@ class WasgRegistry:
 def _coerce_ring(raw, region_id: str) -> Ring:
     try:
         ring = tuple((float(lon), float(lat)) for lon, lat in _json_list(raw, "ring"))
-        # One type pass, not a call per point: a string point "12" unpacks as (1, 2).
+        # One type pass each, not a call per point: a string point "12"
+        # unpacks as (1, 2), and float() takes the string "1" and true.
         if not {list, tuple}.issuperset(map(type, raw)):
             raise TypeError("ring point is not a list")
+        if not all(map(_is_number_type, set(map(type, chain.from_iterable(raw))))):
+            raise TypeError("ring coordinate is not a number")
     except (TypeError, ValueError) as exc:
         raise MalformedDocument(f"region {region_id!r}: bad ring coordinates: {exc}") from exc
     # One range test per coordinate also rejects NaN and +-inf.
@@ -223,9 +227,9 @@ def load_registry(source) -> WasgRegistry:
                 abbrev=str(props["abbrev"]),
                 members=frozenset(str(m) for m in _json_list(props["members"], "members")),
                 boundary=_coerce_geometry(feature.get("geometry"), region_id),
-                population=int(props.get("population", 0)),
-                internet_users=int(props.get("internet_users", 0)),
-                area_km2=float(props.get("area_km2", 0.0)),
+                population=_json_number(props.get("population", 0), "population", integer=True),
+                internet_users=_json_number(props.get("internet_users", 0), "internet_users", integer=True),
+                area_km2=_json_number(props.get("area_km2", 0.0), "area_km2"),
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedDocument(f"feature {i} ({region_id!r}): {exc}") from exc
@@ -262,6 +266,25 @@ def _json_list(value, what: str):
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"{what} is not a list")
     return value
+
+
+def _json_number(value, what: str, integer: bool = False):
+    """``value`` as a float, or an int if ``integer``, if it is a JSON number.
+
+    TypeError or ValueError (so MalformedDocument) if not: ``float()``
+    would take the string "40" and true, and ``int()`` would truncate 1.5.
+    """
+    if not _is_number_type(type(value)):
+        raise TypeError(f"{what} is not a number")
+    if not integer:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{what} is not an integer")
+    return int(value)
+
+
+def _is_number_type(kind: type) -> bool:
+    return issubclass(kind, (int, float)) and not issubclass(kind, bool)
 
 
 def registry_to_geojson(registry: WasgRegistry) -> dict:

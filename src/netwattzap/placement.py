@@ -2,11 +2,12 @@
 
 A placement problem selects candidate sites under a cardinality rule, a
 per-grid zone cap (cap 1 means fully grid-disjoint), location minimums,
-and latency bounds, minimizing one of five objectives. The model is an
-inspectable 0-1 program; the bundled solver is an exact depth-first
-branch-and-bound over the selection variables with admissible bounds,
-so every "optimal" verdict is certified and ties break to the
-lexicographically smallest chosen id set.
+and latency bounds, minimizing one of five objectives. The model holds
+the solver's tables and writes its 0-1 program as LP text on demand.
+The bundled solver is an exact depth-first branch-and-bound over the
+selection variables with admissible bounds, so every "optimal" verdict
+is certified and ties break to the lexicographically smallest chosen
+id set.
 
 Objective values are summed in a documented deterministic order:
 demands in their listed order, candidates and candidate pairs in
@@ -18,11 +19,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .errors import MalformedDocument, UnsatisfiableStructure
 from .geo import GeoPoint, haversine_km, pairwise_latency_ms
-from .grid_model import WasgRegistry, _json_list, _load_document
+from .grid_model import WasgRegistry, _json_list, _json_number, _load_document
 
 OBJECTIVES = (
     "min_weighted_sum_all",
@@ -199,59 +201,92 @@ def distance_matrix(problem: PlacementProblem) -> list[list[float]]:
     return [[haversine_km(a.geo, b.geo) for b in order] for a in order]
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
-    """One linear row with a provenance tag naming the rule that produced it."""
-
-    tag: str
-    terms: tuple[tuple[str, float], ...]
-    sense: str
-    rhs: float
-
-
 @dataclass
 class IlpModel:
-    """Inspectable 0-1 program plus the numeric tables the solver uses."""
+    """The solver's tables for one problem, each indexed by position in ``order``.
+
+    ``dump()`` writes the 0-1 program these tables stand for as LP text.
+    """
 
     problem: PlacementProblem
     order: tuple[str, ...]
-    x_constraints: tuple[LinearConstraint, ...]
-    aux_constraints: tuple[LinearConstraint, ...]
     objective_sense: str
-    objective_terms: tuple[tuple[str, float], ...]
     excluded: frozenset[str]
-    # Solver tables, all indexed by position in ``order``.
-    zone_of: tuple[str, ...] = ()
-    lin_coeff: tuple[float, ...] = ()
-    lat: tuple[tuple[float, ...], ...] = ()
-    allowed: tuple[tuple[bool, ...], ...] = ()
-    dist: tuple[tuple[float, ...], ...] = ()
-
-    def variables(self) -> list[str]:
-        seen: dict[str, None] = {f"x[{cid}]": None for cid in self.order}
-        for constraint in self.aux_constraints:
-            for var, _ in constraint.terms:
-                seen.setdefault(var, None)
-        for var, _ in self.objective_terms:
-            seen.setdefault(var, None)
-        return list(seen)
+    zone_of: tuple[str, ...]
+    lin_coeff: tuple[float, ...]
+    lat: tuple[tuple[float, ...], ...]
+    allowed: tuple[tuple[bool, ...], ...]
+    dist: tuple[tuple[float, ...], ...]
+    # rule_match[r][i]: candidate i is not excluded and matches location rule r.
+    rule_match: tuple[tuple[bool, ...], ...]
 
     def dump(self) -> str:
         """LP-style text: objective, tagged constraints, bounds, binaries."""
-        lines = [f"\\ placement model: objective={self.problem.objective}"]
+        problem, order = self.problem, self.order
+        x = [f"x[{cid}]" for cid in order]
+        aux: list[str] = []  # the continuous variables
+        pairs: list[tuple[int, int]] = []
+        if problem.objective == "min_weighted_nearest":
+            # y[demand,candidate]: the demand is served by the candidate.
+            aux = [f"y[{d.id},{cid}]" for d in problem.demands for cid in order]
+            objective = zip(aux, (d.weight * v for d, row in zip(problem.demands, self.lat) for v in row))
+        elif problem.objective in PAIRWISE_OBJECTIVES:
+            # z[a,b]: both candidates of the pair are selected.
+            pairs = list(combinations(range(len(order)), 2))
+            aux = [f"z[{order[a]},{order[b]}]" for a, b in pairs]
+            objective = zip(aux, (self.dist[a][b] for a, b in pairs))
+        else:
+            objective = zip(x, self.lin_coeff)
+        lines = [f"\\ placement model: objective={problem.objective}"]
         lines.append("Maximize" if self.objective_sense == "max" else "Minimize")
-        lines.append(" obj: " + _poly(self.objective_terms))
+        lines.append(" obj: " + _poly(list(objective)))
         lines.append("Subject To")
-        for constraint in list(self.x_constraints) + list(self.aux_constraints):
-            lines.append(f" {constraint.tag}: " + _poly(constraint.terms) + f" {constraint.sense} {_num(constraint.rhs)}")
-        continuous = [v for v in self.variables() if not v.startswith("x[")]
-        if continuous:
+        lines.extend(f" {tag}: {_poly(terms)} {sense} {rhs}" for tag, terms, sense, rhs in self._rows(x, aux, pairs))
+        if aux:
             lines.append("Bounds")
-            lines.extend(f" 0 <= {v} <= 1" for v in continuous)
+            lines.extend(f" 0 <= {v} <= 1" for v in aux)
         lines.append("Binaries")
-        lines.append(" " + " ".join(f"x[{cid}]" for cid in self.order))
+        lines.append(" " + " ".join(x))
         lines.append("End")
         return "\n".join(lines) + "\n"
+
+    def _rows(self, x: list[str], aux: list[str], pairs: list[tuple[int, int]]):
+        """(tag, terms, sense, integer rhs) of every constraint, in dump order."""
+        problem, order, cap = self.problem, self.order, self.problem.zone_cap
+        sense = "==" if problem.select_count.mode == "exactly" else "<="
+        yield "select_count", [(v, 1) for v in x], sense, problem.select_count.n
+        by_zone: dict[str, list[int]] = {}
+        for i, zone in enumerate(self.zone_of):
+            by_zone.setdefault(zone, []).append(i)
+        for zone in sorted(by_zone):
+            members = by_zone[zone]
+            if len(members) <= cap:
+                continue
+            if cap > 1:
+                yield f"zone_cap[{zone}]", [(x[i], 1) for i in members], "<=", cap
+                continue
+            for a, b in combinations(members, 2):
+                yield f"zone_conflict[{zone}:{order[a]},{order[b]}]", [(x[a], 1), (x[b], 1)], "<=", 1
+        for i, cid in enumerate(order):
+            if cid in self.excluded:
+                yield f"latency_exclude[{cid}]", [(x[i], 1)], "<=", 0
+        for r, (rule, marks) in enumerate(zip(problem.location_rules, self.rule_match)):
+            terms = [(v, 1) for v, hit in zip(x, marks) if hit]
+            yield f"location[{r}:{rule.describe()}]", terms, ">=", rule.min_count
+        if problem.objective == "min_weighted_nearest":
+            m = len(order)
+            for j, d in enumerate(problem.demands):
+                y = aux[j * m : (j + 1) * m]
+                yield f"assign[{d.id}]", [(v, 1) for v in y], "==", 1
+                for i, cid in enumerate(order):
+                    yield f"link[{d.id},{cid}]", [(y[i], 1), (x[i], -1)], "<=", 0
+                    if not self.allowed[j][i]:
+                        yield f"latency_bound[{d.id},{cid}]", [(y[i], 1)], "==", 0
+        for z, (a, b) in zip(aux, pairs):
+            pair = f"{order[a]},{order[b]}"
+            yield f"pair_lb[{pair}]", [(x[a], 1), (x[b], 1), (z, -1)], "<=", 1
+            yield f"pair_ub_a[{pair}]", [(z, 1), (x[a], -1)], "<=", 0
+            yield f"pair_ub_b[{pair}]", [(z, 1), (x[b], -1)], "<=", 0
 
 
 def _num(value: float) -> str:
@@ -276,7 +311,7 @@ def _poly(terms: Sequence[tuple[str, float]]) -> str:
 
 
 def build_ilp(problem: PlacementProblem) -> IlpModel:
-    """Instantiate the 0-1 program for a placement problem.
+    """Compute the solver's tables for a placement problem.
 
     Raises:
         UnsatisfiableStructure: when infeasibility is certain before any
@@ -289,7 +324,6 @@ def build_ilp(problem: PlacementProblem) -> IlpModel:
     order = tuple(c.id for c in cands)
     zone_of = tuple(problem.zone_key(c) for c in cands)
     n = problem.select_count.n
-    mode = problem.select_count.mode
     nearest = problem.objective == "min_weighted_nearest"
 
     lat = tuple(tuple(row) for row in latency_matrix(problem))
@@ -298,87 +332,33 @@ def build_ilp(problem: PlacementProblem) -> IlpModel:
         tuple(lat[j][i] <= bounds[d.id] if d.id in bounds else True for i in range(len(cands)))
         for j, d in enumerate(problem.demands)
     )
-
-    constraints: list[LinearConstraint] = []
-    sense = "==" if mode == "exactly" else "<="
-    constraints.append(
-        LinearConstraint(
-            tag="select_count",
-            terms=tuple((f"x[{cid}]", 1.0) for cid in order),
-            sense=sense,
-            rhs=float(n),
-        )
+    # A bound excludes violating candidates for the whole problem, except
+    # under the nearest objective, where it only forbids assignments.
+    excluded = frozenset(
+        cid for i, cid in enumerate(order) if bounds and not nearest and not all(row[i] for row in allowed)
     )
 
-    by_zone: dict[str, list[str]] = {}
-    for cid, zone in zip(order, zone_of):
-        by_zone.setdefault(zone, []).append(cid)
-    for zone in sorted(by_zone):
-        members = by_zone[zone]
-        if len(members) <= problem.zone_cap:
-            continue
-        if problem.zone_cap == 1:
-            for a in range(len(members)):
-                for b in range(a + 1, len(members)):
-                    constraints.append(
-                        LinearConstraint(
-                            tag=f"zone_conflict[{zone}:{members[a]},{members[b]}]",
-                            terms=((f"x[{members[a]}]", 1.0), (f"x[{members[b]}]", 1.0)),
-                            sense="<=",
-                            rhs=1.0,
-                        )
-                    )
-        else:
-            constraints.append(
-                LinearConstraint(
-                    tag=f"zone_cap[{zone}]",
-                    terms=tuple((f"x[{cid}]", 1.0) for cid in members),
-                    sense="<=",
-                    rhs=float(problem.zone_cap),
-                )
-            )
-
-    excluded: set[str] = set()
-    if bounds and not nearest:
-        # A bound excludes violating candidates for the whole problem.
-        for i, cid in enumerate(order):
-            if not all(allowed[j][i] for j in range(len(problem.demands))):
-                excluded.add(cid)
-                constraints.append(
-                    LinearConstraint(
-                        tag=f"latency_exclude[{cid}]",
-                        terms=((f"x[{cid}]", 1.0),),
-                        sense="<=",
-                        rhs=0.0,
-                    )
-                )
-
-    for r, rule in enumerate(problem.location_rules):
-        matching = [cid for cid, cand in zip(order, cands) if cid not in excluded and rule.matches(cand)]
-        if len(matching) < rule.min_count:
+    rule_match = tuple(
+        tuple(cid not in excluded and rule.matches(c) for cid, c in zip(order, cands))
+        for rule in problem.location_rules
+    )
+    for r, (rule, marks) in enumerate(zip(problem.location_rules, rule_match)):
+        if sum(marks) < rule.min_count:
             raise UnsatisfiableStructure(
                 f"location rule {r} ({rule.describe()}) needs {rule.min_count} matches "
-                f"but only {len(matching)} candidates qualify"
+                f"but only {sum(marks)} candidates qualify"
             )
         if rule.min_count > n:
             raise UnsatisfiableStructure(
                 f"location rule {r} ({rule.describe()}) needs {rule.min_count} selections "
                 f"but at most {n} can be selected"
             )
-        constraints.append(
-            LinearConstraint(
-                tag=f"location[{r}:{rule.describe()}]",
-                terms=tuple((f"x[{cid}]", 1.0) for cid in matching),
-                sense=">=",
-                rhs=float(rule.min_count),
-            )
-        )
 
-    if mode == "exactly":
-        capacity = sum(
-            min(problem.zone_cap, sum(1 for cid in members if cid not in excluded))
-            for members in by_zone.values()
-        )
+    if problem.select_count.mode == "exactly":
+        by_zone: dict[str, int] = {}
+        for cid, zone in zip(order, zone_of):
+            by_zone[zone] = by_zone.get(zone, 0) + (cid not in excluded)
+        capacity = sum(min(problem.zone_cap, free) for free in by_zone.values())
         if capacity < n:
             raise UnsatisfiableStructure(
                 f"zone cap {problem.zone_cap} over {len(by_zone)} zones admits at most "
@@ -392,108 +372,27 @@ def build_ilp(problem: PlacementProblem) -> IlpModel:
                     f"demand {d.id!r}: no candidate satisfies its latency bound"
                 )
 
-    aux: list[LinearConstraint] = []
-    objective_terms: list[tuple[str, float]] = []
-    objective_sense = "min"
-    dist: list[list[float]] = []
-    weights = [d.weight for d in problem.demands]
+    coeff: tuple[float, ...] = ()
     if problem.objective == "min_weighted_sum_all":
         coeff = tuple(
-            _ordered_sum(weights[j] * lat[j][i] for j in range(len(problem.demands)))
+            _ordered_sum(d.weight * lat[j][i] for j, d in enumerate(problem.demands))
             for i in range(len(order))
         )
-        objective_terms = [(f"x[{cid}]", coeff[i]) for i, cid in enumerate(order)]
     elif problem.objective == "min_cost":
         coeff = tuple(float(c.cost) for c in cands)
-        objective_terms = [(f"x[{cid}]", coeff[i]) for i, cid in enumerate(order)]
-    elif nearest:
-        coeff = ()
-        for j, d in enumerate(problem.demands):
-            aux.append(
-                LinearConstraint(
-                    tag=f"assign[{d.id}]",
-                    terms=tuple((f"y[{d.id},{cid}]", 1.0) for cid in order),
-                    sense="==",
-                    rhs=1.0,
-                )
-            )
-            for i, cid in enumerate(order):
-                aux.append(
-                    LinearConstraint(
-                        tag=f"link[{d.id},{cid}]",
-                        terms=((f"y[{d.id},{cid}]", 1.0), (f"x[{cid}]", -1.0)),
-                        sense="<=",
-                        rhs=0.0,
-                    )
-                )
-                if not allowed[j][i]:
-                    aux.append(
-                        LinearConstraint(
-                            tag=f"latency_bound[{d.id},{cid}]",
-                            terms=((f"y[{d.id},{cid}]", 1.0),),
-                            sense="==",
-                            rhs=0.0,
-                        )
-                    )
-                objective_terms.append((f"y[{d.id},{cid}]", d.weight * lat[j][i]))
-    else:
-        coeff = ()
-        objective_sense = "min" if problem.objective == "min_pairwise_distance_sum" else "max"
-        dist = distance_matrix(problem)
-        for a in range(len(order)):
-            for b in range(a + 1, len(order)):
-                z = f"z[{order[a]},{order[b]}]"
-                aux.append(
-                    LinearConstraint(
-                        tag=f"pair_lb[{order[a]},{order[b]}]",
-                        terms=((f"x[{order[a]}]", 1.0), (f"x[{order[b]}]", 1.0), (z, -1.0)),
-                        sense="<=",
-                        rhs=1.0,
-                    )
-                )
-                aux.append(
-                    LinearConstraint(
-                        tag=f"pair_ub_a[{order[a]},{order[b]}]",
-                        terms=((z, 1.0), (f"x[{order[a]}]", -1.0)),
-                        sense="<=",
-                        rhs=0.0,
-                    )
-                )
-                aux.append(
-                    LinearConstraint(
-                        tag=f"pair_ub_b[{order[a]},{order[b]}]",
-                        terms=((z, 1.0), (f"x[{order[b]}]", -1.0)),
-                        sense="<=",
-                        rhs=0.0,
-                    )
-                )
-                objective_terms.append((z, dist[a][b]))
-
-    model = IlpModel(
+    dist = distance_matrix(problem) if problem.objective in PAIRWISE_OBJECTIVES else []
+    return IlpModel(
         problem=problem,
         order=order,
-        x_constraints=tuple(constraints),
-        aux_constraints=tuple(aux),
-        objective_sense=objective_sense,
-        objective_terms=tuple(objective_terms),
-        excluded=frozenset(excluded),
+        objective_sense="max" if problem.objective == "max_pairwise_distance_sum" else "min",
+        excluded=excluded,
         zone_of=zone_of,
         lin_coeff=coeff,
         lat=lat,
         allowed=allowed,
         dist=tuple(tuple(row) for row in dist),
+        rule_match=rule_match,
     )
-    x_vars = {f"x[{cid}]" for cid in model.order}
-    for constraint in model.x_constraints:
-        for var, _ in constraint.terms:
-            if var not in x_vars:
-                raise ValueError(f"constraint {constraint.tag!r} references undeclared {var!r}")
-    declared = set(model.variables())
-    for constraint in model.aux_constraints:
-        for var, _ in constraint.terms:
-            if not (var in declared or var in x_vars):
-                raise ValueError(f"constraint {constraint.tag!r} references undeclared {var!r}")
-    return model
 
 
 def _ordered_sum(values) -> float:
@@ -568,12 +467,8 @@ class _Search:
         self.pairwise = self.problem.objective in PAIRWISE_OBJECTIVES
         self.pair_sign = -1.0 if self.model.objective_sense == "max" else 1.0
         self.available = [cid not in model.excluded for cid in model.order]
-        self.cand_by_pos = sorted(self.problem.candidates, key=lambda c: c.id)
         self.rules = self.problem.location_rules
-        self.rule_match = [
-            [self.available[i] and rule.matches(self.cand_by_pos[i]) for i in range(self.m)]
-            for rule in self.rules
-        ]
+        self.rule_match = model.rule_match
         # suffix_rule[r][i]: available matches of rule r at positions >= i.
         self.suffix_rule = [
             [sum(marks[i:]) for i in range(self.m + 1)] for marks in self.rule_match
@@ -854,9 +749,9 @@ def problem_from_dict(doc: Mapping) -> PlacementProblem:
         candidates = tuple(
             Candidate(
                 id=str(c["id"]),
-                geo=GeoPoint(float(c["lat"]), float(c["lon"])),
+                geo=GeoPoint(_json_number(c["lat"], "candidate lat"), _json_number(c["lon"], "candidate lon")),
                 zone=(str(c["zone"]) if c.get("zone") is not None else None),
-                cost=(float(c["cost"]) if c.get("cost") is not None else None),
+                cost=(_json_number(c["cost"], "candidate cost") if c.get("cost") is not None else None),
                 country=(str(c["country"]) if c.get("country") is not None else None),
             )
             for c in _json_list(doc["candidates"], "candidates")
@@ -864,22 +759,29 @@ def problem_from_dict(doc: Mapping) -> PlacementProblem:
         demands = tuple(
             DemandPoint(
                 id=str(d["id"]),
-                geo=GeoPoint(float(d["lat"]), float(d["lon"])),
-                weight=float(d.get("weight", 1.0)),
+                geo=GeoPoint(_json_number(d["lat"], "demand lat"), _json_number(d["lon"], "demand lon")),
+                weight=_json_number(d.get("weight", 1.0), "demand weight"),
             )
             for d in _json_list(doc.get("demands", []), "demands")
         )
         sc = _object(doc.get("select_count", {}), "select_count")
-        select_count = SelectCount(mode=str(sc.get("mode", "exactly")), n=int(sc.get("n", 1)))
+        n = _json_number(sc.get("n", 1), "select_count n", integer=True)
+        select_count = SelectCount(mode=str(sc.get("mode", "exactly")), n=n)
         rules = tuple(_rule_from_dict(r) for r in _json_list(doc.get("location_rules", []), "location_rules"))
         latency_bounds = (
-            {str(k): float(v) for k, v in _object(doc["latency_bounds"], "latency_bounds").items()}
+            {
+                str(k): _json_number(v, f"latency_bounds[{k!r}]")
+                for k, v in _object(doc["latency_bounds"], "latency_bounds").items()
+            }
             if doc.get("latency_bounds")
             else None
         )
         override = (
             {
-                str(dk): {str(ck): float(cv) for ck, cv in _object(row, f"latency_override[{dk!r}]").items()}
+                str(dk): {
+                    str(ck): _json_number(cv, f"latency_override[{dk!r}][{ck!r}]")
+                    for ck, cv in _object(row, f"latency_override[{dk!r}]").items()
+                }
                 for dk, row in _object(doc["latency_override"], "latency_override").items()
             }
             if doc.get("latency_override")
@@ -890,7 +792,7 @@ def problem_from_dict(doc: Mapping) -> PlacementProblem:
             demands=demands,
             objective=str(doc["objective"]),
             select_count=select_count,
-            zone_cap=int(doc.get("zone_cap", 1)),
+            zone_cap=_json_number(doc.get("zone_cap", 1), "zone_cap", integer=True),
             location_rules=rules,
             latency_bounds=latency_bounds,
             latency_override=override,
@@ -914,12 +816,12 @@ def _rule_from_dict(doc: Mapping) -> LocationRule:
         raise ValueError(f"predicate must have exactly one key, got {sorted(predicate)}")
     kind, value = next(iter(predicate.items()))
     if kind == "bbox":
-        value = tuple(float(v) for v in _json_list(value, "bbox"))
+        value = tuple(_json_number(v, "bbox") for v in _json_list(value, "bbox"))
     elif kind == "country_codes":
         value = frozenset(str(v) for v in _json_list(value, "country_codes"))
     else:
         value = str(value)
-    return LocationRule(kind=kind, value=value, min_count=int(doc["min_count"]))
+    return LocationRule(kind=kind, value=value, min_count=_json_number(doc["min_count"], "min_count", integer=True))
 
 
 def load_problem(path) -> PlacementProblem:

@@ -549,6 +549,50 @@ class TestStringWhereListExpected:
         assert captured.err.count("\n") == 1
 
 
+class TestWrongNumberType:
+    """A string, a boolean or (where an integer belongs) a fraction for a JSON number is refused."""
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            ("threshold_deg", "40"),
+            ("ring_point", ["1", "2"]),
+            ("lat", "10"),
+            ("lat", True),
+            ("n", "1"),
+            ("n", 1.5),
+            ("zone_cap", 1.9),
+        ],
+    )
+    def test_one_error_line(self, workspace, tmp_path, capsys, where, value):
+        wasg = workspace / "wasg.geojson"
+        bad = tmp_path / f"{where}.json"
+        if where == "threshold_deg":
+            bad.write_text(json.dumps({"name": "x", "mode": "latitude_band", "threshold_deg": value}), encoding="utf-8")
+            argv = ["failure", "--wasg", str(wasg), "--scenario", str(bad)]
+        elif where == "ring_point":
+            doc = json.loads(wasg.read_text())
+            doc["features"][0]["geometry"]["coordinates"][0][1] = value
+            bad.write_text(json.dumps(doc), encoding="utf-8")
+            argv = ["overlap", "--wasg", str(bad), "--components", f"ixp={workspace / 'ixps.csv'}"]
+        else:
+            doc = json.loads((workspace / "problem.json").read_text())
+            if where == "lat":
+                doc["candidates"][0]["lat"] = value
+            elif where == "n":
+                doc["select_count"]["n"] = value
+            else:
+                doc["zone_cap"] = value
+            bad.write_text(json.dumps(doc), encoding="utf-8")
+            argv = ["place", "--problem", str(bad)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: MalformedDocument: ")
+        assert captured.err.count("\n") == 1
+
+
 class TestDeterminism:
     def _run_twice(self, argv_base, tmp_path, name):
         outs = []

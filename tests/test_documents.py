@@ -4,7 +4,8 @@ Any one node of a valid registry, scenario or problem document is
 replaced by arbitrary JSON; the loader must then return or raise a
 ``NetWattZapError``, never another exception. A list node replaced by a
 string must raise ``MalformedDocument``: iterated, it would load its
-characters.
+characters. So must a number node replaced by its string form or a
+boolean, which ``float()`` would parse.
 """
 
 from __future__ import annotations
@@ -142,6 +143,50 @@ def test_any_list_node_swapped_for_a_string_is_malformed_document(name, doc_path
     lists = [path for path in node_paths(doc) if isinstance(node_at(doc, path), list)]
     path = data.draw(st.sampled_from(lists), label="path")
     doc_path.write_text(json.dumps(replaced(doc, path, text)), encoding="utf-8")
+    with pytest.raises(MalformedDocument):
+        loader(doc_path)
+
+
+@pytest.mark.parametrize(
+    "name, path, value, message",
+    [
+        ("scenario", ("threshold_deg",), "40", "threshold_deg is not a number"),
+        ("problem", ("candidates", 0, "lat"), "10", "candidate lat is not a number"),
+        ("problem", ("candidates", 0, "lat"), True, "candidate lat is not a number"),
+        ("problem", ("select_count", "n"), "1", "select_count n is not a number"),
+        ("problem", ("select_count", "n"), 1.5, "select_count n is not an integer"),
+        ("problem", ("zone_cap",), 1.9, "zone_cap is not an integer"),
+        ("registry", ("features", 0, "geometry", "coordinates", 0, 1), ["1", "2"], "ring coordinate is not a number"),
+    ],
+)
+def test_wrong_number_type_is_malformed_document(name, path, value, message, doc_path):
+    loader, doc = LOADERS[name]
+    doc_path.write_text(json.dumps(replaced(doc, path, value)), encoding="utf-8")
+    with pytest.raises(MalformedDocument, match=message):
+        loader(doc_path)
+
+
+def test_integral_float_loads_as_an_integer(doc_path):
+    doc = replaced(replaced(PROBLEM, ("select_count", "n"), 1.0), ("zone_cap",), 2.0)
+    doc_path.write_text(json.dumps(doc), encoding="utf-8")
+    problem = load_problem(doc_path)
+    assert (problem.select_count.n, problem.zone_cap) == (1, 2)
+    assert type(problem.select_count.n) is int and type(problem.zone_cap) is int
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_number_node_swapped_for_its_string_or_a_boolean_is_malformed_document(name, doc_path, data):
+    loader, doc = LOADERS[name]
+    numbers = [
+        path
+        for path in node_paths(doc)
+        if isinstance(node_at(doc, path), (int, float)) and not isinstance(node_at(doc, path), bool)
+    ]
+    path = data.draw(st.sampled_from(numbers), label="path")
+    value = data.draw(st.sampled_from([str(node_at(doc, path)), True, False]), label="value")
+    doc_path.write_text(json.dumps(replaced(doc, path, value)), encoding="utf-8")
     with pytest.raises(MalformedDocument):
         loader(doc_path)
 

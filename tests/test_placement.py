@@ -214,18 +214,24 @@ def random_problem(rng: random.Random) -> PlacementProblem:
 # ----------------------------------------------------------------- tests
 
 
+def dump_section(model, head: str) -> list[str]:
+    """The stripped lines of one ``dump()`` section: "Subject To", "Bounds" or "Binaries"."""
+    lines = model.dump().splitlines()
+    start = lines.index(head) + 1
+    stop = next(i for i in range(start, len(lines)) if lines[i] in ("Bounds", "Binaries", "End"))
+    return [line.strip() for line in lines[start:stop]]
+
+
 class TestBuildIlp:
     def test_cardinality_plus_one_conflict(self):
-        model = build_ilp(eq_fixture())
-        assert len(model.x_constraints) == 2
-        tags = [c.tag for c in model.x_constraints]
-        assert tags[0] == "select_count"
-        assert tags[1] == "zone_conflict[Z1:c1,c2]"
-        assert model.x_constraints[0].sense == "=="
+        assert dump_section(build_ilp(eq_fixture()), "Subject To") == [
+            "select_count: x[c1] + x[c2] + x[c3] == 2",
+            "zone_conflict[Z1:c1,c2]: x[c1] + x[c2] <= 1",
+        ]
 
     def test_at_most_mode_uses_inequality(self):
-        model = build_ilp(eq_fixture(mode="at_most"))
-        assert model.x_constraints[0].sense == "<="
+        rows = dump_section(build_ilp(eq_fixture(mode="at_most")), "Subject To")
+        assert rows[0] == "select_count: x[c1] + x[c2] + x[c3] <= 2"
 
     def test_group_sum_for_cap_two(self):
         problem = PlacementProblem(
@@ -239,8 +245,7 @@ class TestBuildIlp:
             select_count=SelectCount(mode="at_most", n=2),
             zone_cap=2,
         )
-        model = build_ilp(problem)
-        assert any(c.tag == "zone_cap[Z]" and c.rhs == 2.0 for c in model.x_constraints)
+        assert "zone_cap[Z]: x[a] + x[b] + x[c] <= 2" in dump_section(build_ilp(problem), "Subject To")
 
     def test_pigeonhole_unsatisfiable(self):
         candidates = tuple(
@@ -273,9 +278,14 @@ class TestBuildIlp:
     def test_dump_contains_tags_and_binaries(self):
         model = build_ilp(eq_fixture())
         text = model.dump()
-        assert "Minimize" in text and "Binaries" in text
-        assert "select_count:" in text and "zone_conflict[Z1:c1,c2]:" in text
-        assert "x[c1]" in text
+        assert text.splitlines()[:3] == [
+            "\\ placement model: objective=min_weighted_sum_all",
+            "Minimize",
+            " obj: 10 x[c1] + 20 x[c2] + 30 x[c3]",
+        ]
+        assert "Bounds" not in text
+        assert dump_section(model, "Binaries") == ["x[c1] x[c2] x[c3]"]
+        assert text.endswith("\nEnd\n")
 
     def test_nearest_model_has_assignment_vars(self):
         problem = PlacementProblem(
@@ -283,12 +293,67 @@ class TestBuildIlp:
             demands=(demand("d1", 12.0, 12.0),),
             objective="min_weighted_nearest",
             select_count=SelectCount(mode="exactly", n=1),
+            latency_bounds={"d1": 5.0},
         )
         model = build_ilp(problem)
-        assert any(v.startswith("y[") for v in model.variables())
-        assert any(c.tag == "assign[d1]" for c in model.aux_constraints)
-        dump = model.dump()
-        assert "Bounds" in dump and "0 <= y[d1,a] <= 1" in dump
+        assert dump_section(model, "Subject To") == [
+            "select_count: x[a] + x[b] == 1",
+            "assign[d1]: y[d1,a] + y[d1,b] == 1",
+            "link[d1,a]: y[d1,a] - x[a] <= 0",
+            "link[d1,b]: y[d1,b] - x[b] <= 0",
+            "latency_bound[d1,b]: y[d1,b] == 0",
+        ]
+        assert dump_section(model, "Bounds") == ["0 <= y[d1,a] <= 1", "0 <= y[d1,b] <= 1"]
+        assert dump_section(model, "Binaries") == ["x[a] x[b]"]
+
+    @pytest.mark.parametrize("objective, sense", [(PAIRWISE[0], "Minimize"), (PAIRWISE[1], "Maximize")])
+    def test_pairwise_model_has_pair_vars(self, objective, sense):
+        a, b, c = cand("a", 0.0, 0.0, zone="Z1"), cand("b", 0.0, 10.0, zone="Z2"), cand("c", 5.0, 5.0, zone="Z2")
+        problem = PlacementProblem(
+            candidates=(c, b, a),
+            demands=(),
+            objective=objective,
+            select_count=SelectCount(mode="exactly", n=2),
+        )
+        model = build_ilp(problem)
+        lines = model.dump().splitlines()
+        assert lines[1] == sense
+        ab, ac, bc = (haversine_km(p.geo, q.geo) for p, q in ((a, b), (a, c), (b, c)))
+        assert lines[2] == f" obj: {ab!r} z[a,b] + {ac!r} z[a,c] + {bc!r} z[b,c]"
+        assert dump_section(model, "Subject To") == [
+            "select_count: x[a] + x[b] + x[c] == 2",
+            "zone_conflict[Z2:b,c]: x[b] + x[c] <= 1",
+            "pair_lb[a,b]: x[a] + x[b] - z[a,b] <= 1",
+            "pair_ub_a[a,b]: z[a,b] - x[a] <= 0",
+            "pair_ub_b[a,b]: z[a,b] - x[b] <= 0",
+            "pair_lb[a,c]: x[a] + x[c] - z[a,c] <= 1",
+            "pair_ub_a[a,c]: z[a,c] - x[a] <= 0",
+            "pair_ub_b[a,c]: z[a,c] - x[c] <= 0",
+            "pair_lb[b,c]: x[b] + x[c] - z[b,c] <= 1",
+            "pair_ub_a[b,c]: z[b,c] - x[b] <= 0",
+            "pair_ub_b[b,c]: z[b,c] - x[c] <= 0",
+        ]
+        assert dump_section(model, "Bounds") == ["0 <= z[a,b] <= 1", "0 <= z[a,c] <= 1", "0 <= z[b,c] <= 1"]
+
+    def test_latency_bound_excludes_candidates_from_sum_all(self):
+        problem = PlacementProblem(
+            candidates=(cand("a", 10.0, 0.0), cand("b", 20.0, 0.0), cand("c", 30.0, 0.0)),
+            demands=(demand("d1", weight=2.0), demand("d2")),
+            objective="min_weighted_sum_all",
+            select_count=SelectCount(mode="at_most", n=2),
+            location_rules=(LocationRule(kind="hemisphere", value="northern", min_count=1),),
+            latency_bounds={"d2": 25.0},
+            latency_override={"d1": {"a": 5.0, "b": 0.5, "c": 1.0}, "d2": {"a": 30.0, "b": 20.0, "c": 40.0}},
+        )
+        model = build_ilp(problem)
+        assert model.dump().splitlines()[2] == " obj: 40 x[a] + 21 x[b] + 42 x[c]"
+        assert dump_section(model, "Subject To") == [
+            "select_count: x[a] + x[b] + x[c] <= 2",
+            "latency_exclude[a]: x[a] <= 0",
+            "latency_exclude[c]: x[c] <= 0",
+            "location[0:hemisphere=northern]: x[b] >= 1",
+        ]
+        assert "Bounds" not in model.dump()
 
 
 class TestSolveFixtures:
