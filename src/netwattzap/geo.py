@@ -90,20 +90,15 @@ def _on_segment(x: float, y: float, x1: float, y1: float, x2: float, y2: float) 
     return min(x1, x2) <= x <= max(x1, x2) and min(y1, y2) <= y <= max(y1, y2)
 
 
-def _ring_edges(ring):
-    for i in range(len(ring) - 1):
-        yield ring[i], ring[i + 1]
-
-
 def _point_in_polygon(x: float, y: float, polygon) -> bool:
-    """Even-odd containment across all rings; boundary points count as inside."""
+    """Even-odd containment across all rings (lists of vertices); boundary points count as inside."""
     for ring in polygon:
-        for (x1, y1), (x2, y2) in _ring_edges(ring):
+        for (x1, y1), (x2, y2) in zip(ring, ring[1:]):
             if _on_segment(x, y, x1, y1, x2, y2):
                 return True
     inside = False
     for ring in polygon:
-        for (x1, y1), (x2, y2) in _ring_edges(ring):
+        for (x1, y1), (x2, y2) in zip(ring, ring[1:]):
             if (y1 > y) != (y2 > y):
                 xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
                 if xi > x:
@@ -119,16 +114,17 @@ def point_in_region(p: GeoPoint, region: "WasgRegion") -> bool:
     """
     if not region.boundary:
         raise NoBoundary(f"region {region.id!r} has no boundary polygons")
-    return any(_point_in_polygon(p.lon, p.lat, polygon) for polygon in region.boundary)
+    return any(_point_in_polygon(p.lon, p.lat, [ring.tolist() for ring in polygon]) for polygon in region.boundary)
 
 
 class RegionEdges:
     """A region's boundary in numpy, for testing many points at once.
 
-    Holds each ring's vertices as a (2, n) lon/lat array and ``bbox``,
-    (min lon, min lat, max lon, max lat) over all vertices. The edge
-    arrays are built inside ``contains`` and dropped when it returns, so
-    a caller walking many regions holds one region's edges at a time.
+    Holds each ring as a (2, n) lon/lat view (``ring.T``, no copy) of
+    the region's (n, 2) array, and ``bbox``, (min lon, min lat, max lon,
+    max lat) over all vertices. The edge arrays are built inside
+    ``contains`` and dropped when it returns, so a caller walking many
+    regions holds one region's edges at a time.
 
     Raises:
         NoBoundary: if the region carries no polygons.
@@ -137,15 +133,11 @@ class RegionEdges:
     def __init__(self, region: "WasgRegion"):
         if not region.boundary:
             raise NoBoundary(f"region {region.id!r} has no boundary polygons")
-        self.rings = [np.array(ring, dtype=float).T for polygon in region.boundary for ring in polygon]
+        self.rings = [ring.T for polygon in region.boundary for ring in polygon]
         # Index of each polygon's first edge; a ring of n vertices has n - 1 edges.
         self.starts = np.cumsum([0] + [sum(len(ring) - 1 for ring in polygon) for polygon in region.boundary[:-1]])
-        self.bbox = (
-            min(float(ring[0].min()) for ring in self.rings),
-            min(float(ring[1].min()) for ring in self.rings),
-            max(float(ring[0].max()) for ring in self.rings),
-            max(float(ring[1].max()) for ring in self.rings),
-        )
+        vertices = np.concatenate(self.rings, axis=1)
+        self.bbox = (*vertices.min(axis=1).tolist(), *vertices.max(axis=1).tolist())
 
     def contains(self, lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
         """Boolean mask: ``point_in_region`` for each (lon, lat), in blocks of points x edges."""
@@ -198,11 +190,5 @@ def band_overlap(region: "WasgRegion", threshold_deg: float) -> bool:
         raise ValueError(f"threshold_deg {threshold_deg!r} outside (0, 90)")
     if not region.boundary:
         raise NoBoundary(f"region {region.id!r} has no boundary polygons")
-    t = threshold_deg
-    for polygon in region.boundary:
-        for ring in polygon:
-            # An edge straddling either band parallel has a vertex poleward of it.
-            for _, lat in ring:
-                if lat >= t or lat <= -t:
-                    return True
-    return False
+    # An edge straddling either band parallel has a vertex poleward of it.
+    return any(np.abs(ring[:, 1]).max() >= threshold_deg for polygon in region.boundary for ring in polygon)

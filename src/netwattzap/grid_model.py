@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     DuplicateAbbrev,
@@ -25,17 +27,19 @@ from .errors import (
     UnknownWasg,
 )
 
-Ring = tuple[tuple[float, float], ...]
+Ring = np.ndarray  # (n, 2) float64 of (lon, lat), read-only
 Polygon = tuple[Ring, ...]
 MultiPolygon = tuple[Polygon, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WasgRegion:
     """One synchronous grid: identity, members, boundary, demographics.
 
-    ``boundary`` is a multi-polygon of (lon, lat) degree pairs, GeoJSON
-    vertex order, each ring closed (first vertex repeated at the end).
+    ``boundary`` is a multi-polygon of closed rings (first vertex
+    repeated last) in GeoJSON vertex order. Each ring is given as any
+    sequence of (lon, lat) pairs and kept as a checked, read-only (n, 2)
+    float64 array. Regions compare and hash by identity.
     """
 
     id: str
@@ -58,12 +62,26 @@ class WasgRegion:
             raise ValueError(f"region {self.id!r}: area_km2 {self.area_km2!r} is not finite")
         if self.boundary and self.area_km2 <= 0:
             raise ValueError(f"region {self.id!r}: area_km2 must be positive when a boundary is present")
-        for polygon in self.boundary:
-            for ring in polygon:
-                if len(ring) < 4:
-                    raise OpenRing(f"region {self.id!r}: ring with {len(ring)} vertices (need >= 4)")
-                if ring[0] != ring[-1]:
-                    raise OpenRing(f"region {self.id!r}: ring not closed (first vertex != last)")
+        object.__setattr__(self, "boundary", tuple(tuple(map(self._ring, polygon)) for polygon in self.boundary))
+
+    def _ring(self, vertices) -> Ring:
+        ring = np.array(vertices, dtype=np.float64)
+        if len(ring) < 4:
+            raise OpenRing(f"region {self.id!r}: ring with {len(ring)} vertices (need >= 4)")
+        if ring.shape[1:] != (2,):
+            raise ValueError(f"region {self.id!r}: ring of shape {ring.shape}, not (lon, lat) points")
+        # One range test also rejects NaN and +-inf.
+        if not (np.abs(ring) <= (180.0, 90.0)).all():
+            raise ValueError(
+                f"region {self.id!r}: non-finite ring coordinate or one outside lon [-180, 180], lat [-90, 90]"
+            )
+        if (ring[0] != ring[-1]).any():
+            raise OpenRing(f"region {self.id!r}: ring not closed (first vertex != last)")
+        ring.flags.writeable = False
+        return ring
+
+    def __reduce__(self):  # copies and unpickled regions go through __post_init__ again
+        return (WasgRegion, tuple(getattr(self, f.name) for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -133,7 +151,7 @@ class WasgRegistry:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WasgRegistry):
             return NotImplemented
-        return self._by_id == other._by_id
+        return registry_to_geojson(self) == registry_to_geojson(other)
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -156,26 +174,17 @@ class WasgRegistry:
         return self._by_id[wasg_id] if wasg_id is not None else None
 
 
-def _coerce_ring(raw, region_id: str) -> Ring:
-    try:
-        ring = tuple((float(lon), float(lat)) for lon, lat in _json_list(raw, "ring"))
-        # One type pass each, not a call per point: a string point "12"
-        # unpacks as (1, 2), and float() takes the string "1" and true.
-        if not {list, tuple}.issuperset(map(type, raw)):
-            raise TypeError("ring point is not a list")
-        if not all(map(_is_number_type, set(map(type, chain.from_iterable(raw))))):
-            raise TypeError("ring coordinate is not a number")
-    except (TypeError, ValueError) as exc:
-        raise MalformedDocument(f"region {region_id!r}: bad ring coordinates: {exc}") from exc
-    # One range test per coordinate also rejects NaN and +-inf.
-    if not all(-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0 for lon, lat in ring):
-        raise MalformedDocument(
-            f"region {region_id!r}: non-finite ring coordinate or one outside lon [-180, 180], lat [-90, 90]"
-        )
-    return ring
+def _coerce_ring(raw):
+    """``raw`` if it is a JSON list of points of JSON numbers, TypeError if not; WasgRegion checks the rest."""
+    # One type pass each, not a call per point: numpy would read the point ["1", "2"] or true as numbers.
+    if not {list, tuple}.issuperset(map(type, _json_list(raw, "ring"))):
+        raise TypeError("ring point is not a list")
+    if not all(map(_is_number_type, set(map(type, chain.from_iterable(raw))))):
+        raise TypeError("ring coordinate is not a number")
+    return raw
 
 
-def _coerce_geometry(geometry: Mapping, region_id: str) -> MultiPolygon:
+def _coerce_geometry(geometry: Mapping, region_id: str) -> tuple:
     if geometry is None:
         return ()
     if not isinstance(geometry, Mapping):
@@ -188,9 +197,7 @@ def _coerce_geometry(geometry: Mapping, region_id: str) -> MultiPolygon:
         polygons = _json_list(coords, "MultiPolygon coordinates")
     else:
         raise MalformedDocument(f"region {region_id!r}: unsupported geometry type {gtype!r}")
-    return tuple(
-        tuple(_coerce_ring(ring, region_id) for ring in _json_list(polygon, "polygon")) for polygon in polygons
-    )
+    return tuple(tuple(map(_coerce_ring, _json_list(polygon, "polygon"))) for polygon in polygons)
 
 
 def load_registry(source) -> WasgRegistry:
@@ -291,7 +298,7 @@ def registry_to_geojson(registry: WasgRegistry) -> dict:
     """Serialize a registry back to the GeoJSON layout accepted by load_registry."""
     features = []
     for region in registry:
-        polygons = [[list(list(v) for v in ring) for ring in polygon] for polygon in region.boundary]
+        polygons = [[ring.tolist() for ring in polygon] for polygon in region.boundary]
         if not polygons:
             geometry = None
         elif len(polygons) == 1:

@@ -75,7 +75,7 @@ class InfraComponent:
         if not 0 <= self.weight < math.inf:
             raise ValueError(f"component {self.id!r}: weight {self.weight!r} not finite and non-negative")
         az_count = self.attr("az_count")
-        if az_count is not None and (not isinstance(az_count, int) or az_count < 1):
+        if az_count is not None and (type(az_count) is not int or az_count < 1):
             raise ValueError(f"component {self.id!r}: az_count must be a positive integer")
 
     def attr(self, key: str, default=None):
@@ -294,7 +294,8 @@ def parse_components(source, kind: str | None = None) -> ParsedComponents:
         attrs_raw = (row.get("attrs_json") or "").strip()
         try:
             attrs = tuple(sorted(json.loads(attrs_raw).items())) if attrs_raw else ()
-        except (json.JSONDecodeError, AttributeError) as exc:
+        except (json.JSONDecodeError, AttributeError, RecursionError) as exc:
+            # RecursionError: nesting deeper than the decoder's stack allows.
             raise MalformedRow(rowno, f"bad attrs_json: {exc}") from None
         try:
             component = InfraComponent(
@@ -357,14 +358,15 @@ def _csv_rows(source, required: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
     else:
         handle = source
         close = False
+    reader = csv.DictReader(handle)
     try:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        missing = [col for col in required if col not in header]
+        missing = [col for col in required if col not in (reader.fieldnames or [])]
         if missing:
             raise MalformedRow(1, f"header missing columns {missing}")
         for rowno, row in enumerate(reader, start=2):
             yield rowno, row
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit(); DictReader.line_num lags a row
+        raise MalformedRow(reader.reader.line_num, str(exc)) from None
     finally:
         if close:
             handle.close()

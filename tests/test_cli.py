@@ -593,6 +593,47 @@ class TestWrongNumberType:
         assert captured.err.count("\n") == 1
 
 
+class TestCsvCellsTheParsersRefuse:
+    """A cell over the csv module's field limit, an attrs_json nested past the
+    decoder's stack, or a boolean az_count is one MalformedRow, not a traceback."""
+
+    COMPONENT_HEADER = "id,kind,lat,lon,weight,attrs_json\n"
+
+    @pytest.mark.parametrize(
+        "where",
+        ["component_field_limit", "stats_field_limit", "deep_attrs_json", "bool_az_count"],
+    )
+    def test_one_error_line_and_one_violation(self, workspace, tmp_path, capsys, where):
+        wasg = str(workspace / "wasg.geojson")
+        components = workspace / "ixps.csv"
+        stats = None
+        bad = tmp_path / f"{where}.csv"
+        if where == "stats_field_limit":
+            rows = (workspace / "stats.csv").read_text(encoding="utf-8").splitlines()
+            rows[1] += "y" * 140_000
+            bad.write_text("\n".join(rows) + "\n", encoding="utf-8")
+            stats = bad
+        else:
+            attrs = {
+                "component_field_limit": "x" * 140_000,
+                "deep_attrs_json": "[" * 60_000 + "]" * 60_000,
+                "bool_az_count": '"{""az_count"": true}"',
+            }[where]
+            bad.write_text(f"{self.COMPONENT_HEADER}ix1,ixp,9.0,-146.0,1,{attrs}\n", encoding="utf-8")
+            components = bad
+        argv = ["--wasg", wasg, "--components", f"ixp={components}"] + (["--stats", str(stats)] if stats else [])
+        code = main(["overlap"] + argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: MalformedRow: row 2: ")
+        assert captured.err.count("\n") == 1
+        code = main(["validate"] + argv)
+        violations = json.loads(capsys.readouterr().out)["violations"]
+        assert code == 2
+        assert len(violations) == 1 and violations[0].startswith("MalformedRow: ")
+
+
 class TestDeterminism:
     def _run_twice(self, argv_base, tmp_path, name):
         outs = []

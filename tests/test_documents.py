@@ -147,6 +147,29 @@ def test_any_list_node_swapped_for_a_string_is_malformed_document(name, doc_path
         loader(doc_path)
 
 
+RINGS = [path for path in node_paths(REGISTRY) if path[-2:-1] == ("coordinates",)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_ring_of_wrong_shaped_points_or_empty_is_malformed_document(doc_path, data):
+    """OpenRing (too few vertices) is a MalformedDocument too."""
+    path = data.draw(st.sampled_from(RINGS), label="ring")
+    ring = node_at(REGISTRY, path)
+    shape = data.draw(st.sampled_from(["empty", "1 coordinate", "3 coordinates"]), label="shape")
+    if shape == "empty":
+        value = []
+    else:
+        extra = data.draw(st.floats(-90.0, 90.0), label="altitude")
+        points = [[lon] if shape == "1 coordinate" else [lon, lat, extra] for lon, lat in ring]
+        # Every point, or one point of an otherwise well-formed ring.
+        k = data.draw(st.sampled_from([None] + list(range(len(ring)))), label="point")
+        value = points if k is None else ring[:k] + [points[k]] + ring[k + 1 :]
+    doc_path.write_text(json.dumps(replaced(REGISTRY, path, value)), encoding="utf-8")
+    with pytest.raises(MalformedDocument):
+        load_registry(doc_path)
+
+
 @pytest.mark.parametrize(
     "name, path, value, message",
     [

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import copy
+import pickle
 import random
 
+import numpy as np
 import pytest
 
 from netwattzap.errors import DuplicateAbbrev, DuplicateMember, MalformedDocument, MissingStats, OpenRing
@@ -17,7 +19,7 @@ from netwattzap.grid_model import (
     registry_to_geojson,
 )
 
-from conftest import build_registry, build_stats, square_ring
+from conftest import build_registry, build_stats, square_region, square_ring
 
 
 def feature(rid, abbrev, members, lon0=0.0, lat0=0.0, size=5.0, population=100, internet_users=50):
@@ -158,6 +160,71 @@ class TestLoadRegistry:
         path = tmp_path / "wasg.geojson"
         path.write_text(json.dumps(collection(feature("A", "A", ["US"]))), encoding="utf-8")
         assert len(load_registry(path)) == 1
+
+
+def rings(registry):
+    return [ring for region in registry for polygon in region.boundary for ring in polygon]
+
+
+class TestRingFormat:
+    """Every ring is one read-only (n, 2) float64 array, however the region was built."""
+
+    @pytest.mark.parametrize("source", ["tuples", "json", "json_integers", "deepcopy", "pickle"])
+    def test_rings_are_read_only_float64_arrays(self, source):
+        if source == "tuples":
+            registry = build_registry()
+        elif source.startswith("json"):
+            doc = collection(feature("A", "A", ["US"]), feature("B", "B", ["MX"], lon0=20.0))
+            if source == "json_integers":
+                doc["features"][0]["geometry"]["coordinates"] = [[[0, 0], [4, 0], [4, 4], [0, 0]]]
+            registry = load_registry(doc)
+        elif source == "deepcopy":
+            registry = copy.deepcopy(build_registry())
+        else:
+            registry = pickle.loads(pickle.dumps(build_registry()))
+        assert rings(registry)
+        for ring in rings(registry):
+            assert type(ring) is np.ndarray and ring.dtype == np.float64
+            assert ring.ndim == 2 and ring.shape[1] == 2
+            assert not ring.flags.writeable
+            with pytest.raises(ValueError):
+                ring[0, 0] = 1.0
+
+    def test_region_does_not_hold_the_callers_array(self):
+        vertices = np.array(square_ring(0.0, 0.0, 4.0))
+        region = WasgRegion(
+            id="A", name="A", abbrev="A", members=frozenset(), boundary=((vertices,),),
+            population=0, internet_users=0, area_km2=1.0,
+        )
+        vertices[1, 0] = 9.0
+        assert region.boundary[0][0][1, 0] == 4.0
+
+    def test_regions_compare_by_identity_and_registries_by_content(self):
+        a, b = square_region("A", "A", 0.0, 0.0), square_region("A", "A", 0.0, 0.0)
+        assert a != b and a == a
+        assert len({a, b}) == 2
+        assert WasgRegistry([a]) == WasgRegistry([b])
+        assert WasgRegistry([a]) != WasgRegistry([square_region("A", "A", 0.0, 0.5)])
+
+    @pytest.mark.parametrize(
+        "ring, error",
+        [
+            ([], OpenRing),
+            ([(0.0, 0.0), (1.0, 0.0), (0.0, 0.0)], OpenRing),
+            ([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 0.0, 0.0)], ValueError),
+            ([(0.0,), (1.0,), (1.0,), (0.0,)], ValueError),
+            ([(0.0, 0.0), (1.0, 0.0, 5.0), (1.0, 1.0), (0.0, 0.0)], ValueError),
+            ([(0.0, 0.0), (1.0, 0.0), (1.0, 91.0), (0.0, 0.0)], ValueError),
+            ([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.5)], OpenRing),
+        ],
+        ids=["empty", "three_vertices", "three_coordinates", "one_coordinate", "ragged", "lat_91", "open"],
+    )
+    def test_region_built_in_python_checks_its_rings(self, ring, error):
+        with pytest.raises(error):
+            WasgRegion(
+                id="A", name="A", abbrev="A", members=frozenset(), boundary=((ring,),),
+                population=0, internet_users=0, area_km2=1.0,
+            )
 
 
 class TestAdminStatRecord:

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from netwattzap.errors import UnknownNode
 from netwattzap.failure import FailureScenario, unavailability
-from netwattzap.geo import GeoPoint, RegionEdges, point_in_region
-from netwattzap.grid_model import WasgRegion, WasgRegistry, aggregate_stats
+from netwattzap.geo import GeoPoint, RegionEdges, band_overlap, point_in_region
+from netwattzap.grid_model import WasgRegion, WasgRegistry, aggregate_stats, load_registry, registry_to_geojson
 from netwattzap.ingest import InfraComponent, parse_topology
 from netwattzap.overlap import (
     RegionIndex,
@@ -31,7 +31,7 @@ from netwattzap.overlap import (
     smallest_k,
 )
 
-from conftest import square_region
+from conftest import build_registry, square_region
 
 
 def brute_force_zone(point: GeoPoint, registry) -> str | None:
@@ -399,6 +399,18 @@ class TestBatchResolutionDifferential:
             assert RegionEdges(region).contains(lons, lats).tolist() == expected
         assert RegionIndex(registry).resolve(points) == [brute_force_zone(p, registry) for p in points]
 
+    @pytest.mark.parametrize("source", ["tuples", "json"])
+    def test_edges_are_views_of_the_region_rings(self, source):
+        registry = build_registry()
+        if source == "json":
+            registry = load_registry(registry_to_geojson(registry))
+        index = RegionIndex(registry)
+        assert len(index.edges) == len(registry)
+        for region, edges in zip(index.regions, index.edges):
+            ring = region.boundary[0][0]
+            assert np.shares_memory(edges.rings[0], ring)
+            assert edges.rings[0].tolist() == ring.T.tolist()
+
     def test_block_boundaries(self, monkeypatch):
         # Blocks of 5 points x 4 edges; 289 points leave a partial last block.
         from netwattzap import geo
@@ -435,3 +447,25 @@ class TestBatchResolutionDifferential:
                     expected[(inside[i], inside[j])] = expected.get((inside[i], inside[j]), 0) + 1
         assert len(expected) == 3
         assert list(result.pair_hits.items()) == list(expected.items())
+
+
+class TestBandOverlapRecount:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_vertex_recount(self, data):
+        registry = data.draw(_registries())
+        ring_lats = [
+            [lat for _, lat in ring.tolist()] for region in registry for polygon in region.boundary for ring in polygon
+        ]
+        # A ring's largest |lat| as the threshold puts its poleward vertex exactly at +-threshold.
+        tangent = sorted({max(map(abs, lats)) for lats in ring_lats} - {0.0})
+        free = st.floats(0.01, 4.0)
+        threshold = data.draw(st.one_of(st.sampled_from(tangent), free) if tangent else free, label="threshold")
+        for region in registry:
+            expected = any(
+                lat >= threshold or lat <= -threshold
+                for polygon in region.boundary
+                for ring in polygon
+                for _, lat in ring.tolist()
+            )
+            assert band_overlap(region, threshold) is expected
