@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .errors import MalformedDocument, UnknownWasg
 from .geo import band_overlap
-from .grid_model import AggregateResult, WasgRegistry, _json_list, _json_number, _load_document
+from .grid_model import AggregateResult, WasgRegistry, _json_list, _json_number, _json_str, _load_document
 from .ingest import InfraComponent
 from .overlap import LinkTally, az_collapse
 
@@ -50,9 +50,9 @@ class FailureScenario:
 def scenario_from_dict(doc: Mapping) -> FailureScenario:
     try:
         return FailureScenario(
-            name=str(doc["name"]),
-            mode=str(doc["mode"]),
-            failed=frozenset(str(w) for w in _json_list(doc.get("failed", []), "failed")),
+            name=_json_str(doc["name"], "name"),
+            mode=_json_str(doc["mode"], "mode"),
+            failed=frozenset(_json_str(w, "failed grid id") for w in _json_list(doc.get("failed", []), "failed")),
             threshold_deg=_json_number(doc["threshold_deg"], "threshold_deg") if "threshold_deg" in doc else None,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

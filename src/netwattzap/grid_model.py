@@ -226,13 +226,13 @@ def load_registry(source) -> WasgRegistry:
         missing = [k for k in ("id", "name", "abbrev", "members") if k not in props]
         if missing:
             raise MalformedDocument(f"feature {i}: missing properties {missing}")
-        region_id = str(props["id"])
+        region_id = props["id"]
         try:
             region = WasgRegion(
-                id=region_id,
-                name=str(props["name"]),
-                abbrev=str(props["abbrev"]),
-                members=frozenset(str(m) for m in _json_list(props["members"], "members")),
+                id=_json_str(region_id, "id"),
+                name=_json_str(props["name"], "name"),
+                abbrev=_json_str(props["abbrev"], "abbrev"),
+                members=frozenset(_json_str(m, "member code") for m in _json_list(props["members"], "members")),
                 boundary=_coerce_geometry(feature.get("geometry"), region_id),
                 population=_json_number(props.get("population", 0), "population", integer=True),
                 internet_users=_json_number(props.get("internet_users", 0), "internet_users", integer=True),
@@ -272,6 +272,16 @@ def _json_list(value, what: str):
     """
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"{what} is not a list")
+    return value
+
+
+def _json_str(value, what: str) -> str:
+    """``value`` if it is a JSON string; TypeError (so MalformedDocument) if not.
+
+    ``str()`` would load true as "True" and ["x"] as "['x']".
+    """
+    if not isinstance(value, str):
+        raise TypeError(f"{what} is not a string")
     return value
 
 

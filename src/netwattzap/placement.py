@@ -7,7 +7,10 @@ the solver's tables and writes its 0-1 program as LP text on demand.
 The bundled solver is an exact depth-first branch-and-bound over the
 selection variables with admissible bounds, so every "optimal" verdict
 is certified and ties break to the lexicographically smallest chosen
-id set.
+id set. It runs on an explicit stack, and every node reads tables that
+``solve`` builds once (``_Search``), so no node scans the candidates
+after it; each bound is summed left to right in ascending order, which
+fixes the search tree and ``nodes_explored`` on every Python.
 
 Objective values are summed in a documented deterministic order:
 demands in their listed order, candidates and candidate pairs in
@@ -19,12 +22,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import MalformedDocument, UnsatisfiableStructure
 from .geo import GeoPoint, haversine_km, pairwise_latency_ms
-from .grid_model import WasgRegistry, _json_list, _json_number, _load_document
+from .grid_model import WasgRegistry, _json_list, _json_number, _json_str, _load_document
 
 OBJECTIVES = (
     "min_weighted_sum_all",
@@ -402,6 +407,33 @@ def _ordered_sum(values) -> float:
     return total
 
 
+def _suffix_sums(flags: Sequence[bool]) -> list[int]:
+    """counts[i]: the true flags at positions >= i, for i in 0..len(flags)."""
+    return list(accumulate(reversed(flags), initial=0))[::-1]
+
+
+def _tail_minima(values: Sequence[float], available: Sequence[bool], k: int) -> list[list[float]]:
+    """tails[i]: the k smallest available values at positions >= i, ascending."""
+    tails: list[list[float]] = [[]]
+    for v, free in zip(reversed(values), reversed(available)):
+        tails.append(sorted(tails[-1] + [v])[:k] if free else tails[-1])
+    return tails[::-1]
+
+
+def _pair_tables(dist, available: Sequence[bool], k: int):
+    """(pairs, rows): the k smallest pair distances of each tail, ascending.
+
+    pairs[i] is taken over the available pairs i <= t < u, and
+    rows[c][i - c - 1] over dist[c][t] for the available t >= i > c.
+    """
+    m = len(dist)
+    rows = [_tail_minima(dist[c][c + 1 :], available[c + 1 :], k) for c in range(m)]
+    pairs: list[list[float]] = [[]]
+    for t in reversed(range(m)):
+        pairs.append(sorted(pairs[-1] + rows[t][0])[:k] if available[t] else pairs[-1])
+    return pairs[::-1], rows
+
+
 @dataclass
 class PlacementSolution:
     """Chosen candidate set with a certified proof state.
@@ -455,177 +487,179 @@ def objective_value(problem: PlacementProblem, chosen: Sequence[str]) -> float:
 
 
 class _Search:
-    """Depth-first branch-and-bound state over the x variables."""
+    """Depth-first branch-and-bound over the x variables, on an explicit stack.
+
+    Nodes are visited in the order of the recursion this replaces: at
+    position i, choose i (when it may be chosen), then skip it. A node
+    reads tables built here once per solve, so it scans no tail:
+    suffix counts of available candidates and of rule matches, rule hit
+    counters kept on choose and undo, and per objective:
+
+    - nearest: a (m+1, D+1) suffix minimum of the latency columns (inf
+      where a demand may not be assigned), the chosen set's best
+      latencies as one array, and a leading zero-weight column, so that
+      ``np.add.accumulate`` sums as ``total = 0.0; total += w * best``;
+    - linear: the chosen set's running sum and the n cheapest available
+      coefficients of each tail;
+    - pairwise: the chosen set's pair sum, the K = n(n-1)/2 best tail
+      pairs of each tail, and each candidate's K best distances to it.
+
+    Every bound is the value the scans gave, summed left to right in
+    ascending order, so the tree, ``nodes_explored`` and every tie-break
+    are those of the scans.
+    """
 
     def __init__(self, model: IlpModel, time_limit: float):
         self.model = model
-        self.problem = model.problem
-        self.m = len(model.order)
-        self.n = self.problem.select_count.n
-        self.exactly = self.problem.select_count.mode == "exactly"
-        self.nearest = self.problem.objective == "min_weighted_nearest"
-        self.pairwise = self.problem.objective in PAIRWISE_OBJECTIVES
-        self.pair_sign = -1.0 if self.model.objective_sense == "max" else 1.0
-        self.available = [cid not in model.excluded for cid in model.order]
-        self.rules = self.problem.location_rules
-        self.rule_match = model.rule_match
-        # suffix_rule[r][i]: available matches of rule r at positions >= i.
-        self.suffix_rule = [
-            [sum(marks[i:]) for i in range(self.m + 1)] for marks in self.rule_match
-        ]
+        problem = self.problem = model.problem
+        m = self.m = len(model.order)
+        n = self.n = problem.select_count.n
+        self.exactly = problem.select_count.mode == "exactly"
+        self.nearest = problem.objective == "min_weighted_nearest"
+        self.pairwise = problem.objective in PAIRWISE_OBJECTIVES
+        self.available = available = [cid not in model.excluded for cid in model.order]
+        zones = {zone: k for k, zone in enumerate(dict.fromkeys(model.zone_of))}
+        self.zone_of = [zones[zone] for zone in model.zone_of]
+        self.zone_used = [0] * len(zones)
+        self.rules_of = [[r for r, marks in enumerate(model.rule_match) if marks[i]] for i in range(m)]
+        self.min_count = [rule.min_count for rule in problem.location_rules]
+        self.hits = [0] * len(self.min_count)
+        # suffix_free[i], suffix_rule[r][i]: available candidates, and available matches of rule r, at positions >= i.
+        self.suffix_free = _suffix_sums(available)
+        self.suffix_rule = [_suffix_sums(marks) for marks in model.rule_match]
         self.deadline = time.monotonic() + time_limit
         self.timed_out = False
         self.nodes = 0
         self.best_value: float | None = None
         self.best_chosen: tuple[int, ...] | None = None
+        self.chosen: list[int] = []
+        # current[-1]: the chosen set's best latency per demand (nearest) or its value.
+        self.current: list
         if self.nearest:
-            # suffix_min[j][i]: best allowed latency among positions >= i.
-            self.suffix_min = []
-            for j in range(len(self.problem.demands)):
-                mins = [float("inf")] * (self.m + 1)
-                for i in range(self.m - 1, -1, -1):
-                    v = self.model.lat[j][i] if self.available[i] and self.model.allowed[j][i] else float("inf")
-                    mins[i] = min(v, mins[i + 1])
-                self.suffix_min.append(mins)
+            shape = (len(problem.demands), m)
+            lat = np.array(model.lat, dtype=np.float64).reshape(shape)
+            ok = np.array(model.allowed, dtype=bool).reshape(shape) & np.array(available, dtype=bool)
+            cols = np.zeros((m + 1, shape[0] + 1))
+            cols[:m, 1:] = np.where(ok, lat, np.inf).T
+            cols[m, 1:] = np.inf
+            self.cols = cols
+            self.smin = np.minimum.accumulate(cols[::-1], axis=0)[::-1]
+            self.weights = np.array([0.0] + [d.weight for d in problem.demands], dtype=np.float64)
+            self.current = [cols[m]]
+            self._bound = self._nearest_bound
+        elif self.pairwise:
+            self.pair_sign = sign = -1.0 if model.objective_sense == "max" else 1.0
+            signed = [[sign * v for v in row] for row in model.dist]
+            self.current = [sign * 0.0]  # the empty set's value, signed as every pair sum is
+            self.tail_pairs, self.tail_rows = _pair_tables(signed, available, n * (n - 1) // 2)
+            self._bound = self._pairwise_bound
+        else:
+            self.current = [0.0]
+            self.tail_min = _tail_minima(model.lin_coeff, available, n)
+            self._bound = self._linear_bound
 
     def run(self) -> None:
-        zone_used: dict[str, int] = {}
-        demand_best = (
-            [float("inf")] * len(self.problem.demands) if self.nearest else []
-        )
-        self._visit(0, [], zone_used, demand_best)
+        m, n, cap = self.m, self.n, self.problem.zone_cap
+        chosen, zone_of, zone_used = self.chosen, self.zone_of, self.zone_used
+        # A nearest bound meets 0 * inf (a weightless demand that no candidate is
+        # left to serve) and may overflow: it tests its total, not numpy's flags.
+        with np.errstate(invalid="ignore", over="ignore"):
+            stack = [0]  # a position i to visit, or ~i to undo the choice of i
+            while stack:
+                i = stack.pop()
+                if i < 0:
+                    self._undo(~i)
+                    continue
+                self.nodes += 1
+                if time.monotonic() > self.deadline:
+                    self.timed_out = True
+                    return
+                if not self._can_complete(i):
+                    continue
+                bound = self._bound(i)
+                # Strictly-worse only: equal-bound subtrees may hold an equal-value
+                # solution that wins the lexicographic tie-break.
+                if bound is None or (self.best_value is not None and bound > self.best_value):
+                    continue
+                if i == m:
+                    self._leaf(bound if self.nearest else self.current[-1])
+                    continue
+                stack.append(i + 1)
+                if self.available[i] and len(chosen) < n and zone_used[zone_of[i]] < cap:
+                    stack += (~i, i + 1)
+                    self._choose(i)
 
-    def _visit(self, i: int, chosen: list[int], zone_used: dict[str, int], demand_best: list[float]) -> None:
-        if self.timed_out:
-            return
-        self.nodes += 1
-        if time.monotonic() > self.deadline:
-            self.timed_out = True
-            return
-        if not self._can_complete(i, chosen):
-            return
-        bound = self._bound(i, chosen, demand_best)
-        if bound is None:
-            return
-        # Strictly-worse only: equal-bound subtrees may hold an equal-value
-        # solution that wins the lexicographic tie-break.
-        if self.best_value is not None and bound > self.best_value:
-            return
-        if i == self.m:
-            self._leaf(chosen)
-            return
-        zone = self.model.zone_of[i]
-        if (
-            self.available[i]
-            and len(chosen) < self.n
-            and zone_used.get(zone, 0) < self.problem.zone_cap
-        ):
-            chosen.append(i)
-            zone_used[zone] = zone_used.get(zone, 0) + 1
-            if self.nearest:
-                saved = demand_best[:]
-                for j in range(len(demand_best)):
-                    if self.model.allowed[j][i] and self.model.lat[j][i] < demand_best[j]:
-                        demand_best[j] = self.model.lat[j][i]
-                self._visit(i + 1, chosen, zone_used, demand_best)
-                demand_best[:] = saved
-            else:
-                self._visit(i + 1, chosen, zone_used, demand_best)
-            zone_used[zone] -= 1
-            if zone_used[zone] == 0:
-                del zone_used[zone]
-            chosen.pop()
-        self._visit(i + 1, chosen, zone_used, demand_best)
+    def _choose(self, i: int) -> None:
+        chosen = self.chosen
+        chosen.append(i)
+        self.zone_used[self.zone_of[i]] += 1
+        for r in self.rules_of[i]:
+            self.hits[r] += 1
+        if self.nearest:
+            self.current.append(np.minimum(self.current[-1], self.cols[i]))
+        elif self.pairwise:
+            # In (a, b) order, signed after the sum, as the reported value is.
+            dist = self.model.dist
+            pairs = (dist[a][b] for k, a in enumerate(chosen) for b in chosen[k + 1 :])
+            self.current.append(self.pair_sign * _ordered_sum(pairs))
+        else:
+            self.current.append(self.current[-1] + self.model.lin_coeff[i])
 
-    def _can_complete(self, i: int, chosen: list[int]) -> bool:
-        remaining = sum(1 for t in range(i, self.m) if self.available[t])
-        if self.exactly and len(chosen) + remaining < self.n:
+    def _undo(self, i: int) -> None:
+        self.chosen.pop()
+        self.zone_used[self.zone_of[i]] -= 1
+        for r in self.rules_of[i]:
+            self.hits[r] -= 1
+        self.current.pop()
+
+    def _can_complete(self, i: int) -> bool:
+        if self.exactly and len(self.chosen) + self.suffix_free[i] < self.n:
             return False
-        for r in range(len(self.rules)):
-            matched = sum(1 for t in chosen if self.rule_match[r][t])
-            if matched + self.suffix_rule[r][i] < self.rules[r].min_count:
+        for hits, suffix, need in zip(self.hits, self.suffix_rule, self.min_count):
+            if hits + suffix[i] < need:
                 return False
         return True
 
-    def _bound(self, i: int, chosen: list[int], demand_best: list[float]) -> float | None:
+    def _nearest_bound(self, i: int) -> float | None:
         """Admissible lower bound on any completion; None prunes outright."""
-        if self.nearest:
-            total = 0.0
-            for j, d in enumerate(self.problem.demands):
-                best = min(demand_best[j], self.suffix_min[j][i])
-                if best == float("inf"):
-                    return None
-                total += d.weight * best
-            return total
-        if self.pairwise:
-            return self._pairwise_bound(i, chosen)
-        current = _ordered_sum(self.model.lin_coeff[t] for t in chosen)
-        if not self.exactly:
-            return current
-        rem = self.n - len(chosen)
-        if rem <= 0:
-            return current
-        tail = sorted(self.model.lin_coeff[t] for t in range(i, self.m) if self.available[t])
-        return current + sum(tail[:rem])
+        best = np.minimum(self.current[-1], self.smin[i])
+        total = float(np.add.accumulate(self.weights * best)[-1])
+        # A demand no chosen or later candidate may serve makes the total inf or nan.
+        if not total < math.inf and np.isinf(best).any():
+            return None
+        return total
 
-    def _pairwise_bound(self, i: int, chosen: list[int]) -> float:
-        current = self.pair_sign * _ordered_sum(
-            self.model.dist[chosen[a]][chosen[b]]
-            for a in range(len(chosen))
-            for b in range(a + 1, len(chosen))
-        )
+    def _linear_bound(self, i: int) -> float:
+        rem = self.n - len(self.chosen)
+        if not self.exactly or rem <= 0:
+            return self.current[-1]
+        return self.current[-1] + _ordered_sum(self.tail_min[i][:rem])
+
+    def _pairwise_bound(self, i: int) -> float:
+        chosen = self.chosen
         rem = self.n - len(chosen)
         if rem <= 0:
-            return current
-        tail = [t for t in range(i, self.m) if self.available[t]]
-        pool = []
-        for idx, t in enumerate(tail):
-            for c in chosen:
-                pool.append(self.pair_sign * self.model.dist[c][t])
-            for t2 in tail[idx + 1 :]:
-                pool.append(self.pair_sign * self.model.dist[t][t2])
+            return self.current[-1]
+        # The k best of the tail pairs and of the chosen-to-tail pairs are among these lists' first k.
+        k = rem * (rem - 1) // 2 + rem * len(chosen)
+        pool = self.tail_pairs[i][:k]
+        for c in chosen:
+            pool += self.tail_rows[c][i - c - 1][:k]
         pool.sort()
-        future_pairs = rem * (rem - 1) // 2 + rem * len(chosen)
         if self.exactly:
-            return current + sum(pool[:future_pairs])
-        return current + sum(v for v in pool[:future_pairs] if v < 0)
+            return self.current[-1] + _ordered_sum(pool[:k])
+        return self.current[-1] + _ordered_sum(v for v in pool[:k] if v < 0)
 
-    def _leaf(self, chosen: list[int]) -> None:
-        if self.exactly and len(chosen) != self.n:
-            return
-        for r, rule in enumerate(self.rules):
-            if sum(1 for t in chosen if self.rule_match[r][t]) < rule.min_count:
-                return
-        value = self._evaluate(chosen)
-        if value is None:
-            return
+    def _leaf(self, value: float) -> None:
+        # _can_complete has seen to the cardinality and the location rules.
+        chosen = tuple(self.chosen)
         if (
             self.best_value is None
             or value < self.best_value
-            or (value == self.best_value and tuple(chosen) < self.best_chosen)
+            or (value == self.best_value and chosen < self.best_chosen)
         ):
             self.best_value = value
-            self.best_chosen = tuple(chosen)
-
-    def _evaluate(self, chosen: list[int]) -> float | None:
-        if self.pairwise:
-            return self.pair_sign * _ordered_sum(
-                self.model.dist[chosen[a]][chosen[b]]
-                for a in range(len(chosen))
-                for b in range(a + 1, len(chosen))
-            )
-        if self.nearest:
-            total = 0.0
-            for j, d in enumerate(self.problem.demands):
-                best = None
-                for t in chosen:
-                    if self.model.allowed[j][t] and (best is None or self.model.lat[j][t] < best):
-                        best = self.model.lat[j][t]
-                if best is None:
-                    return None
-                total += d.weight * best
-            return total
-        return _ordered_sum(self.model.lin_coeff[t] for t in chosen)
+            self.best_chosen = chosen
 
     def assignment_for(self, chosen: tuple[int, ...]) -> dict[str, str]:
         if not self.nearest:
@@ -748,17 +782,17 @@ def problem_from_dict(doc: Mapping) -> PlacementProblem:
     try:
         candidates = tuple(
             Candidate(
-                id=str(c["id"]),
+                id=_json_str(c["id"], "candidate id"),
                 geo=GeoPoint(_json_number(c["lat"], "candidate lat"), _json_number(c["lon"], "candidate lon")),
-                zone=(str(c["zone"]) if c.get("zone") is not None else None),
+                zone=(_json_str(c["zone"], "candidate zone") if c.get("zone") is not None else None),
                 cost=(_json_number(c["cost"], "candidate cost") if c.get("cost") is not None else None),
-                country=(str(c["country"]) if c.get("country") is not None else None),
+                country=(_json_str(c["country"], "candidate country") if c.get("country") is not None else None),
             )
             for c in _json_list(doc["candidates"], "candidates")
         )
         demands = tuple(
             DemandPoint(
-                id=str(d["id"]),
+                id=_json_str(d["id"], "demand id"),
                 geo=GeoPoint(_json_number(d["lat"], "demand lat"), _json_number(d["lon"], "demand lon")),
                 weight=_json_number(d.get("weight", 1.0), "demand weight"),
             )
@@ -766,7 +800,7 @@ def problem_from_dict(doc: Mapping) -> PlacementProblem:
         )
         sc = _object(doc.get("select_count", {}), "select_count")
         n = _json_number(sc.get("n", 1), "select_count n", integer=True)
-        select_count = SelectCount(mode=str(sc.get("mode", "exactly")), n=n)
+        select_count = SelectCount(mode=_json_str(sc.get("mode", "exactly"), "select_count mode"), n=n)
         rules = tuple(_rule_from_dict(r) for r in _json_list(doc.get("location_rules", []), "location_rules"))
         latency_bounds = (
             {
@@ -790,7 +824,7 @@ def problem_from_dict(doc: Mapping) -> PlacementProblem:
         return PlacementProblem(
             candidates=candidates,
             demands=demands,
-            objective=str(doc["objective"]),
+            objective=_json_str(doc["objective"], "objective"),
             select_count=select_count,
             zone_cap=_json_number(doc.get("zone_cap", 1), "zone_cap", integer=True),
             location_rules=rules,
@@ -818,9 +852,9 @@ def _rule_from_dict(doc: Mapping) -> LocationRule:
     if kind == "bbox":
         value = tuple(_json_number(v, "bbox") for v in _json_list(value, "bbox"))
     elif kind == "country_codes":
-        value = frozenset(str(v) for v in _json_list(value, "country_codes"))
+        value = frozenset(_json_str(v, "country code") for v in _json_list(value, "country_codes"))
     else:
-        value = str(value)
+        value = _json_str(value, f"{kind} predicate")
     return LocationRule(kind=kind, value=value, min_count=_json_number(doc["min_count"], "min_count", integer=True))
 
 

@@ -9,6 +9,7 @@ import pytest
 from netwattzap.cli import main
 
 from conftest import build_cli_workspace
+from test_placement import deep_min_cost_doc
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -518,6 +519,64 @@ class TestPlace:
         code = main(["place", "--problem", str(path)])
         # Structural infeasibility is a dataset error: nonzero with message.
         assert code == 2
+
+
+class TestDeepPlacement:
+    def test_one_level_per_candidate_solves(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(deep_min_cost_doc()), encoding="utf-8")
+        code = main(["place", "--problem", str(path)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        solution = json.loads(captured.out)
+        assert solution["proof"] == "optimal"
+        assert solution["chosen"] == ["c0000", "c0879"]
+
+
+class TestNonStringWhereStringExpected:
+    """A number, boolean, null or list for a JSON string is refused, not turned into text."""
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            ("registry_id", True),
+            ("registry_member", None),
+            ("scenario_failed", 1),
+            ("candidate_id", 5),
+            ("objective", ["min_cost"]),
+        ],
+    )
+    def test_one_error_line(self, workspace, tmp_path, capsys, where, value):
+        wasg = workspace / "wasg.geojson"
+        bad = tmp_path / f"{where}.json"
+        if where.startswith("registry"):
+            doc = json.loads(wasg.read_text())
+            props = doc["features"][0]["properties"]
+            if where == "registry_id":
+                props["id"] = value
+            else:
+                props["members"][0] = value
+            bad.write_text(json.dumps(doc), encoding="utf-8")
+            argv = ["overlap", "--wasg", str(bad), "--components", f"ixp={workspace / 'ixps.csv'}"]
+        elif where == "scenario_failed":
+            bad.write_text(json.dumps({"name": "x", "mode": "regional", "failed": [value]}), encoding="utf-8")
+            argv = ["failure", "--wasg", str(wasg), "--scenario", str(bad)]
+        else:
+            doc = json.loads((workspace / "problem.json").read_text())
+            if where == "candidate_id":
+                doc["candidates"][0]["id"] = value
+            else:
+                doc["objective"] = value
+            bad.write_text(json.dumps(doc), encoding="utf-8")
+            argv = ["place", "--problem", str(bad)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: MalformedDocument: ")
+        assert "is not a string" in captured.err
+        assert captured.err.count("\n") == 1
 
 
 class TestStringWhereListExpected:

@@ -5,7 +5,8 @@ replaced by arbitrary JSON; the loader must then return or raise a
 ``NetWattZapError``, never another exception. A list node replaced by a
 string must raise ``MalformedDocument``: iterated, it would load its
 characters. So must a number node replaced by its string form or a
-boolean, which ``float()`` would parse.
+boolean, which ``float()`` would parse, and a string node replaced by a
+number, a boolean, null or a list, which ``str()`` would turn into text.
 """
 
 from __future__ import annotations
@@ -211,6 +212,53 @@ def test_any_number_node_swapped_for_its_string_or_a_boolean_is_malformed_docume
     value = data.draw(st.sampled_from([str(node_at(doc, path)), True, False]), label="value")
     doc_path.write_text(json.dumps(replaced(doc, path, value)), encoding="utf-8")
     with pytest.raises(MalformedDocument):
+        loader(doc_path)
+
+
+# Null stands for an absent candidate zone or country, and a feature's "type" is not read.
+OPTIONAL_STRINGS = ("zone", "country")
+
+
+def read_strings(doc):
+    """Key paths of the string nodes a loader reads."""
+    return [
+        path
+        for path in node_paths(doc)
+        if isinstance(node_at(doc, path), str) and not (len(path) == 3 and path[0] == "features" and path[2] == "type")
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_string_node_swapped_for_another_type_is_malformed_document(name, doc_path, data):
+    loader, doc = LOADERS[name]
+    path = data.draw(st.sampled_from(read_strings(doc)), label="path")
+    values = [7, 2.5, True, False, [], [node_at(doc, path)]]
+    if path[-1] not in OPTIONAL_STRINGS:
+        values.append(None)
+    value = data.draw(st.sampled_from(values), label="value")
+    doc_path.write_text(json.dumps(replaced(doc, path, value)), encoding="utf-8")
+    with pytest.raises(MalformedDocument):
+        loader(doc_path)
+
+
+@pytest.mark.parametrize(
+    "name, path, value, message",
+    [
+        ("registry", ("features", 0, "properties", "id"), True, "id is not a string"),
+        ("registry", ("features", 0, "properties", "members", 0), None, "member code is not a string"),
+        ("registry", ("features", 0, "properties", "members", 0), ["x"], "member code is not a string"),
+        ("scenario", ("failed", 0), 1, "failed grid id is not a string"),
+        ("problem", ("candidates", 0, "id"), 1, "candidate id is not a string"),
+        ("problem", ("select_count", "mode"), None, "select_count mode is not a string"),
+        ("problem", ("location_rules", 2, "predicate", "hemisphere"), ["northern"], "hemisphere predicate is not a string"),
+    ],
+)
+def test_wrong_string_type_is_malformed_document(name, path, value, message, doc_path):
+    loader, doc = LOADERS[name]
+    doc_path.write_text(json.dumps(replaced(doc, path, value)), encoding="utf-8")
+    with pytest.raises(MalformedDocument, match=message):
         loader(doc_path)
 
 

@@ -211,6 +211,17 @@ def random_problem(rng: random.Random) -> PlacementProblem:
         return random_problem(rng)
 
 
+def deep_min_cost_doc() -> dict:
+    """1,100 candidates, n = 2: the search goes one level deep per candidate."""
+    return {
+        "candidates": [
+            {"id": f"c{i:04d}", "lat": 0.0, "lon": 0.0, "cost": float(i * 7919 % 1100 + 1)} for i in range(1100)
+        ],
+        "select_count": {"mode": "exactly", "n": 2},
+        "objective": "min_cost",
+    }
+
+
 # ----------------------------------------------------------------- tests
 
 
@@ -467,6 +478,13 @@ class TestSolveFixtures:
         solution = solve(model)
         assert solution.proof == "optimal"
         assert solution.assignment["d1"] == "near"
+
+    def test_deeper_than_the_recursion_limit(self):
+        # A recursive search raised RecursionError here.
+        solution = solve_problem(problem_from_dict(deep_min_cost_doc()))
+        assert solution.proof == "optimal"
+        assert solution.chosen == ("c0000", "c0879")
+        assert solution.objective_value == 3.0
 
     def test_infeasible_by_search(self):
         # Structural checks pass, but the rule and the zone conflict collide.
