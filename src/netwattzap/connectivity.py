@@ -18,6 +18,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .errors import AllNodesFailed, UnknownNode
+from .geo import _ordered_sum
 
 
 @dataclass(frozen=True)
@@ -261,5 +262,5 @@ def flow_reduction(g: WasgGraph, failed: Iterable[str]) -> FlowReductionReport:
         after = after_flows[(u, v)]
         reduction = min(1.0, max(0.0, (before - after) / before))
         pairs.append(PairReduction(u=u, v=v, flow_before=before, flow_after=after, reduction=reduction))
-    mean = sum(p.reduction for p in pairs) / len(pairs) if pairs else 0.0
+    mean = _ordered_sum(p.reduction for p in pairs) / len(pairs) if pairs else 0.0
     return FlowReductionReport(failed=tuple(sorted(failed_set)), mean_reduction=mean, pairs=tuple(pairs))

@@ -31,6 +31,19 @@ FIBER_KM_PER_SEC = 200_000.0
 BLOCK_ELEMENTS = 1 << 14
 
 
+def _ordered_sum(values) -> float:
+    """Sum floats left to right, one rounding per addition.
+
+    From Python 3.12 the built-in ``sum()`` of floats is compensated, so
+    report values and solver bounds summed with it would differ in the
+    last bit between Python versions.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 @dataclass(frozen=True)
 class GeoPoint:
     """A WGS84 coordinate in decimal degrees."""

@@ -6,15 +6,22 @@ multicast-range (224.0.0.0-239.255.255.255) interfaces, drops nodes
 left without interfaces, and drops links whose endpoints disappeared;
 every removal is counted so input totals reconcile exactly.
 
-Parsers stream their input line by line. Kept links are data, not
-objects: ``ParsedTopology.links`` is one ``(k, 3)`` int64 array of link
-id and endpoint node ids, 24 bytes per link, so multi-million-row link
-files stay small in memory.
+Node, geo and CSV parsers stream their input line by line. Link files
+given as a path or a text file are scanned in chunks of about 16 KiB:
+one regular expression finds every plain link line of a chunk and numpy
+sorts its links into kept, removed, self and dangling. A chunk with any
+other line (ids of 19 or more digits, non-ASCII text, malformed lines)
+goes through the per-line link parser instead, which is exact and the
+only one, so every count and error line number is the same either way.
+Kept links are data, not objects: ``ParsedTopology.links`` is one
+``(k, 3)`` int64 array of link id and endpoint node ids, 24 bytes per
+link, so multi-million-row link files stay small in memory.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
@@ -22,6 +29,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from ipaddress import AddressValueError, IPv4Address, IPv6Address
+from itertools import chain
 from pathlib import Path
 from typing import Iterator
 
@@ -48,6 +56,24 @@ _NODE_RE = re.compile(r"^node\s+N(\d+):\s*(.*)$")
 _GEO_RE = re.compile(r"^node\.geo\s+N(\d+):\s*(.*)$")
 _LINK_RE = re.compile(r"^link\s+L(\d+):\s*(.*)$")
 _NODE_REF_RE = re.compile(r"N(\d+)(?::\S+)?")
+# An IPv4 dotted quad exactly as ``IPv4Address`` accepts it: decimal
+# octets 0-255 without leading zeros. Group 1 is the first octet.
+_OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_DOTTED_QUAD_RE = re.compile(rf"({_OCTET})(?:\.{_OCTET}){{3}}")
+
+# Characters of link text read per chunk. About 16 KiB amortises the
+# per-chunk numpy work while keeping peak memory flat.
+_CHUNK_CHARS = 16384
+# A link line the chunk scan takes as is. Everything it matches is
+# ASCII; ids have at most 18 digits, so they fit int64 and stay below
+# MAX_ID; the two groups after the link id are the first two node
+# references that _NODE_REF_RE finds in the same line.
+_LINK_SCAN_RE = re.compile(
+    r"^[ \t]*link L([0-9]{1,18}):[ \t]*N([0-9]{1,18})(?::[!-~]+)?[ \t]+N([0-9]{1,18})(?!\d).*$", re.M
+)
+# A blank or comment line of a chunk; (?!\Z) skips the empty "line"
+# after the chunk's final newline.
+_SKIP_SCAN_RE = re.compile(r"^(?!\Z)[ \t\r]*(?:#.*)?$", re.M)
 
 
 @dataclass(frozen=True)
@@ -120,31 +146,28 @@ class ParsedTopology:
     report: CleaningReport
 
 
-def _lines(source) -> Iterator[tuple[int, str]]:
+def _lines(source, start: int = 1) -> Iterator[tuple[int, str]]:
     """Yield (lineno, stripped line), skipping comments and blanks.
 
     str/Path sources are opened as files; anything else is iterated as
-    lines (file objects, io.StringIO, lists).
+    lines (file objects, io.StringIO, lists), the first numbered ``start``.
     """
     if isinstance(source, (str, Path)):
-        handle = open(source, "r", encoding="utf-8")
-        close = True
-    else:
-        handle = source
-        close = False
-    try:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line
-    finally:
-        if close:
-            handle.close()
+        with open(source, "r", encoding="utf-8") as handle:
+            yield from _lines(handle)
+        return
+    for lineno, raw in enumerate(source, start=start):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        yield lineno, line
 
 
 def _classify_interface(token: str, lineno: int) -> str:
     """Return 'keep', 'multicast', or 'ipv6'; raise MalformedLine otherwise."""
+    quad = _DOTTED_QUAD_RE.fullmatch(token)
+    if quad is not None:
+        return "multicast" if 224 <= int(quad.group(1)) <= 239 else "keep"
     try:
         addr = IPv4Address(token)
     except AddressValueError:
@@ -226,9 +249,84 @@ def parse_topology(nodes_source, geo_source=None, links_source=None, *, strict: 
             else:
                 report.geo_for_unknown_nodes += 1
 
-    flat = array("q")  # link id, a, b of each kept link, 8 bytes per value
-    if links_source is not None:
-        for lineno, line in _lines(links_source):
+    sorter = _LinkSorter(report, kept_nodes, declared_nodes, strict)
+    if isinstance(links_source, (str, Path)):
+        with open(links_source, "r", encoding="utf-8") as handle:
+            sorter.scan(handle)
+    elif isinstance(links_source, io.TextIOBase):
+        sorter.scan(links_source)
+    elif links_source is not None:
+        # Other iterables may hold items with embedded or missing newlines,
+        # which joining into chunks would split into lines differently.
+        sorter.parse_lines(_lines(links_source))
+
+    nodes = [RouterNode(node_id=nid, geo=geo_by_node.get(nid)) for nid in sorted(kept_nodes)]
+    links = np.frombuffer(sorter.flat, dtype=np.int64).reshape(-1, 3)
+    return ParsedTopology(nodes=nodes, links=links, report=report)
+
+
+class _LinkSorter:
+    """Sorts link lines into kept, removed, self and dangling links.
+
+    Kept links go to ``flat`` (link id, a, b; 8 bytes per value) in file
+    order, and each removal is counted in ``report``.
+    """
+
+    def __init__(self, report: CleaningReport, kept_nodes: set[int], declared_nodes: set[int], strict: bool):
+        self.report = report
+        self.kept_nodes = kept_nodes
+        self.declared_nodes = declared_nodes
+        self.strict = strict
+        self.flat = array("q")
+
+    def scan(self, handle) -> None:
+        """Read ``handle`` in chunks of lines and sort each chunk's links at once.
+
+        A chunk is taken whole only when every line of it is a link line
+        that ``_LINK_SCAN_RE`` matches or a blank or comment line; any
+        other chunk goes through ``parse_lines``, with its line numbers.
+        """
+        kept = np.array(sorted(self.kept_nodes), dtype=np.int64)
+        declared = np.array(sorted(self.declared_nodes), dtype=np.int64)
+        lineno = 1
+        while lines := handle.readlines(_CHUNK_CHARS):
+            text = "".join(lines)
+            rows = _LINK_SCAN_RE.findall(text)
+            if len(rows) == len(lines) or len(rows) + len(_SKIP_SCAN_RE.findall(text)) == len(lines):
+                if rows:
+                    self._sort_rows(rows, kept, declared)
+            else:
+                self.parse_lines(_lines(lines, lineno))
+            lineno += len(lines)
+
+    def _sort_rows(self, rows: list[tuple[str, str, str]], kept: np.ndarray, declared: np.ndarray) -> None:
+        block = np.fromstring(" ".join(chain.from_iterable(rows)), dtype=np.int64, sep=" ").reshape(-1, 3)
+        ends = block[:, 1:]
+        is_kept = _members(ends, kept)
+        undeclared = ~is_kept
+        undeclared[undeclared] = ~_members(ends[undeclared], declared)
+        self_link = ends[:, 0] == ends[:, 1]
+        missing = ~self_link & ~is_kept.all(axis=1)
+        dangling = missing & undeclared.any(axis=1)
+        if self.strict and dangling.any():
+            row = int(np.argmax(dangling))
+            node = ends[row, 0] if undeclared[row, 0] else ends[row, 1]
+            raise DanglingLinkEndpoint(f"link L{int(block[row, 0])} references undefined node N{int(node)}")
+        report = self.report
+        report.input_links += len(block)
+        report.self_links += int(self_link.sum())
+        report.dangling_links += int(dangling.sum())
+        report.removed_links += int((missing & ~dangling).sum())
+        self.flat.frombytes(block[~self_link & ~missing].tobytes())
+
+    def parse_lines(self, numbered: Iterator[tuple[int, str]]) -> None:
+        """The per-line link parser: exact on every line, malformed ones included."""
+        report = self.report
+        kept_nodes = self.kept_nodes
+        declared_nodes = self.declared_nodes
+        strict = self.strict
+        flat = self.flat
+        for lineno, line in numbered:
             m = _LINK_RE.match(line)
             if not m:
                 raise MalformedLine(lineno, f"expected 'link L<id>: ...', got {line!r}")
@@ -257,9 +355,13 @@ def parse_topology(nodes_source, geo_source=None, links_source=None, *, strict: 
                 continue
             flat.extend((link_id, a, b))
 
-    nodes = [RouterNode(node_id=nid, geo=geo_by_node.get(nid)) for nid in sorted(kept_nodes)]
-    links = np.frombuffer(flat, dtype=np.int64).reshape(-1, 3)
-    return ParsedTopology(nodes=nodes, links=links, report=report)
+
+def _members(values: np.ndarray, sorted_ids: np.ndarray) -> np.ndarray:
+    """Elementwise ``value in sorted_ids`` for an int64 array."""
+    if not len(sorted_ids):
+        return np.zeros(values.shape, dtype=bool)
+    pos = np.searchsorted(sorted_ids, values).clip(max=len(sorted_ids) - 1)
+    return sorted_ids[pos] == values
 
 
 @dataclass

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import UnknownNode
 # overlap.point_in_region stays bound: bench/layertrace.py wraps it there.
-from .geo import GeoPoint, RegionEdges, point_in_region  # noqa: F401
+from .geo import GeoPoint, RegionEdges, _ordered_sum, point_in_region  # noqa: F401
 from .grid_model import AggregateResult, WasgRegistry
 from .ingest import COMPONENT_KINDS, InfraComponent, RouterNode
 
@@ -245,7 +245,7 @@ class OverlapReport:
 def _rank(per_wasg: dict[str, dict[str, float]], uncovered_total: float, metric: str) -> list[RankEntry]:
     values = [(wasg_id, metrics.get(metric, 0)) for wasg_id, metrics in per_wasg.items()]
     values.sort(key=lambda item: (-item[1], item[0]))
-    total = sum(v for _, v in values) + uncovered_total
+    total = _ordered_sum(v for _, v in values) + uncovered_total
     if total <= 0:
         return []
     entries = []

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import MalformedDocument, UnsatisfiableStructure
-from .geo import GeoPoint, haversine_km, pairwise_latency_ms
+from .geo import GeoPoint, _ordered_sum, haversine_km, pairwise_latency_ms
 from .grid_model import WasgRegistry, _json_list, _json_number, _json_str, _load_document
 
 OBJECTIVES = (
@@ -180,8 +180,12 @@ class PlacementProblem:
                 for c in self.candidates:
                     if c.id not in row:
                         raise ValueError(f"latency_override missing entry ({d.id!r}, {c.id!r})")
-                    if not math.isfinite(row[c.id]):
-                        raise ValueError(f"latency_override ({d.id!r}, {c.id!r}): {row[c.id]!r} not finite")
+                    # Negative latencies would break the solver's bounds, which
+                    # assume adding a candidate never lowers a sum.
+                    if not 0 <= row[c.id] < math.inf:
+                        raise ValueError(
+                            f"latency_override ({d.id!r}, {c.id!r}): {row[c.id]!r} not finite and non-negative"
+                        )
 
     def zone_key(self, candidate: Candidate) -> str:
         """Grid id, or a singleton key for candidates outside every grid."""
@@ -398,13 +402,6 @@ def build_ilp(problem: PlacementProblem) -> IlpModel:
         dist=tuple(tuple(row) for row in dist),
         rule_match=rule_match,
     )
-
-
-def _ordered_sum(values) -> float:
-    total = 0.0
-    for v in values:
-        total += v
-    return total
 
 
 def _suffix_sums(flags: Sequence[bool]) -> list[int]:

@@ -427,6 +427,18 @@ class TestPlace:
         assert captured.err.startswith("error: MalformedDocument: ")
         assert captured.err.count("\n") == 1
 
+    def test_negative_latency_override_is_one_error_line(self, workspace, tmp_path, capsys):
+        doc = json.loads((workspace / "problem.json").read_text())
+        doc["latency_override"]["d1"]["c2"] = -10.0
+        path = tmp_path / "problem_negative.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["place", "--problem", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: MalformedDocument: ") and "non-negative" in captured.err
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "shape",
         ["select_count", "latency_bounds", "latency_override", "latency_override_row", "predicate"],

@@ -261,6 +261,17 @@ class TestFlowReduction:
                 mean = sum((b - a) / b for b, a in expected.values()) / len(expected)
                 assert report.mean_reduction == pytest.approx(mean)
 
+    def test_mean_sums_left_to_right(self):
+        # K5 with capacity 9 plus a hub W at capacity 4 to each node: every
+        # pair's flow falls from 40 to 36 when W fails, a reduction of 0.1.
+        # Ten pairs of 0.1 sum to 0.9999999999999999 left to right, and to
+        # 1.0 compensated (Python 3.12's sum(), math.fsum).
+        core = "ABCDE"
+        edges = [(u, v, 9) for u, v in itertools.combinations(core, 2)] + [(u, "W", 4) for u in core]
+        report = flow_reduction(graph_from_edges(edges), {"W"})
+        assert [p.reduction for p in report.pairs] == [0.1] * 10
+        assert report.mean_reduction == 0.9999999999999999 / 10 != 0.1
+
     def test_report_serialization(self):
         g = graph_from_edges([("A", "B", 3), ("B", "C", 2)])
         doc = flow_reduction(g, {"B"}).to_dict()

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from netwattzap.errors import DanglingLinkEndpoint, MalformedLine, MalformedRow
+from netwattzap.errors import DanglingLinkEndpoint, MalformedLine, MalformedRow, NetWattZapError
 from netwattzap.ingest import (
     parse_components,
     parse_stats,
@@ -247,3 +251,39 @@ def test_datacenter_az_count_validated():
     with pytest.raises(ValueError):
         InfraComponent(id="d", kind="datacenter", geo=GeoPoint(0, 0), attrs=(("az_count", 0),))
     InfraComponent(id="d", kind="datacenter", geo=GeoPoint(0, 0), attrs=(("az_count", 3),))
+
+
+# Arbitrary text, and text built from pieces of valid lines and cells so
+# that the parsers get past their first line.
+FRAGMENTS = st.sampled_from(
+    [
+        "node N1: 1.2.3.4", "node N2: 2001:db8::1", "node.geo N1: NA US TX City 1.5 2.5", "link L1: N1 N2",
+        "link L2: N1:1.2.3.4 N2 N3", "N", "L", ":", " ", "\t", "\n", "\r\n", "#", "1", "9" * 20, "\xa0", "\u0661",
+        "id,kind,lat,lon,weight,attrs_json", "code,population,internet_users,penetration,area_km2",
+        ",", '"', "{", "}", '{"az_count": 2}', "ixp", "nan", "-1", "1e400", "0.5",
+    ]
+)
+TEXTS = st.one_of(st.text(), st.lists(st.one_of(FRAGMENTS, st.text(max_size=3))).map("".join))
+VALID_NODES = "node N1: 1.2.3.4\nnode N2: 2.3.4.5\nnode N3: 224.0.0.1\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=TEXTS, role=st.sampled_from(["nodes", "geo", "links", "components", "stats"]), strict=st.booleans())
+def test_text_parsers_return_or_raise_their_error(text, role, strict):
+    """On any text file each parser returns or raises a NetWattZapError."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        nodes = Path(folder) / "nodes.txt"
+        nodes.write_text(VALID_NODES, encoding="utf-8")
+        try:
+            if role == "components":
+                parse_components(path)
+            elif role == "stats":
+                parse_stats(path)
+            else:
+                # The links file goes through the chunk scan, which only paths and text files take.
+                sources = {"nodes": (path, None, None), "geo": (nodes, path, None), "links": (nodes, None, path)}
+                parse_topology(*sources[role], strict=strict)
+        except NetWattZapError:
+            pass

@@ -6,6 +6,7 @@ from the raw inputs, bypassing the module's own counting.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import random
 
@@ -17,7 +18,15 @@ from hypothesis import strategies as st
 from netwattzap.errors import UnknownNode
 from netwattzap.failure import FailureScenario, unavailability
 from netwattzap.geo import GeoPoint, RegionEdges, band_overlap, point_in_region
-from netwattzap.grid_model import WasgRegion, WasgRegistry, aggregate_stats, load_registry, registry_to_geojson
+from netwattzap.grid_model import (
+    AggregateResult,
+    StatTotals,
+    WasgRegion,
+    WasgRegistry,
+    aggregate_stats,
+    load_registry,
+    registry_to_geojson,
+)
 from netwattzap.ingest import InfraComponent, parse_topology
 from netwattzap.overlap import (
     RegionIndex,
@@ -240,6 +249,25 @@ class TestDistributionReport:
         assert fractions == pytest.approx([0.4, 0.7, 0.9, 1.0])
         assert smallest_k(report, "ixp", 0.65) == 2
         assert smallest_k(report, "ixp", 1.0) == 4
+
+    def test_cumulative_fractions_sum_left_to_right(self):
+        # Ten grids of 0.1 km2: left to right the total is 0.9999999999999999,
+        # while a compensated sum (Python 3.12's sum(), math.fsum) gives 1.0.
+        registry = WasgRegistry(
+            [square_region(f"R{i}", f"R{i}", lon0=20.0 * (i % 5), lat0=20.0 * (i // 5), size=5.0) for i in range(10)]
+        )
+        stats = AggregateResult(
+            per_wasg={f"R{i}": StatTotals(area_km2=0.1) for i in range(10)},
+            uncovered=StatTotals(),
+            uncovered_codes=(),
+            missing_codes=(),
+        )
+        report = distribution_report([], registry, stats=stats)
+        running = list(itertools.accumulate([0.1] * 10))
+        assert running[-1] == 0.9999999999999999
+        fractions = [e.cumulative_fraction for e in report.rankings["area_km2"]]
+        assert fractions == [r / running[-1] for r in running]
+        assert fractions[-1] == 1.0
 
     def test_unreachable_fraction_is_none(self, synthetic_registry):
         comps = [

@@ -8,6 +8,7 @@ lexicographic tie-break. It never touches the solver.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import random
@@ -675,6 +676,26 @@ class TestNonFiniteNumbers:
                 select_count=fixture.select_count,
                 **{field: values[field]},
             )
+
+
+def test_negative_latency_override_rejected():
+    # Candidates a, b, c with latencies 1, 1 and -10 under at_most 2 once
+    # solved to ('a', 'c') = -9.0 with proof "optimal", while ('c',) is -10.
+    doc = {
+        "candidates": [{"id": cid, "lat": 0.0, "lon": 0.0} for cid in ("a", "b", "c")],
+        "demands": [{"id": "d1", "lat": 0.0, "lon": 0.0}],
+        "objective": "min_weighted_sum_all",
+        "select_count": {"mode": "at_most", "n": 2},
+        "latency_override": {"d1": {"a": 1.0, "b": 1.0, "c": 0.0}},
+    }
+    problem = problem_from_dict(doc)
+    negative = {"d1": {"a": 1.0, "b": 1.0, "c": -10.0}}
+    with pytest.raises(ValueError, match="non-negative"):
+        dataclasses.replace(problem, latency_override=negative)
+    from netwattzap.errors import MalformedDocument
+
+    with pytest.raises(MalformedDocument, match="non-negative"):
+        problem_from_dict({**doc, "latency_override": negative})
 
 
 class TestCheckFeasible:
