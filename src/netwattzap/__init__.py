@@ -30,7 +30,6 @@ from .grid_model import (
 )
 from .ingest import (
     InfraComponent,
-    RouterNode,
     parse_components,
     parse_stats,
     parse_topology,
@@ -73,7 +72,6 @@ __all__ = [
     "OverlapReport",
     "PlacementProblem",
     "PlacementSolution",
-    "RouterNode",
     "SelectCount",
     "UnavailabilityReport",
     "WasgGraph",

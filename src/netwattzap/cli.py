@@ -1,9 +1,10 @@
 """Command-line front end: validate, overlap, failure, connectivity, place.
 
 Every report writer sorts keys and emits a trailing newline so that
-identical inputs and flags produce byte-identical outputs. All failure
-paths print a single machine-parsable ``error: <Type>: <message>`` line
-on stderr and exit nonzero.
+identical inputs and flags produce byte-identical outputs. A
+``NetWattZapError``, ``OSError``, ``ValueError`` or ``MemoryError``
+prints a single machine-parsable ``error: <Type>: <message>`` line on
+stderr and exits 2; any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -97,13 +98,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return handler(args)
-    except NetWattZapError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (NetWattZapError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
@@ -140,26 +135,20 @@ def _require(args, *names: str) -> None:
 
 
 def _load_topology(args, registry):
-    """Parse the topology, resolve each router once, and tally its links.
-
-    Returns (nodes, router zones, link tally).
-    """
+    """Parse the topology and count its routers and links per grid."""
     topo = parse_topology(args.nodes, args.geo, args.links, strict=args.strict)
-    zones = overlap_mod.resolve_router_zones(topo.nodes, registry)
-    return topo.nodes, zones, overlap_mod.categorize_links(topo.links, zones)
+    return overlap_mod.tally_topology(topo, registry)
 
 
-def _load_components(args, registry):
-    """Parse, resolve, and pool all component inputs; returns (components, link tally)."""
+def _load_inputs(args, registry):
+    """Parse and resolve the components, topology and statistics; (components, tally or None, stats or None)."""
     components = []
     for kind, path in _parse_component_specs(args.components):
         components.extend(parse_components(path, kind=kind).components)
     resolved = overlap_mod.resolve_components(components, registry)
-    tally = None
-    if args.nodes:
-        nodes, zones, tally = _load_topology(args, registry)
-        resolved.extend(overlap_mod.components_from_router_nodes(nodes, zones))
-    return resolved, tally
+    tally = _load_topology(args, registry) if args.nodes else None
+    stats = aggregate_stats(registry, parse_stats(args.stats), strict=args.strict) if args.stats else None
+    return resolved, tally, stats
 
 
 def cmd_validate(args) -> int:
@@ -273,11 +262,8 @@ def _overlap_report_csv(report) -> str:
 def cmd_overlap(args) -> int:
     _require(args, "wasg")
     registry = load_registry(args.wasg)
-    components, tally = _load_components(args, registry)
-    agg = None
-    if args.stats:
-        agg = aggregate_stats(registry, parse_stats(args.stats), strict=args.strict)
-    report = overlap_mod.distribution_report(components, registry, stats=agg, tally=tally)
+    components, tally, stats = _load_inputs(args, registry)
+    report = overlap_mod.distribution_report(components, registry, stats=stats, tally=tally)
     if args.format == "csv":
         _emit(_overlap_report_csv(report), args.out)
     else:
@@ -297,13 +283,8 @@ def cmd_failure(args) -> int:
     _require(args, "wasg", "scenario")
     registry = load_registry(args.wasg)
     scenario = failure_mod.load_scenario(args.scenario)
-    components, tally = _load_components(args, registry)
-    agg = None
-    if args.stats:
-        agg = aggregate_stats(registry, parse_stats(args.stats), strict=args.strict)
-    report = failure_mod.unavailability(
-        scenario, registry, components=components, tally=tally, stats=agg
-    )
+    components, tally, stats = _load_inputs(args, registry)
+    report = failure_mod.unavailability(scenario, registry, components=components, tally=tally, stats=stats)
     if args.format == "geojson":
         failed_features = [
             feature
@@ -320,7 +301,7 @@ def cmd_connectivity(args) -> int:
     _require(args, "wasg", "nodes", "geo", "links", "scenario")
     registry = load_registry(args.wasg)
     scenario = failure_mod.load_scenario(args.scenario)
-    _nodes, _zones, tally = _load_topology(args, registry)
+    tally = _load_topology(args, registry)
     graph = conn.build_graph(tally.pairs)
     failed = failure_mod.resolve_scenario(scenario, registry)
     report = conn.flow_reduction(graph, failed)

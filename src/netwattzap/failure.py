@@ -3,15 +3,17 @@
 A scenario fails whole grids: either an explicit set (regional outages
 from weather or targeted attacks) or every grid reaching poleward of a
 latitude threshold (solar-storm model). Components in no grid are never
-failed - their grid exposure is unknown. Links enter as the grid-level
-tally of ``overlap.categorize_links``: a link is unavailable as soon as
-either mapped endpoint sits in a failed grid, so the unavailable links
+failed - their grid exposure is unknown. Topology routers and links
+enter as the grid-level tally of ``overlap.tally_topology``: its router
+counts join the ``router`` components, and a link is unavailable as soon
+as either mapped endpoint sits in a failed grid, so the unavailable links
 are the grid pairs and one-end counts touching a failed grid; links with
 both ends unmapped survive every scenario.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -19,7 +21,7 @@ from .errors import MalformedDocument, UnknownWasg
 from .geo import band_overlap
 from .grid_model import AggregateResult, WasgRegistry, _json_list, _json_number, _json_str, _load_document
 from .ingest import InfraComponent
-from .overlap import LinkTally, az_collapse
+from .overlap import TopologyTally, az_collapse
 
 MODES = ("regional", "latitude_band")
 
@@ -133,37 +135,37 @@ def unavailability(
     scenario: FailureScenario,
     registry: WasgRegistry,
     components: Sequence[InfraComponent] = (),
-    tally: LinkTally | None = None,
+    tally: TopologyTally | None = None,
     stats: AggregateResult | None = None,
 ) -> UnavailabilityReport:
-    """Evaluate a scenario over resolved components, a link tally, and stats.
+    """Evaluate a scenario over resolved components, a topology tally, and stats.
 
-    Metrics appear only for the inputs supplied: component kinds and
-    datacenter zones need ``components``, the links metric needs a
+    Metrics appear only for the inputs supplied: a component kind needs
+    a component of that kind (routers also count from the ``tally``),
+    datacenter zones need a datacenter, the links metric needs a
     ``tally`` that counted at least one link, internet_users needs
     ``stats``.
     """
     failed = resolve_scenario(scenario, registry)
     details: dict[str, MetricDetail] = {}
 
-    if components:
-        for kind, metric in _KIND_METRICS:
-            of_kind = [c for c in components if c.kind == kind]
-            if not of_kind:
-                continue
-            details[metric] = MetricDetail(
-                unavailable=sum(1 for c in of_kind if c.zone in failed),
-                total=len(of_kind),
-                zoned_total=sum(1 for c in of_kind if c.zone is not None),
-            )
-        datacenters = [c for c in components if c.kind == "datacenter"]
-        if datacenters:
-            collapse = az_collapse(datacenters)
-            details["datacenter_zones"] = MetricDetail(
-                unavailable=sum(1 for zone in collapse.groups if zone in failed),
-                total=collapse.zone_count,
-                zoned_total=len(collapse.groups),
-            )
+    for kind, metric in _KIND_METRICS:
+        per_zone = Counter(c.zone for c in components if c.kind == kind)
+        if kind == "router" and tally is not None:
+            per_zone.update(tally.routers)
+            per_zone[None] += tally.routers_unzoned
+        total = sum(per_zone.values())
+        if total:
+            unavailable = sum(n for zone, n in per_zone.items() if zone in failed)
+            details[metric] = MetricDetail(unavailable=unavailable, total=total, zoned_total=total - per_zone[None])
+    datacenters = [c for c in components if c.kind == "datacenter"]
+    if datacenters:
+        collapse = az_collapse(datacenters)
+        details["datacenter_zones"] = MetricDetail(
+            unavailable=sum(1 for zone in collapse.groups if zone in failed),
+            total=collapse.zone_count,
+            zoned_total=len(collapse.groups),
+        )
 
     links_total = sum(tally.counts.values()) if tally is not None else 0
     if links_total:

@@ -52,10 +52,15 @@ class GeoPoint:
     lon: float
 
     def __post_init__(self) -> None:
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"latitude {self.lat!r} outside [-90, 90]")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"longitude {self.lon!r} outside [-180, 180]")
+        check_coordinates(self.lat, self.lon)
+
+
+def check_coordinates(lat: float, lon: float) -> None:
+    """Raise ValueError unless lat lies in [-90, 90] and lon in [-180, 180] (NaN lies in neither)."""
+    if not -90.0 <= lat <= 90.0:
+        raise ValueError(f"latitude {lat!r} outside [-90, 90]")
+    if not -180.0 <= lon <= 180.0:
+        raise ValueError(f"longitude {lon!r} outside [-180, 180]")
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:

@@ -13,9 +13,10 @@ sorts its links into kept, removed, self and dangling. A chunk with any
 other line (ids of 19 or more digits, non-ASCII text, malformed lines)
 goes through the per-line link parser instead, which is exact and the
 only one, so every count and error line number is the same either way.
-Kept links are data, not objects: ``ParsedTopology.links`` is one
-``(k, 3)`` int64 array of link id and endpoint node ids, 24 bytes per
-link, so multi-million-row link files stay small in memory.
+Kept nodes and links are data, not objects, 24 bytes each: node id,
+latitude and longitude in ``ParsedTopology.nodes`` (NaN without
+geolocation), link id and endpoints in the ``(k, 3)`` int64
+``ParsedTopology.links``, so multi-million-row topologies stay small.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DanglingLinkEndpoint, MalformedLine, MalformedRow
-from .geo import GeoPoint
+from .geo import GeoPoint, check_coordinates
 from .grid_model import AdminStatRecord
 
 logger = logging.getLogger(__name__)
@@ -46,6 +47,9 @@ MULTICAST_HI = IPv4Address("239.255.255.255")
 
 # Largest node or link id: ids are stored as int64.
 MAX_ID = 2**63 - 1
+# A kept router: its id, and its latitude and longitude in degrees, both
+# NaN for a router without geolocation.
+NODE_DTYPE = np.dtype([("id", "<i8"), ("lat", "<f8"), ("lon", "<f8")])
 # Field indices of latitude and longitude on a ``node.geo`` line.
 GEO_LAT_COL = 4
 GEO_LON_COL = 5
@@ -74,14 +78,6 @@ _LINK_SCAN_RE = re.compile(
 # A blank or comment line of a chunk; (?!\Z) skips the empty "line"
 # after the chunk's final newline.
 _SKIP_SCAN_RE = re.compile(r"^(?!\Z)[ \t\r]*(?:#.*)?$", re.M)
-
-
-@dataclass(frozen=True)
-class RouterNode:
-    """A router that kept at least one interface, with optional geolocation."""
-
-    node_id: int
-    geo: GeoPoint | None = None
 
 
 @dataclass(frozen=True)
@@ -138,10 +134,11 @@ class CleaningReport:
 class ParsedTopology:
     """Kept nodes sorted by id, kept links in file order, and the removal counts.
 
-    ``links`` has shape ``(k, 3)``, columns link id, a and b.
+    ``nodes`` is a ``NODE_DTYPE`` array; ``links`` has shape ``(k, 3)``,
+    columns link id, a and b.
     """
 
-    nodes: list[RouterNode]
+    nodes: np.ndarray
     links: np.ndarray
     report: CleaningReport
 
@@ -181,6 +178,14 @@ def _classify_interface(token: str, lineno: int) -> str:
     return "keep"
 
 
+def _int(digits: str, lineno: int, what: str) -> int:
+    """``int(digits)``, or MalformedLine when the string has more digits than ``int()`` converts."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise MalformedLine(lineno, f"{what} of {len(digits)} digits is too long") from None
+
+
 def parse_topology(nodes_source, geo_source=None, links_source=None, *, strict: bool = False) -> ParsedTopology:
     """Parse ITDK-style nodes/geo/links files and apply the cleaning rules.
 
@@ -202,7 +207,7 @@ def parse_topology(nodes_source, geo_source=None, links_source=None, *, strict: 
         m = _NODE_RE.match(line)
         if not m:
             raise MalformedLine(lineno, f"expected 'node N<id>: ...', got {line!r}")
-        node_id = int(m.group(1))
+        node_id = _int(m.group(1), lineno, "node id")
         if node_id > MAX_ID:
             raise MalformedLine(lineno, f"node id N{node_id} above {MAX_ID}")
         if node_id in declared_nodes:
@@ -226,13 +231,15 @@ def parse_topology(nodes_source, geo_source=None, links_source=None, *, strict: 
     if report.ipv6_interfaces:
         logger.warning("passed through %d IPv6 interfaces unvalidated", report.ipv6_interfaces)
 
-    geo_by_node: dict[int, GeoPoint] = {}
+    # Geolocation of kept nodes in file order; a later line for a node wins.
+    geo_ids = array("q")
+    geo_lat_lon = array("d")
     if geo_source is not None:
         for lineno, line in _lines(geo_source):
             m = _GEO_RE.match(line)
             if not m:
                 raise MalformedLine(lineno, f"expected 'node.geo N<id>: ...', got {line!r}")
-            node_id = int(m.group(1))
+            node_id = _int(m.group(1), lineno, "node id")
             rest = m.group(2)
             fields = rest.split("\t") if "\t" in rest else rest.split()
             try:
@@ -241,15 +248,27 @@ def parse_topology(nodes_source, geo_source=None, links_source=None, *, strict: 
             except (IndexError, ValueError):
                 raise MalformedLine(lineno, f"no lat/lon at columns {GEO_LAT_COL}/{GEO_LON_COL}") from None
             try:
-                point = GeoPoint(lat, lon)
+                check_coordinates(lat, lon)
             except ValueError as exc:
                 raise MalformedLine(lineno, str(exc)) from None
             if node_id in kept_nodes:
-                geo_by_node[node_id] = point
+                geo_ids.append(node_id)
+                geo_lat_lon.extend((lat, lon))
             else:
                 report.geo_for_unknown_nodes += 1
 
-    sorter = _LinkSorter(report, kept_nodes, declared_nodes, strict)
+    kept_ids = np.sort(np.fromiter(kept_nodes, dtype=np.int64, count=len(kept_nodes)))
+    nodes = np.empty(len(kept_ids), dtype=NODE_DTYPE)
+    nodes["id"] = kept_ids
+    nodes["lat"] = nodes["lon"] = np.nan
+    if geo_ids:
+        # Reversed, a node's first line is its last in the file, the one np.unique picks.
+        ids, last = np.unique(np.frombuffer(geo_ids, dtype=np.int64)[::-1], return_index=True)
+        lat_lon = np.frombuffer(geo_lat_lon, dtype=np.float64).reshape(-1, 2)[::-1][last]
+        row = np.searchsorted(kept_ids, ids)
+        nodes["lat"][row], nodes["lon"][row] = lat_lon.T
+
+    sorter = _LinkSorter(report, kept_ids, kept_nodes, declared_nodes, strict)
     if isinstance(links_source, (str, Path)):
         with open(links_source, "r", encoding="utf-8") as handle:
             sorter.scan(handle)
@@ -260,7 +279,6 @@ def parse_topology(nodes_source, geo_source=None, links_source=None, *, strict: 
         # which joining into chunks would split into lines differently.
         sorter.parse_lines(_lines(links_source))
 
-    nodes = [RouterNode(node_id=nid, geo=geo_by_node.get(nid)) for nid in sorted(kept_nodes)]
     links = np.frombuffer(sorter.flat, dtype=np.int64).reshape(-1, 3)
     return ParsedTopology(nodes=nodes, links=links, report=report)
 
@@ -272,8 +290,9 @@ class _LinkSorter:
     order, and each removal is counted in ``report``.
     """
 
-    def __init__(self, report: CleaningReport, kept_nodes: set[int], declared_nodes: set[int], strict: bool):
+    def __init__(self, report: CleaningReport, kept: np.ndarray, kept_nodes: set, declared_nodes: set, strict: bool):
         self.report = report
+        self.kept = kept
         self.kept_nodes = kept_nodes
         self.declared_nodes = declared_nodes
         self.strict = strict
@@ -286,7 +305,6 @@ class _LinkSorter:
         that ``_LINK_SCAN_RE`` matches or a blank or comment line; any
         other chunk goes through ``parse_lines``, with its line numbers.
         """
-        kept = np.array(sorted(self.kept_nodes), dtype=np.int64)
         declared = np.array(sorted(self.declared_nodes), dtype=np.int64)
         lineno = 1
         while lines := handle.readlines(_CHUNK_CHARS):
@@ -294,15 +312,15 @@ class _LinkSorter:
             rows = _LINK_SCAN_RE.findall(text)
             if len(rows) == len(lines) or len(rows) + len(_SKIP_SCAN_RE.findall(text)) == len(lines):
                 if rows:
-                    self._sort_rows(rows, kept, declared)
+                    self._sort_rows(rows, declared)
             else:
                 self.parse_lines(_lines(lines, lineno))
             lineno += len(lines)
 
-    def _sort_rows(self, rows: list[tuple[str, str, str]], kept: np.ndarray, declared: np.ndarray) -> None:
+    def _sort_rows(self, rows: list[tuple[str, str, str]], declared: np.ndarray) -> None:
         block = np.fromstring(" ".join(chain.from_iterable(rows)), dtype=np.int64, sep=" ").reshape(-1, 3)
         ends = block[:, 1:]
-        is_kept = _members(ends, kept)
+        is_kept = _members(ends, self.kept)
         undeclared = ~is_kept
         undeclared[undeclared] = ~_members(ends[undeclared], declared)
         self_link = ends[:, 0] == ends[:, 1]
@@ -330,14 +348,14 @@ class _LinkSorter:
             m = _LINK_RE.match(line)
             if not m:
                 raise MalformedLine(lineno, f"expected 'link L<id>: ...', got {line!r}")
-            link_id = int(m.group(1))
+            link_id = _int(m.group(1), lineno, "link id")
             if link_id > MAX_ID:
                 raise MalformedLine(lineno, f"link id L{link_id} above {MAX_ID}")
             report.input_links += 1
             refs = _NODE_REF_RE.findall(m.group(2))
             if len(refs) < 2:
                 raise MalformedLine(lineno, "link needs at least two node references")
-            a, b = int(refs[0]), int(refs[1])
+            a, b = (_int(ref, lineno, "node reference") for ref in refs[:2])
             if a == b:
                 report.self_links += 1
                 continue
@@ -396,7 +414,8 @@ def parse_components(source, kind: str | None = None) -> ParsedComponents:
         attrs_raw = (row.get("attrs_json") or "").strip()
         try:
             attrs = tuple(sorted(json.loads(attrs_raw).items())) if attrs_raw else ()
-        except (json.JSONDecodeError, AttributeError, RecursionError) as exc:
+        except (ValueError, AttributeError, RecursionError) as exc:
+            # ValueError: JSONDecodeError, or a number with more digits than int() converts;
             # RecursionError: nesting deeper than the decoder's stack allows.
             raise MalformedRow(rowno, f"bad attrs_json: {exc}") from None
         try:
@@ -455,12 +474,10 @@ def _opt_float(raw) -> float | None:
 
 def _csv_rows(source, required: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
     if isinstance(source, (str, Path)):
-        handle = open(source, "r", encoding="utf-8", newline="")
-        close = True
-    else:
-        handle = source
-        close = False
-    reader = csv.DictReader(handle)
+        with open(source, "r", encoding="utf-8", newline="") as handle:
+            yield from _csv_rows(handle, required)
+        return
+    reader = csv.DictReader(source)
     try:
         missing = [col for col in required if col not in (reader.fieldnames or [])]
         if missing:
@@ -469,6 +486,3 @@ def _csv_rows(source, required: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
             yield rowno, row
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit(); DictReader.line_num lags a row
         raise MalformedRow(reader.reader.line_num, str(exc)) from None
-    finally:
-        if close:
-            handle.close()

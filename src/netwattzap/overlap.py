@@ -1,20 +1,21 @@
-"""Maps components and link endpoints to grids and builds distribution reports.
+"""Maps components, routers and link endpoints to grids and builds distribution reports.
 
 Resolution is batched: ``RegionIndex`` takes all points of a call at
-once and, region by region, picks the points inside the region's
-bounding box and tests them together with ``geo.RegionEdges.contains``.
-Overlapping polygons are data defects and resolve deterministically to
-the smallest-area region, with one warning per call. All counting here
-is purely additive, so each reported figure can be re-derived by a
-brute-force recount over the raw inputs.
+once and, region by region, tests each distinct point inside the
+region's bounding box with ``geo.RegionEdges.contains``. Overlapping
+polygons are data defects and resolve deterministically to the
+smallest-area region, with one warning per call. Routers stay columns,
+counted with numpy. All counting here is purely additive, so each
+reported figure can be re-derived by a brute-force recount.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import random
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import UnknownNode
 # overlap.point_in_region stays bound: bench/layertrace.py wraps it there.
 from .geo import GeoPoint, RegionEdges, _ordered_sum, point_in_region  # noqa: F401
 from .grid_model import AggregateResult, WasgRegistry
-from .ingest import COMPONENT_KINDS, InfraComponent, RouterNode
+from .ingest import COMPONENT_KINDS, InfraComponent, ParsedTopology
 
 logger = logging.getLogger(__name__)
 
@@ -35,12 +36,15 @@ class RegionIndex:
     """Batched point-to-zone resolution over a registry's boundary polygons.
 
     Built per call from the registry: one ``RegionEdges`` per region with
-    a boundary, ordered by (area_km2, id) so the first hit wins.
+    a boundary, ordered by (area_km2, id) so the first hit wins. A zone
+    code is a position in ``zone_ids``, the sorted ids of those regions.
     """
 
     def __init__(self, registry: WasgRegistry):
         self.regions = sorted((r for r in registry if r.boundary), key=lambda r: (r.area_km2, r.id))
         self.edges = [RegionEdges(region) for region in self.regions]
+        self.zone_ids = sorted(region.id for region in self.regions)
+        self.codes = [self.zone_ids.index(region.id) for region in self.regions]
 
     def hits(self, lons: np.ndarray, lats: np.ndarray) -> list[np.ndarray]:
         """Per region, in ``self.regions`` order: indices of the points inside it."""
@@ -53,30 +57,43 @@ class RegionIndex:
             out.append(candidates)
         return out
 
-    def resolve(self, points: Sequence[GeoPoint]) -> list[str | None]:
-        """Zone id per point; one warning for all points inside several regions."""
-        lons = np.fromiter((p.lon for p in points), dtype=float, count=len(points))
-        lats = np.fromiter((p.lat for p in points), dtype=float, count=len(points))
-        zone = np.full(len(points), -1)
-        ambiguous = np.zeros(len(points), dtype=bool)
+    def resolve(self, lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
+        """Zone code per (lon, lat) point, -1 outside every region; each distinct point is tested once.
+
+        One warning covers all points inside several regions, counted and
+        listed as if each point had been tested on its own.
+        """
+        # As complex numbers, points sort by lon, then lat, in one native sort.
+        distinct, inverse = np.unique(lons + 1j * lats, return_inverse=True)
+        zone = np.full(len(distinct), -1)
+        ambiguous = np.zeros(len(distinct), dtype=bool)
         pairs: list[str] = []
-        for k, idx in enumerate(self.hits(lons, lats)):
+        for code, region, idx in zip(self.codes, self.regions, self.hits(distinct.real, distinct.imag)):
             first = zone[idx] < 0
             taken = idx[~first]
-            ambiguous[taken] = True
-            for i in taken[:AMBIGUOUS_LISTED].tolist():
-                pair = f"{self.regions[zone[i]].id}/{self.regions[k].id}"
-                if len(pairs) < AMBIGUOUS_LISTED and pair not in pairs:
-                    pairs.append(pair)
-            zone[idx[first]] = k
+            if len(taken):
+                ambiguous[taken] = True
+                # The first ambiguous points in input order, duplicates included.
+                for i in inverse[np.isin(inverse, taken)][:AMBIGUOUS_LISTED].tolist():
+                    pair = f"{self.zone_ids[zone[i]]}/{region.id}"
+                    if len(pairs) < AMBIGUOUS_LISTED and pair not in pairs:
+                        pairs.append(pair)
+            zone[idx[first]] = code
         if ambiguous.any():
             logger.warning(
                 "%d point(s) inside several regions, each resolved to its smallest-area region (e.g. %s)",
-                int(ambiguous.sum()),
+                int(ambiguous[inverse].sum()),
                 ", ".join(pairs),
             )
-        ids = [region.id for region in self.regions]
-        return [ids[k] if k >= 0 else None for k in zone.tolist()]
+        return zone[inverse]
+
+
+def _zones_of(points: Sequence[GeoPoint], registry: WasgRegistry) -> list[str | None]:
+    """Zone id per point, None outside every region."""
+    index = RegionIndex(registry)
+    lons = np.fromiter((p.lon for p in points), dtype=float, count=len(points))
+    lats = np.fromiter((p.lat for p in points), dtype=float, count=len(points))
+    return [index.zone_ids[k] if k >= 0 else None for k in index.resolve(lons, lats).tolist()]
 
 
 def resolve_components(
@@ -89,76 +106,57 @@ def resolve_components(
     several (overlapping) polygons resolves to the smallest area. The
     result is independent of input order.
     """
-    zones = RegionIndex(registry).resolve([c.geo for c in components])
+    zones = _zones_of([c.geo for c in components], registry)
     return [replace(c, zone=zone) for c, zone in zip(components, zones)]
 
 
-def resolve_router_zones(
-    nodes: Sequence[RouterNode],
-    registry: WasgRegistry,
-) -> dict[int, str | None]:
-    """Zone per router node id; nodes without geolocation map to None."""
-    zones = iter(RegionIndex(registry).resolve([n.geo for n in nodes if n.geo is not None]))
-    return {n.node_id: (next(zones) if n.geo is not None else None) for n in nodes}
-
-
-def components_from_router_nodes(
-    nodes: Sequence[RouterNode],
-    zones: Mapping[int, str | None] | None = None,
-) -> list[InfraComponent]:
-    """Routers with geolocation as kind='router' components (id ``N<node_id>``).
-
-    ``zones`` (from ``resolve_router_zones``) fills each component's zone;
-    without it every zone is None.
-    """
-    zones = zones or {}
-    return [
-        InfraComponent(id=f"N{n.node_id}", kind="router", geo=n.geo, zone=zones.get(n.node_id))
-        for n in nodes
-        if n.geo is not None
-    ]
-
-
 @dataclass
-class LinkTally:
-    """Grid-level link counts from one pass over the links.
+class TopologyTally:
+    """Grid-level router and link counts of a topology.
 
-    ``counts`` holds the both/one/none-mapped totals, ``pairs`` the
-    links per unordered grid pair (same-grid pairs included) and
-    ``one_end`` each one-mapped link under its single mapped grid.
+    ``counts`` holds the both/one/none-mapped link totals, ``pairs`` the
+    links per unordered grid pair (same-grid pairs included), ``one_end``
+    each one-mapped link under its single mapped grid, ``routers`` the
+    geolocated routers per grid and ``routers_unzoned`` those in none.
     """
 
     counts: dict[str, int]
     pairs: dict[tuple[str, str], int]
     one_end: dict[str, int]
+    routers: dict[str, int] = field(default_factory=dict)
+    routers_unzoned: int = 0
+
+
+def tally_topology(topo: ParsedTopology, registry: WasgRegistry) -> TopologyTally:
+    """Resolve each geolocated router once and count routers and links per grid."""
+    index = RegionIndex(registry)
+    nodes = topo.nodes
+    located = ~np.isnan(nodes["lat"])
+    codes = np.full(len(nodes), -1, dtype=np.int64)
+    codes[located] = index.resolve(nodes["lon"][located], nodes["lat"][located])
+    tally = categorize_links(topo.links, nodes["id"], codes, index.zone_ids)
+    # Shifted by one: bin 0 holds the routers outside every grid.
+    per_zone = np.bincount(codes[located] + 1, minlength=len(index.zone_ids) + 1).tolist()
+    routers = {zone: n for zone, n in zip(index.zone_ids, per_zone[1:]) if n}
+    return replace(tally, routers=routers, routers_unzoned=per_zone[0])
 
 
 def categorize_links(
-    links: np.ndarray,
-    node_zones: Mapping[int, str | None],
-) -> LinkTally:
+    links: np.ndarray, node_ids: np.ndarray, node_codes: np.ndarray, zone_ids: Sequence[str]
+) -> TopologyTally:
     """Tally links by how many endpoints map to a grid, and by which grids.
 
     ``links`` is a ``(k, 3)`` integer array of link id, a and b, as in
-    ``ParsedTopology.links``.
+    ``ParsedTopology.links``. ``node_ids`` holds the known node ids in
+    ascending order and ``node_codes`` each one's zone, a position in the
+    sorted ``zone_ids`` or -1 for none. The tally counts no routers.
 
     Raises:
-        UnknownNode: if a link references a node id absent from the map.
+        UnknownNode: if a link references a node id absent from ``node_ids``.
     """
-    zone_ids = sorted({zone for zone in node_zones.values() if zone is not None})
     # Codes follow sorted zone ids, so min/max of two codes is the sorted
     # pair; G, one past the last code, stands for "no zone".
     g = len(zone_ids)
-    code_of = {zone: code for code, zone in enumerate(zone_ids)}
-    node_ids = np.fromiter(node_zones, dtype=np.int64, count=len(node_zones))
-    node_codes = np.fromiter(
-        (g if zone is None else code_of[zone] for zone in node_zones.values()),
-        dtype=np.int64,
-        count=len(node_zones),
-    )
-    order = np.argsort(node_ids)
-    node_ids, node_codes = node_ids[order], node_codes[order]
-
     # Look up each distinct endpoint once: ends = uniq[inverse], a and b interleaved.
     uniq, inverse = np.unique(links[:, 1:].ravel(), return_inverse=True)
     pos = np.searchsorted(node_ids, uniq)
@@ -167,7 +165,9 @@ def categorize_links(
     if not found.all():
         row, col = divmod(int(np.argmin(found[inverse])), 2)
         raise UnknownNode(f"link L{links[row, 0]} references unknown node N{links[row, 1 + col]}")
-    codes = node_codes[pos][inverse].reshape(-1, 2)
+    ends = node_codes[pos]
+    ends[ends < 0] = g
+    codes = ends[inverse].reshape(-1, 2)
     lo, hi = np.minimum(codes[:, 0], codes[:, 1]), np.maximum(codes[:, 0], codes[:, 1])
 
     both = hi < g
@@ -183,7 +183,7 @@ def categorize_links(
         "one_mapped": int(one.sum()),
         "none_mapped": int((lo == g).sum()),
     }
-    return LinkTally(counts=counts, pairs=pairs, one_end=one_end)
+    return TopologyTally(counts=counts, pairs=pairs, one_end=one_end)
 
 
 @dataclass
@@ -260,9 +260,9 @@ def distribution_report(
     components: Sequence[InfraComponent],
     registry: WasgRegistry,
     stats: AggregateResult | None = None,
-    tally: LinkTally | None = None,
+    tally: TopologyTally | None = None,
 ) -> OverlapReport:
-    """Aggregate resolved components (and optionally a link tally/statistics) per grid."""
+    """Aggregate resolved components, a topology tally's routers and links, and statistics per grid."""
     per_wasg: dict[str, dict[str, float]] = {
         wasg_id: {kind: 0 for kind in COMPONENT_KINDS} for wasg_id in registry.ids
     }
@@ -270,6 +270,10 @@ def distribution_report(
     for c in components:
         target = per_wasg[c.zone] if c.zone is not None else uncovered
         target[c.kind] = target.get(c.kind, 0) + 1
+    tally = tally or TopologyTally(counts=dict.fromkeys(LINK_CATEGORIES, 0), pairs={}, one_end={})
+    for zone, count in tally.routers.items():
+        per_wasg[zone]["router"] += count
+    uncovered["router"] += tally.routers_unzoned
 
     if stats is not None:
         for wasg_id, metrics in per_wasg.items():
@@ -284,9 +288,6 @@ def distribution_report(
     for metrics in per_wasg.values():
         metrics["components"] = sum(metrics.get(kind, 0) for kind in COMPONENT_KINDS)
     uncovered["components"] = sum(uncovered.get(kind, 0) for kind in COMPONENT_KINDS)
-
-    if tally is None:
-        tally = LinkTally(counts=dict.fromkeys(LINK_CATEGORIES, 0), pairs={}, one_end={})
 
     metrics_present = list(COMPONENT_KINDS) + ["components"]
     if stats is not None:
@@ -357,11 +358,8 @@ def sample_polygon_overlap(
             inside.setdefault(i, []).append(region.id)
     pair_hits: dict[tuple[str, str], int] = {}
     for i in sorted(inside):
-        ids = sorted(inside[i])
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                key = (ids[a], ids[b])
-                pair_hits[key] = pair_hits.get(key, 0) + 1
+        for key in itertools.combinations(sorted(inside[i]), 2):
+            pair_hits[key] = pair_hits.get(key, 0) + 1
     warnings = [
         f"regions {a!r} and {b!r} overlap on {hits}/{samples} sampled points"
         for (a, b), hits in sorted(pair_hits.items())

@@ -861,9 +861,9 @@ def load_problem(path) -> PlacementProblem:
 
 def resolve_candidate_zones(problem: PlacementProblem, registry: WasgRegistry) -> PlacementProblem:
     """Fill missing candidate zones by polygon containment against a registry."""
-    from .overlap import RegionIndex
+    from .overlap import _zones_of
 
-    zones = iter(RegionIndex(registry).resolve([c.geo for c in problem.candidates if c.zone is None]))
+    zones = iter(_zones_of([c.geo for c in problem.candidates if c.zone is None], registry))
     candidates = tuple(c if c.zone is not None else replace(c, zone=next(zones)) for c in problem.candidates)
     return replace(problem, candidates=candidates)
 

@@ -9,6 +9,7 @@ scenarios bite progressively.
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 
 from netwattzap.geo import GeoPoint
 from netwattzap.grid_model import AdminStatRecord, WasgRegion, WasgRegistry, registry_to_geojson
-from netwattzap.ingest import InfraComponent, RouterNode
+from netwattzap.ingest import NODE_DTYPE, InfraComponent
 
 
 def square_ring(lon0: float, lat0: float, size: float):
@@ -118,8 +119,8 @@ def synthetic_components() -> list[InfraComponent]:
 def build_topology(seed: int = 11, n_nodes: int = 300, n_links: int = 2000):
     """Router nodes (some without geo) and random links between them.
 
-    Links are a ``(k, 3)`` int64 array of link id, a and b, as
-    ``parse_topology`` returns them.
+    Nodes are a ``NODE_DTYPE`` array and links a ``(k, 3)`` int64 array
+    of link id, a and b, as ``parse_topology`` returns them.
     """
     rng = random.Random(seed)
     nodes = []
@@ -134,7 +135,7 @@ def build_topology(seed: int = 11, n_nodes: int = 300, n_links: int = 2000):
                 lat=lat0 + rng.uniform(0.05, size - 0.05),
                 lon=lon0 + rng.uniform(0.05, size - 0.05),
             )
-        nodes.append(RouterNode(node_id=node_id, geo=geo))
+        nodes.append((node_id, math.nan, math.nan) if geo is None else (node_id, geo.lat, geo.lon))
     links = []
     for link_id in range(1, n_links + 1):
         a = rng.randint(1, n_nodes)
@@ -142,7 +143,15 @@ def build_topology(seed: int = 11, n_nodes: int = 300, n_links: int = 2000):
         while b == a:
             b = rng.randint(1, n_nodes)
         links.append((link_id, a, b))
-    return nodes, np.array(links, dtype=np.int64)
+    return np.array(nodes, dtype=NODE_DTYPE), np.array(links, dtype=np.int64)
+
+
+def node_geo(nodes) -> dict[int, GeoPoint | None]:
+    """Each node of a ``NODE_DTYPE`` array: its id and its point, None without geolocation."""
+    return {
+        node_id: None if math.isnan(lat) else GeoPoint(lat=lat, lon=lon)
+        for node_id, lat, lon in nodes.tolist()
+    }
 
 
 @pytest.fixture(scope="session")

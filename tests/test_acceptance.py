@@ -27,7 +27,8 @@ from netwattzap.errors import UnsatisfiableStructure
 from netwattzap.failure import FailureScenario, resolve_scenario, unavailability
 from netwattzap.geo import EARTH_RADIUS_KM, GeoPoint, haversine_km, point_in_region
 from netwattzap.grid_model import WasgRegion, aggregate_stats
-from netwattzap.overlap import categorize_links, distribution_report, resolve_components, resolve_router_zones
+from netwattzap.ingest import CleaningReport, ParsedTopology
+from netwattzap.overlap import distribution_report, resolve_components, tally_topology
 from netwattzap.placement import (
     Candidate,
     DemandPoint,
@@ -38,7 +39,7 @@ from netwattzap.placement import (
     solve_problem,
 )
 
-from conftest import build_cli_workspace, build_components, build_registry, build_stats, build_topology
+from conftest import build_cli_workspace, build_components, build_registry, build_stats, build_topology, node_geo
 
 
 def _criterion(num: int, name: str, budget_s: float, fn) -> None:
@@ -425,17 +426,17 @@ def test_criterion_07_counting_invariants():
         assert len(links) == 2000
 
         resolved = resolve_components(components, registry)
-        zones = resolve_router_zones(nodes, registry)
-        categorized = categorize_links(links, zones)
+        tally = tally_topology(ParsedTopology(nodes=nodes, links=links, report=CleaningReport()), registry)
         agg = aggregate_stats(registry, stats)
-        report = distribution_report(resolved, registry, stats=agg, tally=categorized)
+        report = distribution_report(resolved, registry, stats=agg, tally=tally)
 
         assert sum(report.link_categories.values()) == 2000
 
         expected_categories = {"both_mapped": 0, "one_mapped": 0, "none_mapped": 0}
         expected_pairs = {}
         expected_one_end = {}
-        node_zone = {n.node_id: (_brute_zone(n.geo, registry) if n.geo else None) for n in nodes}
+        node_points = node_geo(nodes)
+        node_zone = {n: (_brute_zone(p, registry) if p else None) for n, p in node_points.items()}
         for _, a, b in links.tolist():
             za, zb = node_zone[a], node_zone[b]
             mapped = (za is not None) + (zb is not None)
@@ -453,20 +454,18 @@ def test_criterion_07_counting_invariants():
         assert report.pair_counts == expected_pairs
         assert report.one_end_counts == expected_one_end
 
+        # Geolocated topology nodes count as routers beside the router components.
         kinds = ("ixp", "dns_root", "router", "datacenter", "demand_point")
+        located = [(c.kind, c.geo) for c in components] + [("router", p) for p in node_points.values() if p]
         for wasg_id in registry.ids:
             for kind in kinds:
-                expected = sum(
-                    1 for c in components if c.kind == kind and _brute_zone(c.geo, registry) == wasg_id
-                )
+                expected = sum(1 for k, p in located if k == kind and _brute_zone(p, registry) == wasg_id)
                 assert report.per_wasg[wasg_id][kind] == expected
         for kind in kinds:
-            expected = sum(
-                1 for c in components if c.kind == kind and _brute_zone(c.geo, registry) is None
-            )
+            expected = sum(1 for k, p in located if k == kind and _brute_zone(p, registry) is None)
             assert report.uncovered[kind] == expected
             zoned = sum(report.per_wasg[w][kind] for w in registry.ids)
-            assert zoned + report.uncovered[kind] == sum(1 for c in components if c.kind == kind)
+            assert zoned + report.uncovered[kind] == sum(1 for k, _ in located if k == kind)
 
     _criterion(7, "Synthetic-fixture counts equal brute-force recounts", 10.0, run)
 
@@ -565,8 +564,7 @@ def test_criterion_10_dataset_reproduction():
         base = Path(os.environ[DATASET_ENV])
         registry = load_registry(base / "wasg.geojson")
         topo = parse_topology(base / "itdk.nodes", base / "itdk.geo", base / "itdk.links")
-        zones = resolve_router_zones(topo.nodes, registry)
-        categorized = categorize_links(topo.links, zones)
+        categorized = tally_topology(topo, registry)
 
         # Table of link categories: 10.69 M / 19.71 M / 1.3 M.
         assert round(categorized.counts["both_mapped"] / 1e6, 2) == 10.69

@@ -107,15 +107,15 @@ class TestValidate:
 class TestOverlap:
     def test_each_point_resolved_once(self, workspace, tmp_path, monkeypatch):
         # 3 IXPs plus 3 geolocated routers: the routers feed both the links and
-        # the router components, from one resolution.
+        # the router counts, from one resolution.
         from netwattzap import overlap
 
         resolved = []
         resolve = overlap.RegionIndex.resolve
 
-        def counting(self, points):
-            resolved.append(len(points))
-            return resolve(self, points)
+        def counting(self, lons, lats):
+            resolved.append(len(lons))
+            return resolve(self, lons, lats)
 
         monkeypatch.setattr(overlap.RegionIndex, "resolve", counting)
         out = tmp_path / "report.json"
@@ -774,3 +774,39 @@ class TestFormatGuard:
         )
         assert code == 2
         assert "not supported" in capsys.readouterr().err
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("error", [MemoryError(), MemoryError("no room for 10^9 links")])
+    def test_memory_error_is_one_error_line(self, workspace, monkeypatch, capsys, error):
+        from netwattzap import cli
+
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "parse_topology", exhausted)
+        code = main(
+            [
+                "overlap",
+                "--wasg", str(workspace / "wasg.geojson"),
+                "--nodes", str(workspace / "topo.nodes"),
+                "--geo", str(workspace / "topo.geo"),
+                "--links", str(workspace / "topo.links"),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: MemoryError: {error}\n"
+
+    def test_other_exceptions_keep_their_traceback(self, workspace, monkeypatch):
+        from netwattzap import cli
+
+        def broken(*args, **kwargs):
+            raise KeyError("a bug")
+
+        monkeypatch.setattr(cli, "parse_topology", broken)
+        with pytest.raises(KeyError, match="a bug"):
+            main(["connectivity", "--wasg", str(workspace / "wasg.geojson"), "--nodes", str(workspace / "topo.nodes"),
+                  "--geo", str(workspace / "topo.geo"), "--links", str(workspace / "topo.links"),
+                  "--scenario", str(workspace / "scenario_regional.json")])

@@ -18,8 +18,8 @@ from netwattzap.failure import (
 )
 from netwattzap.geo import GeoPoint
 from netwattzap.grid_model import AdminStatRecord, WasgRegistry, aggregate_stats
-from netwattzap.ingest import InfraComponent
-from netwattzap.overlap import categorize_links, resolve_components, resolve_router_zones
+from netwattzap.ingest import NODE_DTYPE, CleaningReport, InfraComponent, ParsedTopology
+from netwattzap.overlap import resolve_components, tally_topology
 
 from conftest import square_region
 
@@ -143,25 +143,25 @@ class TestUnavailability:
         assert report.fractions["datacenter_zones"] == pytest.approx(1 / 3)
 
     def test_link_unavailability_rules(self, synthetic_registry):
-        from netwattzap.ingest import RouterNode
-
-        nodes = [
-            RouterNode(node_id=1, geo=GeoPoint(9.0, -146.0)),   # W00
-            RouterNode(node_id=2, geo=GeoPoint(9.0, -106.0)),   # W01
-            RouterNode(node_id=3, geo=GeoPoint(-40.0, -60.0)),  # ocean
-            RouterNode(node_id=4, geo=None),
-        ]
+        nodes = np.array([
+            (1, 9.0, -146.0),   # W00
+            (2, 9.0, -106.0),   # W01
+            (3, -40.0, -60.0),  # ocean
+            (4, np.nan, np.nan),
+        ], dtype=NODE_DTYPE)
         links = np.array([
             (1, 1, 2),  # both mapped, one end fails
             (2, 1, 3),  # one mapped (W00), fails with W00
             (3, 2, 3),  # one mapped (W01), survives
             (4, 3, 4),  # unmapped both ends, never fails
         ], dtype=np.int64)
-        zones = resolve_router_zones(nodes, synthetic_registry)
-        tally = categorize_links(links, zones)
+        tally = tally_topology(ParsedTopology(nodes=nodes, links=links, report=CleaningReport()), synthetic_registry)
         report = unavailability(regional("W00"), synthetic_registry, tally=tally)
         assert report.details["links"].unavailable == 2
         assert report.fractions["links"] == pytest.approx(2 / 4)
+        # Three geolocated routers, one in W00 and one in open ocean.
+        routers = report.details["routers"]
+        assert (routers.unavailable, routers.total, routers.zoned_total) == (1, 3, 2)
 
     def test_superset_monotonicity(self, synthetic_registry, synthetic_components, synthetic_stats):
         components = resolve_components(synthetic_components, synthetic_registry)

@@ -8,11 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netwattzap.errors import DanglingLinkEndpoint, MalformedLine, MalformedRow, NetWattZapError
 from netwattzap.ingest import (
+    NODE_DTYPE,
     parse_components,
     parse_stats,
     parse_topology,
@@ -45,9 +46,9 @@ link L5: N1 N99
 class TestParseTopology:
     def test_cleaning_pipeline(self):
         topo = parse_topology(io.StringIO(NODES), io.StringIO(GEO), io.StringIO(LINKS))
-        by_id = {n.node_id: n for n in topo.nodes}
         # N2 keeps one interface, N3 loses its only interface and drops.
-        assert sorted(by_id) == [1, 2, 4]
+        assert topo.nodes.dtype == NODE_DTYPE
+        assert topo.nodes["id"].tolist() == [1, 2, 4]
         assert topo.report.input_nodes == 4
         assert topo.report.removed_nodes == 1
         assert topo.report.removed_interfaces == 2
@@ -72,19 +73,19 @@ class TestParseTopology:
 
     def test_geo_attachment_and_unknown_geo(self):
         topo = parse_topology(io.StringIO(NODES), io.StringIO(GEO), io.StringIO(LINKS))
-        by_id = {n.node_id: n for n in topo.nodes}
-        assert by_id[1].geo.lat == pytest.approx(32.78)
-        assert by_id[4].geo is None
+        assert topo.nodes.tolist()[:2] == [(1, 32.78, -96.80), (2, 52.52, 13.40)]
+        # N4 has no geolocation.
+        assert np.isnan(topo.nodes[2]["lat"]) and np.isnan(topo.nodes[2]["lon"])
         # N3's geo line targets a dropped node.
         assert topo.report.geo_for_unknown_nodes == 1
 
     def test_cleaning_idempotent(self):
         topo = parse_topology(io.StringIO(NODES), io.StringIO(GEO), io.StringIO(LINKS))
         # Interface strings are not kept: write each kept node with one unicast address.
-        nodes_text = "\n".join(f"node N{n.node_id}: 10.0.0.{n.node_id}" for n in topo.nodes)
+        nodes_text = "\n".join(f"node N{node_id}: 10.0.0.{node_id}" for node_id in topo.nodes["id"].tolist())
         links_text = "\n".join(f"link L{link_id}: N{a} N{b}" for link_id, a, b in topo.links.tolist())
         again = parse_topology(io.StringIO(nodes_text), None, io.StringIO(links_text))
-        assert [n.node_id for n in again.nodes] == [n.node_id for n in topo.nodes]
+        assert again.nodes["id"].tolist() == topo.nodes["id"].tolist()
         assert again.links.tolist() == topo.links.tolist()
         assert again.report.removed_interfaces == 0
         assert again.report.removed_nodes == 0
@@ -109,7 +110,7 @@ class TestParseTopology:
 
     def test_ipv6_passthrough(self):
         topo = parse_topology(io.StringIO("node N1: 2001:db8::1 1.2.3.4\nnode N2: 2001:db8::2"), None, None)
-        assert [n.node_id for n in topo.nodes] == [1, 2]
+        assert topo.nodes["id"].tolist() == [1, 2]
         assert topo.report.ipv6_interfaces == 2
         assert topo.links.shape == (0, 3)
 
@@ -149,7 +150,7 @@ class TestParseTopology:
     def test_tab_separated_geo_with_spaced_city(self):
         geo = "node.geo N1:\tNA\tUS\tNY\tNew York\t40.71\t-74.00\textra"
         topo = parse_topology(io.StringIO("node N1: 1.2.3.4"), io.StringIO(geo), None)
-        assert topo.nodes[0].geo.lon == pytest.approx(-74.0)
+        assert topo.nodes.tolist() == [(1, 40.71, -74.0)]
 
 
 COMPONENTS_CSV = """\
@@ -267,8 +268,22 @@ TEXTS = st.one_of(st.text(), st.lists(st.one_of(FRAGMENTS, st.text(max_size=3)))
 VALID_NODES = "node N1: 1.2.3.4\nnode N2: 2.3.4.5\nnode N3: 224.0.0.1\n"
 
 
+# Numbers with more digits than int() converts; random text does not reach them.
+HUGE_NUMBERS = {
+    "node_id": ("node N1: 1.2.3.4\nnode N" + "9" * 5000 + ": 1.2.3.4\n", "nodes"),
+    "link_endpoint": ("link L1: N1 N2\nlink L2: N1 N" + "9" * 5000 + "\n", "links"),
+    "zero_padded_node_id": ("node N1: 1.2.3.4\nnode N" + "0" * 4999 + "1: 1.2.3.4\n", "nodes"),
+    "attrs_json": ("id,kind,lat,lon,weight,attrs_json\nc1,ixp,1,2,,{}\nc2,ixp,1,2,,\"{\"\"n\"\": " + "9" * 5000 + "}\"\n",
+                   "components"),
+}
+
+
 @settings(max_examples=200, deadline=None)
 @given(text=TEXTS, role=st.sampled_from(["nodes", "geo", "links", "components", "stats"]), strict=st.booleans())
+@example(text=HUGE_NUMBERS["node_id"][0], role="nodes", strict=False)
+@example(text=HUGE_NUMBERS["link_endpoint"][0], role="links", strict=False)
+@example(text=HUGE_NUMBERS["zero_padded_node_id"][0], role="nodes", strict=False)
+@example(text=HUGE_NUMBERS["attrs_json"][0], role="components", strict=False)
 def test_text_parsers_return_or_raise_their_error(text, role, strict):
     """On any text file each parser returns or raises a NetWattZapError."""
     with tempfile.TemporaryDirectory() as folder:
@@ -287,3 +302,23 @@ def test_text_parsers_return_or_raise_their_error(text, role, strict):
                 parse_topology(*sources[role], strict=strict)
         except NetWattZapError:
             pass
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_NUMBERS))
+def test_huge_number_names_its_line(case, tmp_path):
+    text, role = HUGE_NUMBERS[case]
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    nodes = tmp_path / "nodes.txt"
+    nodes.write_text(VALID_NODES, encoding="utf-8")
+    error = MalformedRow if role == "components" else MalformedLine
+    with pytest.raises(error) as err:
+        if role == "components":
+            parse_components(path)
+        else:
+            parse_topology(*((path, None, None) if role == "nodes" else (nodes, None, path)))
+    if role == "components":
+        assert err.value.rowno == 3
+    else:
+        assert err.value.lineno == 2
+        assert str(err.value).endswith(" of 5000 digits is too long")

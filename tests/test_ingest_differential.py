@@ -2,9 +2,9 @@
 
 Link files given as a path or a text file are scanned in chunks, and
 node interfaces that are dotted quads skip ``ipaddress``. On random ITDK
-text both parsers must give the same nodes, the same link array bytes,
-dtype and shape, the same cleaning report, and the same exception type
-and message. The text mixes lines the chunk scan takes (plain links,
+text both parsers must give the same node and link array bytes, dtypes
+and shapes, the same cleaning report, and the same exception type and
+message. The text mixes lines the chunk scan takes (plain links,
 hyperedges, ASCII annotations, comments, blanks) with lines only the
 per-line parser handles (19- and 20-digit ids, Unicode digits and
 spaces, ``XN5`` references, leading form feeds, malformed lines), and
@@ -140,7 +140,13 @@ def link_text(draw) -> str:
     return "".join(line + end for line, end in zip(lines, ends))
 
 
-GEO_TEXT = st.sampled_from([None, "node.geo N1: NA US TX Dallas 32.78 -96.80\nnode.geo N6: EU DE BE Berlin 52.5 13.4\n"])
+GEO_TEXT = st.sampled_from([
+    None,
+    "node.geo N1: NA US TX Dallas 32.78 -96.80\nnode.geo N6: EU DE BE Berlin 52.5 13.4\n",
+    # A repeated node: its last line wins.
+    "node.geo N2: NA US TX Dallas 32.78 -96.80\nnode.geo N1: EU DE BE Berlin 52.5 13.4\n"
+    "node.geo N2: AS JP 13 Tokyo 35.69 139.69\n",
+])
 
 
 def _sources(form: str, texts: list[str | None], folder: Path) -> list:
@@ -165,8 +171,8 @@ def _outcome(parse, form: str, texts: list[str | None], strict: bool):
             topo = parse(*_sources(form, texts, Path(folder)), strict=strict)
         except Exception as exc:  # the exception itself is the outcome compared
             return type(exc), str(exc), getattr(exc, "lineno", None)
-    nodes = [(n.node_id, None if n.geo is None else (n.geo.lat, n.geo.lon)) for n in topo.nodes]
-    return nodes, topo.links.tobytes(), topo.links.dtype, topo.links.shape, dataclasses.asdict(topo.report)
+    arrays = [(a.tobytes(), a.dtype, a.shape) for a in (topo.nodes, topo.links)]
+    return arrays, dataclasses.asdict(topo.report)
 
 
 EXAMPLE_NODES = "node N1: 1.1.1.1\nnode N2: 2.2.2.2\nnode N3: 3.3.3.3\n"
@@ -181,6 +187,16 @@ EXAMPLE_NODES = "node N1: 1.1.1.1\nnode N2: 2.2.2.2\nnode N3: 3.3.3.3\n"
 # Strict mode names the first dangling link of a chunk, and its a end before b.
 @example(nodes=EXAMPLE_NODES, geo=None, links="link L1: N1 N2\nlink L2: N6 N99\nlink L3: N1 N98\n", strict=True,
          form="stringio", chunk=ingest._CHUNK_CHARS)
+# Ids with more digits than int() converts: a node id, a second link
+# endpoint, a node id that is 1 after 4,999 zeros, and a geo line's id.
+@example(nodes=EXAMPLE_NODES + "node N" + "9" * 5000 + ": 1.2.3.4\n", geo=None, links=None, strict=False,
+         form="path", chunk=ingest._CHUNK_CHARS)
+@example(nodes=EXAMPLE_NODES, geo=None, links="link L1: N1 N2\nlink L2: N1 N" + "9" * 5000 + "\n", strict=False,
+         form="path", chunk=ingest._CHUNK_CHARS)
+@example(nodes="node N" + "0" * 4999 + "1: 1.2.3.4\n", geo=None, links=None, strict=True, form="list",
+         chunk=ingest._CHUNK_CHARS)
+@example(nodes=EXAMPLE_NODES, geo="node.geo N" + "9" * 5000 + ": NA US TX Dallas 32.78 -96.80\n", links=None,
+         strict=False, form="stringio", chunk=ingest._CHUNK_CHARS)
 @given(
     nodes=node_text(),
     geo=GEO_TEXT,

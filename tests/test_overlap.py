@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import logging
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,28 +28,39 @@ from netwattzap.grid_model import (
     load_registry,
     registry_to_geojson,
 )
-from netwattzap.ingest import InfraComponent, parse_topology
+from netwattzap import overlap
+from netwattzap.ingest import NODE_DTYPE, CleaningReport, InfraComponent, ParsedTopology, parse_topology
 from netwattzap.overlap import (
     RegionIndex,
     az_collapse,
     categorize_links,
-    components_from_router_nodes,
     distribution_report,
     resolve_components,
-    resolve_router_zones,
     sample_polygon_overlap,
     smallest_k,
+    tally_topology,
 )
 
-from conftest import build_registry, square_region
+from conftest import build_registry, node_geo, square_region
 
 
-def brute_force_zone(point: GeoPoint, registry) -> str | None:
-    """Independent recount: scan every region, smallest area wins."""
-    hits = [r for r in registry if r.boundary and point_in_region(point, r)]
+def brute_force_zone(point: GeoPoint | None, registry) -> str | None:
+    """Independent recount: scan every region, smallest area wins; None without a point."""
+    hits = [r for r in registry if point is not None and r.boundary and point_in_region(point, r)]
     if not hits:
         return None
     return min(hits, key=lambda r: (r.area_km2, r.id)).id
+
+
+def resolve_points(points, registry) -> list[str | None]:
+    """``RegionIndex.resolve`` of GeoPoints, as zone ids."""
+    index = RegionIndex(registry)
+    codes = index.resolve(np.array([p.lon for p in points]), np.array([p.lat for p in points]))
+    return [index.zone_ids[k] if k >= 0 else None for k in codes.tolist()]
+
+
+def topology(nodes, links) -> ParsedTopology:
+    return ParsedTopology(nodes=nodes, links=links, report=CleaningReport())
 
 
 class TestResolveComponents:
@@ -127,6 +139,14 @@ def recount_unavailable_links(links, node_zones, failed):
     return unavailable, len(links), zoned
 
 
+def categorize(links, node_zones):
+    """``categorize_links`` with each node's zone given by a dict of node id to zone id or None."""
+    zone_ids = sorted({zone for zone in node_zones.values() if zone is not None})
+    node_ids = sorted(node_zones)
+    codes = [-1 if node_zones[n] is None else zone_ids.index(node_zones[n]) for n in node_ids]
+    return categorize_links(links, np.array(node_ids, dtype=np.int64), np.array(codes, dtype=np.int64), zone_ids)
+
+
 def tally_of(zone_pairs):
     """Tally of one link per (zone_a, zone_b), each between two fresh nodes."""
     node_zones = {}
@@ -134,7 +154,7 @@ def tally_of(zone_pairs):
     for i, (za, zb) in enumerate(zone_pairs, start=1):
         node_zones[2 * i], node_zones[2 * i + 1] = za, zb
         links.append((i, 2 * i, 2 * i + 1))
-    return categorize_links(np.array(links, dtype=np.int64), node_zones)
+    return categorize(np.array(links, dtype=np.int64), node_zones)
 
 
 TALLY_ZONES = ("G0", "G1", "G2", "G3")
@@ -143,30 +163,31 @@ TALLY_ZONES = ("G0", "G1", "G2", "G3")
 class TestCategorizeLinks:
     def test_categories(self, synthetic_registry, synthetic_topology):
         nodes, links = synthetic_topology
-        zones = resolve_router_zones(nodes, synthetic_registry)
-        result = categorize_links(links, zones)
+        zones = {n: brute_force_zone(p, synthetic_registry) for n, p in node_geo(nodes).items()}
+        result = tally_topology(topology(nodes, links), synthetic_registry)
         assert sum(result.counts.values()) == len(links)
         assert (result.counts, result.pairs, result.one_end) == recount_links(links, zones)
         # Plain ints: json cannot write numpy integers.
-        assert all(type(v) is int for d in (result.counts, result.pairs, result.one_end) for v in d.values())
+        values = [*result.counts.values(), *result.pairs.values(), *result.one_end.values(), *result.routers.values()]
+        assert all(type(v) is int for v in [*values, result.routers_unzoned])
 
     def test_unknown_node(self, synthetic_registry, synthetic_topology):
         nodes, links = synthetic_topology
-        zones = resolve_router_zones(nodes[:10], synthetic_registry)
+        known = set(nodes["id"][:10].tolist())
         # The first missing endpoint in link order, a before b.
-        link_id, node_id = next((lid, n) for lid, a, b in links.tolist() for n in (a, b) if n not in zones)
+        link_id, node_id = next((lid, n) for lid, a, b in links.tolist() for n in (a, b) if n not in known)
         with pytest.raises(UnknownNode, match=rf"^link L{link_id} references unknown node N{node_id}$"):
-            categorize_links(links, zones)
+            tally_topology(topology(nodes[:10], links), synthetic_registry)
 
     def test_empty_node_zones(self):
         links = np.array([(7, 1, 2)], dtype=np.int64)
         with pytest.raises(UnknownNode, match=r"^link L7 references unknown node N1$"):
-            categorize_links(links, {})
+            categorize(links, {})
 
     def test_zero_links(self, synthetic_registry):
         topo = parse_topology(["node N1: 1.2.3.4", "node N2: 2.3.4.5"], None, ["link L1: N1 N1"])
         assert topo.links.shape == (0, 3)
-        tally = categorize_links(topo.links, resolve_router_zones(topo.nodes, synthetic_registry))
+        tally = tally_topology(topo, synthetic_registry)
         assert tally.counts == {"both_mapped": 0, "one_mapped": 0, "none_mapped": 0}
         assert (tally.pairs, tally.one_end) == ({}, {})
         scenario = FailureScenario(name="t", mode="regional", failed=frozenset({"W00"}))
@@ -181,7 +202,7 @@ class TestCategorizeLinks:
         ends = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(lambda e: e[0] != e[1])
         drawn = data.draw(st.lists(ends, max_size=30))
         links = np.array([(i, a, b) for i, (a, b) in enumerate(drawn)], dtype=np.int64).reshape(-1, 3)
-        tally = categorize_links(links, node_zones)
+        tally = categorize(links, node_zones)
         assert (tally.counts, tally.pairs, tally.one_end) == recount_links(links, node_zones)
 
         registry = WasgRegistry(
@@ -282,33 +303,26 @@ class TestDistributionReport:
         self, synthetic_registry, synthetic_components, synthetic_topology, synthetic_stats
     ):
         nodes, links = synthetic_topology
-        zones = resolve_router_zones(nodes, synthetic_registry)
-        categorized = categorize_links(links, zones)
+        categorized = tally_topology(topology(nodes, links), synthetic_registry)
         agg = aggregate_stats(synthetic_registry, synthetic_stats)
         resolved = resolve_components(synthetic_components, synthetic_registry)
         report = distribution_report(resolved, synthetic_registry, stats=agg, tally=categorized)
 
-        # Brute-force recount of every per-grid/kind cell from raw inputs.
+        # Brute-force recount of every per-grid/kind cell from raw inputs;
+        # geolocated topology nodes count as routers.
+        node_points = node_geo(nodes)
+        points = [(c.kind, c.geo) for c in synthetic_components]
+        points += [("router", p) for p in node_points.values() if p is not None]
         for wasg_id in synthetic_registry.ids:
             for kind in ("ixp", "dns_root", "router", "datacenter", "demand_point"):
-                expected = sum(
-                    1
-                    for c in synthetic_components
-                    if c.kind == kind and brute_force_zone(c.geo, synthetic_registry) == wasg_id
-                )
+                expected = sum(1 for k, p in points if k == kind and brute_force_zone(p, synthetic_registry) == wasg_id)
                 assert report.per_wasg[wasg_id][kind] == expected
         for kind in ("ixp", "dns_root", "router", "datacenter", "demand_point"):
-            expected = sum(
-                1
-                for c in synthetic_components
-                if c.kind == kind and brute_force_zone(c.geo, synthetic_registry) is None
-            )
+            expected = sum(1 for k, p in points if k == kind and brute_force_zone(p, synthetic_registry) is None)
             assert report.uncovered[kind] == expected
 
         # Link categories from scratch.
-        node_zone = {
-            n.node_id: (brute_force_zone(n.geo, synthetic_registry) if n.geo else None) for n in nodes
-        }
+        node_zone = {n: brute_force_zone(p, synthetic_registry) for n, p in node_points.items()}
         expected_counts = {"both_mapped": 0, "one_mapped": 0, "none_mapped": 0}
         expected_pairs: dict[tuple[str, str], int] = {}
         expected_one_end: dict[str, int] = {}
@@ -330,11 +344,14 @@ class TestDistributionReport:
         assert report.pair_counts == expected_pairs
         assert report.one_end_counts == expected_one_end
 
-    def test_router_components_from_nodes(self, synthetic_topology):
-        nodes, _ = synthetic_topology
-        comps = components_from_router_nodes(nodes)
-        assert all(c.kind == "router" for c in comps)
-        assert len(comps) == sum(1 for n in nodes if n.geo is not None)
+    def test_router_counts_from_topology(self, synthetic_registry, synthetic_topology):
+        nodes, links = synthetic_topology
+        tally = tally_topology(topology(nodes, links), synthetic_registry)
+        located = sum(1 for p in node_geo(nodes).values() if p is not None)
+        assert 0 < located < len(nodes)
+        assert sum(tally.routers.values()) + tally.routers_unzoned == located
+        report = distribution_report([], synthetic_registry, tally=tally)
+        assert sum(m["router"] for m in report.per_wasg.values()) + report.uncovered["router"] == located
 
 
 class TestPolygonOverlapSampler:
@@ -425,7 +442,7 @@ class TestBatchResolutionDifferential:
         for region in registry:
             expected = [point_in_region(p, region) for p in points]
             assert RegionEdges(region).contains(lons, lats).tolist() == expected
-        assert RegionIndex(registry).resolve(points) == [brute_force_zone(p, registry) for p in points]
+        assert resolve_points(points, registry) == [brute_force_zone(p, registry) for p in points]
 
     @pytest.mark.parametrize("source", ["tuples", "json"])
     def test_edges_are_views_of_the_region_rings(self, source):
@@ -446,7 +463,7 @@ class TestBatchResolutionDifferential:
         monkeypatch.setattr(geo, "BLOCK_ELEMENTS", 20)
         registry = WasgRegistry([square_region("A", "A", 0.0, 0.0, 2.0), square_region("B", "B", 1.0, 1.0, 2.0)])
         points = [GeoPoint(lat=i * 0.25 - 0.5, lon=j * 0.25 - 0.5) for i in range(17) for j in range(17)]
-        assert RegionIndex(registry).resolve(points) == [brute_force_zone(p, registry) for p in points]
+        assert resolve_points(points, registry) == [brute_force_zone(p, registry) for p in points]
 
     def test_sampler_matches_scalar_recount(self):
         ring = ((0.0, 0.0), (6.0, 0.0), (6.0, 6.0), (0.0, 6.0), (0.0, 0.0))
@@ -497,3 +514,104 @@ class TestBandOverlapRecount:
                 for _, lat in ring.tolist()
             )
             assert band_overlap(region, threshold) is expected
+
+
+def expected_warning(points, registry) -> str | None:
+    """The ambiguity warning recounted point by point, as if each point were resolved on its own.
+
+    Regions go smallest (area, id) first; a point already inside an
+    earlier region is ambiguous, and each region lists the pairs of its
+    first three ambiguous points in input order, three pairs in all.
+    """
+    regions = sorted((r for r in registry if r.boundary), key=lambda r: (r.area_km2, r.id))
+    zone: list[str | None] = [None] * len(points)
+    ambiguous: set[int] = set()
+    pairs: list[str] = []
+    for region in regions:
+        taken = []
+        for i, point in enumerate(points):
+            if point_in_region(point, region):
+                if zone[i] is None:
+                    zone[i] = region.id
+                else:
+                    taken.append(i)
+        ambiguous.update(taken)
+        for i in taken[:3]:
+            pair = f"{zone[i]}/{region.id}"
+            if len(pairs) < 3 and pair not in pairs:
+                pairs.append(pair)
+    if not ambiguous:
+        return None
+    return (
+        f"{len(ambiguous)} point(s) inside several regions, each resolved to its smallest-area region "
+        f"(e.g. {', '.join(pairs)})"
+    )
+
+
+def recount_topology(nodes, links, registry):
+    """Per router and per link: the tally's five fields, from point_in_region alone."""
+    points = node_geo(nodes)
+    zone = {n: brute_force_zone(p, registry) for n, p in points.items()}
+    located = [n for n, p in points.items() if p is not None]
+    routers: dict[str, int] = {}
+    for n in located:
+        if zone[n] is not None:
+            routers[zone[n]] = routers.get(zone[n], 0) + 1
+    unzoned = sum(1 for n in located if zone[n] is None)
+    return (*recount_links(links, zone), routers, unzoned)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestTallyTopologyRecount:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_router_recount(self, data):
+        registry = data.draw(_registries(), label="registry")
+        # A few points, on vertices and edges among others, shared by many routers.
+        pool = data.draw(st.lists(_points(registry), min_size=1, max_size=6), label="pool")
+        ids = sorted(data.draw(st.sets(st.integers(0, 2**63 - 1), min_size=2, max_size=25), label="ids"))
+        rows = []
+        for node_id in ids:
+            point = data.draw(st.one_of(st.none(), st.sampled_from(pool)))
+            rows.append((node_id, np.nan, np.nan) if point is None else (node_id, point.lat, point.lon))
+        nodes = np.array(rows, dtype=NODE_DTYPE)
+        ends = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda e: e[0] != e[1])
+        drawn = data.draw(st.lists(ends, max_size=30), label="links")
+        links = np.array([(i, a, b) for i, (a, b) in enumerate(drawn)], dtype=np.int64).reshape(-1, 3)
+
+        with mock.patch.object(overlap.logger, "warning") as warning:
+            tally = tally_topology(topology(nodes, links), registry)
+        got = (tally.counts, tally.pairs, tally.one_end, tally.routers, tally.routers_unzoned)
+        assert got == recount_topology(nodes, links, registry)
+
+        message = expected_warning([p for p in node_geo(nodes).values() if p is not None], registry)
+        if message is None:
+            warning.assert_not_called()
+        else:
+            warning.assert_called_once()
+            assert warning.call_args.args[0] % warning.call_args.args[1:] == message
+
+    def test_ambiguity_warning_is_unchanged(self, caplog):
+        # Nested overlaps: p inside A, B and C, q inside B and C, r inside A and C.
+        registry = WasgRegistry([
+            square_region("C", "C", -1.0, -1.0, 6.0),
+            square_region("A", "A", 0.0, 0.0, 2.0),
+            square_region("B", "B", 1.0, 1.0, 2.5),
+        ])
+        p, q, r, alone = (1.5, 1.5), (3.0, 3.0), (0.5, 0.5), (4.5, 4.5)
+        cases = [
+            # Pairs in first-occurrence order: B/C (from q) comes before A/C.
+            ([q, p, p, p, r, q, alone, None],
+             "6 point(s) inside several regions, each resolved to its smallest-area region (e.g. A/B, B/C, A/C)"),
+            # C's first three ambiguous points are all p: B/C is not listed.
+            ([p, p, p, q, q, r],
+             "6 point(s) inside several regions, each resolved to its smallest-area region (e.g. A/B, A/C)"),
+        ]
+        for points, message in cases:
+            rows = [(i, *(point or (np.nan, np.nan))) for i, point in enumerate(points, start=1)]
+            nodes = np.array(rows, dtype=NODE_DTYPE)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="netwattzap.overlap"):
+                tally = tally_topology(topology(nodes, np.empty((0, 3), dtype=np.int64)), registry)
+            assert [rec.getMessage() for rec in caplog.records if rec.name == "netwattzap.overlap"] == [message]
+            assert sum(tally.routers.values()) == sum(1 for point in points if point)

@@ -1,10 +1,13 @@
 """Slow reference topology parser: the per-line parser of every file.
 
 This is ``netwattzap.ingest.parse_topology`` as it was before link files
-were scanned in chunks and node interfaces got a dotted-quad fast path,
-kept as written. The differential tests hold the library to it: same
-nodes, same link array bytes, same cleaning report, and the same
-exception type and message (line number included) on bad input.
+were scanned in chunks, node interfaces got a dotted-quad fast path and
+geolocation went from a dict of points to columns, kept as written but
+for two changes: an id with more digits than ``int()`` converts raises
+``MalformedLine``, and the nodes are returned as a ``NODE_DTYPE`` array.
+The differential tests hold the library to it: same node array bytes,
+same link array bytes, same cleaning report, and the same exception type
+and message (line number included) on bad input.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from netwattzap.errors import DanglingLinkEndpoint, MalformedLine
 from netwattzap.geo import GeoPoint
-from netwattzap.ingest import GEO_LAT_COL, GEO_LON_COL, MAX_ID, CleaningReport, ParsedTopology, RouterNode
+from netwattzap.ingest import GEO_LAT_COL, GEO_LON_COL, MAX_ID, NODE_DTYPE, CleaningReport, ParsedTopology
 
 logger = logging.getLogger(__name__)
 
@@ -71,6 +74,13 @@ def _classify_interface(token: str, lineno: int) -> str:
     return "keep"
 
 
+def _int(digits: str, lineno: int, what: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        raise MalformedLine(lineno, f"{what} of {len(digits)} digits is too long") from None
+
+
 def parse_topology(nodes_source, geo_source=None, links_source=None, *, strict: bool = False) -> ParsedTopology:
     """Parse ITDK-style nodes/geo/links files and apply the cleaning rules.
 
@@ -92,7 +102,7 @@ def parse_topology(nodes_source, geo_source=None, links_source=None, *, strict: 
         m = _NODE_RE.match(line)
         if not m:
             raise MalformedLine(lineno, f"expected 'node N<id>: ...', got {line!r}")
-        node_id = int(m.group(1))
+        node_id = _int(m.group(1), lineno, "node id")
         if node_id > MAX_ID:
             raise MalformedLine(lineno, f"node id N{node_id} above {MAX_ID}")
         if node_id in declared_nodes:
@@ -122,7 +132,7 @@ def parse_topology(nodes_source, geo_source=None, links_source=None, *, strict: 
             m = _GEO_RE.match(line)
             if not m:
                 raise MalformedLine(lineno, f"expected 'node.geo N<id>: ...', got {line!r}")
-            node_id = int(m.group(1))
+            node_id = _int(m.group(1), lineno, "node id")
             rest = m.group(2)
             fields = rest.split("\t") if "\t" in rest else rest.split()
             try:
@@ -145,14 +155,14 @@ def parse_topology(nodes_source, geo_source=None, links_source=None, *, strict: 
             m = _LINK_RE.match(line)
             if not m:
                 raise MalformedLine(lineno, f"expected 'link L<id>: ...', got {line!r}")
-            link_id = int(m.group(1))
+            link_id = _int(m.group(1), lineno, "link id")
             if link_id > MAX_ID:
                 raise MalformedLine(lineno, f"link id L{link_id} above {MAX_ID}")
             report.input_links += 1
             refs = _NODE_REF_RE.findall(m.group(2))
             if len(refs) < 2:
                 raise MalformedLine(lineno, "link needs at least two node references")
-            a, b = int(refs[0]), int(refs[1])
+            a, b = _int(refs[0], lineno, "node reference"), _int(refs[1], lineno, "node reference")
             if a == b:
                 report.self_links += 1
                 continue
@@ -170,6 +180,10 @@ def parse_topology(nodes_source, geo_source=None, links_source=None, *, strict: 
                 continue
             flat.extend((link_id, a, b))
 
-    nodes = [RouterNode(node_id=nid, geo=geo_by_node.get(nid)) for nid in sorted(kept_nodes)]
+    rows = []
+    for nid in sorted(kept_nodes):
+        point = geo_by_node.get(nid)
+        rows.append((nid, np.nan, np.nan) if point is None else (nid, point.lat, point.lon))
+    nodes = np.array(rows, dtype=NODE_DTYPE)
     links = np.frombuffer(flat, dtype=np.int64).reshape(-1, 3)
     return ParsedTopology(nodes=nodes, links=links, report=report)
