@@ -154,63 +154,42 @@ def _load_inputs(args, registry):
 def cmd_validate(args) -> int:
     violations: list[str] = []
     warnings: list[str] = []
-    registry = None
 
-    if args.wasg:
+    def check(load, where: str = ""):
+        """``load()``, or None with its error recorded as a violation."""
         try:
-            registry = load_registry(args.wasg)
-        except NetWattZapError as exc:
-            violations.append(f"{type(exc).__name__}: {exc}")
-        if registry is not None:
-            sample = overlap_mod.sample_polygon_overlap(registry, seed=args.seed)
-            warnings.extend(sample.warnings)
+            return load()
+        except (NetWattZapError, OSError, ValueError) as exc:
+            violations.append(f"{type(exc).__name__}: {where}{exc}")
+            return None
 
-    records = None
-    if args.stats:
-        try:
-            records = parse_stats(args.stats)
-        except NetWattZapError as exc:
-            violations.append(f"{type(exc).__name__}: {exc}")
-        if records is not None and registry is not None:
-            agg = aggregate_stats(registry, records, strict=False)
-            if agg.missing_codes:
-                warnings.append(f"member codes without statistics: {', '.join(agg.missing_codes)}")
+    registry = check(lambda: load_registry(args.wasg)) if args.wasg else None
+    if registry is not None:
+        warnings.extend(overlap_mod.sample_polygon_overlap(registry, seed=args.seed).warnings)
 
-    try:
-        specs = _parse_component_specs(args.components)
-    except ValueError as exc:
-        violations.append(f"ValueError: {exc}")
-        specs = []
-    for kind, path in specs:
-        try:
-            parsed = parse_components(path, kind=kind)
-        except (NetWattZapError, OSError) as exc:
-            violations.append(f"{type(exc).__name__}: {path}: {exc}")
-            continue
-        for rowno, reason in parsed.skipped:
+    records = check(lambda: parse_stats(args.stats)) if args.stats else None
+    if records is not None and registry is not None:
+        agg = aggregate_stats(registry, records, strict=False)
+        if agg.missing_codes:
+            warnings.append(f"member codes without statistics: {', '.join(agg.missing_codes)}")
+
+    for kind, path in check(lambda: _parse_component_specs(args.components)) or []:
+        parsed = check(lambda: parse_components(path, kind=kind), where=f"{path}: ")
+        for rowno, reason in parsed.skipped if parsed else []:
             warnings.append(f"{path}: row {rowno} skipped ({reason})")
 
     if args.nodes:
-        try:
-            topo = parse_topology(args.nodes, args.geo, args.links, strict=args.strict)
-            if topo.report.dangling_links:
-                warnings.append(f"{topo.report.dangling_links} links reference undefined nodes")
-        except (NetWattZapError, OSError) as exc:
-            violations.append(f"{type(exc).__name__}: {exc}")
+        topo = check(lambda: parse_topology(args.nodes, args.geo, args.links, strict=args.strict))
+        if topo is not None and topo.report.dangling_links:
+            warnings.append(f"{topo.report.dangling_links} links reference undefined nodes")
 
     if args.scenario:
-        try:
-            scenario = failure_mod.load_scenario(args.scenario)
-            if registry is not None:
-                failure_mod.resolve_scenario(scenario, registry)
-        except (NetWattZapError, ValueError) as exc:
-            violations.append(f"{type(exc).__name__}: {exc}")
+        scenario = check(lambda: failure_mod.load_scenario(args.scenario))
+        if scenario is not None and registry is not None:
+            check(lambda: failure_mod.resolve_scenario(scenario, registry))
 
     if args.problem:
-        try:
-            load_problem(args.problem)
-        except NetWattZapError as exc:
-            violations.append(f"{type(exc).__name__}: {exc}")
+        check(lambda: load_problem(args.problem))
 
     report = {
         "violations": sorted(violations),
@@ -264,17 +243,18 @@ def cmd_overlap(args) -> int:
     registry = load_registry(args.wasg)
     components, tally, stats = _load_inputs(args, registry)
     report = overlap_mod.distribution_report(components, registry, stats=stats, tally=tally)
-    if args.format == "csv":
-        _emit(_overlap_report_csv(report), args.out)
-    else:
-        _emit_json(_overlap_report_dict(report), args.out)
-    if args.cumulative is not None:
+    if args.cumulative is not None:  # checked before any output is written
         if not args.metric:
             raise ValueError("--cumulative requires --metric")
         metric = _METRIC_ALIASES.get(args.metric, args.metric)
         if metric not in report.rankings:
             raise ValueError(f"unknown metric {args.metric!r}; have {sorted(report.rankings)}")
         k = overlap_mod.smallest_k(report, metric, args.cumulative)
+    if args.format == "csv":
+        _emit(_overlap_report_csv(report), args.out)
+    else:
+        _emit_json(_overlap_report_dict(report), args.out)
+    if args.cumulative is not None:
         print(f"smallest k with cumulative {args.metric} >= {args.cumulative}: {k}")
     return 0
 

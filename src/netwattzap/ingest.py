@@ -6,13 +6,14 @@ multicast-range (224.0.0.0-239.255.255.255) interfaces, drops nodes
 left without interfaces, and drops links whose endpoints disappeared;
 every removal is counted so input totals reconcile exactly.
 
-Node, geo and CSV parsers stream their input line by line. Link files
-given as a path or a text file are scanned in chunks of about 16 KiB:
-one regular expression finds every plain link line of a chunk and numpy
-sorts its links into kept, removed, self and dangling. A chunk with any
-other line (ids of 19 or more digits, non-ASCII text, malformed lines)
-goes through the per-line link parser instead, which is exact and the
-only one, so every count and error line number is the same either way.
+Node, geo and CSV parsers stream their input line by line; declared and
+kept node ids are sorted int64 arrays. Link files given as a path or a
+text file are scanned in chunks of about 16 KiB, one regular expression
+turning each plain link line into a row of link id and ends; a chunk
+with any other line (ids of 19 or more digits, non-ASCII text, malformed
+lines) goes through the per-line link parser, which only parses too.
+``_LinkSorter._sort_rows`` alone sorts the rows into kept, removed, self
+and dangling links, so every count and error is the same either way.
 Kept nodes and links are data, not objects, 24 bytes each: node id,
 latitude and longitude in ``ParsedTopology.nodes`` (NaN without
 geolocation), link id and endpoints in the ``(k, 3)`` int64
@@ -173,9 +174,7 @@ def _classify_interface(token: str, lineno: int) -> str:
         except AddressValueError:
             raise MalformedLine(lineno, f"unparseable interface address {token!r}") from None
         return "ipv6"
-    if MULTICAST_LO <= addr <= MULTICAST_HI:
-        return "multicast"
-    return "keep"
+    return "multicast" if MULTICAST_LO <= addr <= MULTICAST_HI else "keep"
 
 
 def _int(digits: str, lineno: int, what: str) -> int:
@@ -200,75 +199,12 @@ def parse_topology(nodes_source, geo_source=None, links_source=None, *, strict: 
         DanglingLinkEndpoint: strict mode, links naming unknown nodes.
     """
     report = CleaningReport()
-    kept_nodes: set[int] = set()
-    declared_nodes: set[int] = set()
-
-    for lineno, line in _lines(nodes_source):
-        m = _NODE_RE.match(line)
-        if not m:
-            raise MalformedLine(lineno, f"expected 'node N<id>: ...', got {line!r}")
-        node_id = _int(m.group(1), lineno, "node id")
-        if node_id > MAX_ID:
-            raise MalformedLine(lineno, f"node id N{node_id} above {MAX_ID}")
-        if node_id in declared_nodes:
-            raise MalformedLine(lineno, f"duplicate node id N{node_id}")
-        declared_nodes.add(node_id)
-        report.input_nodes += 1
-        kept = False
-        for token in m.group(2).split():
-            fate = _classify_interface(token, lineno)
-            if fate == "multicast":
-                report.removed_interfaces += 1
-            else:
-                kept = True
-                if fate == "ipv6":
-                    report.ipv6_interfaces += 1
-        if kept:
-            kept_nodes.add(node_id)
-        else:
-            report.removed_nodes += 1
-
+    declared, kept_ids = _parse_nodes(nodes_source, report)
     if report.ipv6_interfaces:
         logger.warning("passed through %d IPv6 interfaces unvalidated", report.ipv6_interfaces)
+    nodes = _geolocate(geo_source, kept_ids, report)
 
-    # Geolocation of kept nodes in file order; a later line for a node wins.
-    geo_ids = array("q")
-    geo_lat_lon = array("d")
-    if geo_source is not None:
-        for lineno, line in _lines(geo_source):
-            m = _GEO_RE.match(line)
-            if not m:
-                raise MalformedLine(lineno, f"expected 'node.geo N<id>: ...', got {line!r}")
-            node_id = _int(m.group(1), lineno, "node id")
-            rest = m.group(2)
-            fields = rest.split("\t") if "\t" in rest else rest.split()
-            try:
-                lat = float(fields[GEO_LAT_COL])
-                lon = float(fields[GEO_LON_COL])
-            except (IndexError, ValueError):
-                raise MalformedLine(lineno, f"no lat/lon at columns {GEO_LAT_COL}/{GEO_LON_COL}") from None
-            try:
-                check_coordinates(lat, lon)
-            except ValueError as exc:
-                raise MalformedLine(lineno, str(exc)) from None
-            if node_id in kept_nodes:
-                geo_ids.append(node_id)
-                geo_lat_lon.extend((lat, lon))
-            else:
-                report.geo_for_unknown_nodes += 1
-
-    kept_ids = np.sort(np.fromiter(kept_nodes, dtype=np.int64, count=len(kept_nodes)))
-    nodes = np.empty(len(kept_ids), dtype=NODE_DTYPE)
-    nodes["id"] = kept_ids
-    nodes["lat"] = nodes["lon"] = np.nan
-    if geo_ids:
-        # Reversed, a node's first line is its last in the file, the one np.unique picks.
-        ids, last = np.unique(np.frombuffer(geo_ids, dtype=np.int64)[::-1], return_index=True)
-        lat_lon = np.frombuffer(geo_lat_lon, dtype=np.float64).reshape(-1, 2)[::-1][last]
-        row = np.searchsorted(kept_ids, ids)
-        nodes["lat"][row], nodes["lon"][row] = lat_lon.T
-
-    sorter = _LinkSorter(report, kept_ids, kept_nodes, declared_nodes, strict)
+    sorter = _LinkSorter(report, declared, kept_ids, strict)
     if isinstance(links_source, (str, Path)):
         with open(links_source, "r", encoding="utf-8") as handle:
             sorter.scan(handle)
@@ -278,25 +214,103 @@ def parse_topology(nodes_source, geo_source=None, links_source=None, *, strict: 
         # Other iterables may hold items with embedded or missing newlines,
         # which joining into chunks would split into lines differently.
         sorter.parse_lines(_lines(links_source))
+    return ParsedTopology(nodes=nodes, links=np.frombuffer(sorter.flat, dtype=np.int64).reshape(-1, 3), report=report)
 
-    links = np.frombuffer(sorter.flat, dtype=np.int64).reshape(-1, 3)
-    return ParsedTopology(nodes=nodes, links=links, report=report)
+
+def _parse_nodes(source, report: CleaningReport) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted ids of the declared nodes and of the kept ones, those left with an interface."""
+    ids, linenos, kept = array("q"), array("q"), array("b")
+    try:
+        for lineno, line in _lines(source):
+            m = _NODE_RE.match(line)
+            if not m:
+                raise MalformedLine(lineno, f"expected 'node N<id>: ...', got {line!r}")
+            node_id = _int(m.group(1), lineno, "node id")
+            if node_id > MAX_ID:
+                raise MalformedLine(lineno, f"node id N{node_id} above {MAX_ID}")
+            ids.append(node_id)
+            linenos.append(lineno)
+            node_kept = False
+            for token in m.group(2).split():
+                fate = _classify_interface(token, lineno)
+                if fate == "multicast":
+                    report.removed_interfaces += 1
+                else:
+                    node_kept = True
+                    if fate == "ipv6":
+                        report.ipv6_interfaces += 1
+            kept.append(node_kept)
+    except Exception:
+        _sort_ids(ids, linenos)  # a repeated id before the failing line, or on it, is the first error
+        raise
+    order, declared = _sort_ids(ids, linenos)
+    kept_ids = declared[np.frombuffer(kept, dtype=bool)[order]]
+    report.input_nodes, report.removed_nodes = len(declared), len(declared) - len(kept_ids)
+    return declared, kept_ids
+
+
+def _sort_ids(ids: array, linenos: array) -> tuple[np.ndarray, np.ndarray]:
+    """The stable sort order of ``ids`` and the sorted ids; MalformedLine at the earliest repeated id."""
+    values = np.frombuffer(ids, dtype=np.int64)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    if len(repeats):
+        first = int(repeats.min())
+        raise MalformedLine(linenos[first], f"duplicate node id N{ids[first]}")
+    return order, ordered
+
+
+def _geolocate(source, kept_ids: np.ndarray, report: CleaningReport) -> np.ndarray:
+    """The kept nodes as a ``NODE_DTYPE`` array, located by the geo file; a later line for a node wins."""
+    geo_ids, geo_lat_lon = array("q"), array("d")
+    if source is not None:
+        for lineno, line in _lines(source):
+            m = _GEO_RE.match(line)
+            if not m:
+                raise MalformedLine(lineno, f"expected 'node.geo N<id>: ...', got {line!r}")
+            node_id = _int(m.group(1), lineno, "node id")
+            rest = m.group(2)
+            fields = rest.split("\t") if "\t" in rest else rest.split()
+            try:
+                lat, lon = float(fields[GEO_LAT_COL]), float(fields[GEO_LON_COL])
+            except (IndexError, ValueError):
+                raise MalformedLine(lineno, f"no lat/lon at columns {GEO_LAT_COL}/{GEO_LON_COL}") from None
+            try:
+                check_coordinates(lat, lon)
+            except ValueError as exc:
+                raise MalformedLine(lineno, str(exc)) from None
+            geo_ids.append(node_id if node_id <= MAX_ID else -1)  # -1 names no node, as ids above MAX_ID
+            geo_lat_lon.extend((lat, lon))
+    nodes = np.empty(len(kept_ids), dtype=NODE_DTYPE)
+    nodes["id"] = kept_ids
+    nodes["lat"] = nodes["lon"] = np.nan
+    ids = np.frombuffer(geo_ids, dtype=np.int64)
+    known = _members(ids, kept_ids)
+    report.geo_for_unknown_nodes = len(ids) - int(known.sum())
+    # Reversed, a node's first line is its last in the file, the one np.unique picks.
+    ids, last = np.unique(ids[known][::-1], return_index=True)
+    lat_lon = np.frombuffer(geo_lat_lon, dtype=np.float64).reshape(-1, 2)[known][::-1][last]
+    row = np.searchsorted(kept_ids, ids)
+    nodes["lat"][row], nodes["lon"][row] = lat_lon.T
+    return nodes
 
 
 class _LinkSorter:
     """Sorts link lines into kept, removed, self and dangling links.
 
     Kept links go to ``flat`` (link id, a, b; 8 bytes per value) in file
-    order, and each removal is counted in ``report``.
+    order, and each removal is counted in ``report``. ``_sort_rows`` alone
+    decides a link's fate; ``scan`` and ``parse_lines`` only make its rows.
     """
 
-    def __init__(self, report: CleaningReport, kept: np.ndarray, kept_nodes: set, declared_nodes: set, strict: bool):
+    def __init__(self, report: CleaningReport, declared: np.ndarray, kept: np.ndarray, strict: bool):
         self.report = report
+        self.declared = declared
         self.kept = kept
-        self.kept_nodes = kept_nodes
-        self.declared_nodes = declared_nodes
         self.strict = strict
         self.flat = array("q")
+        self.huge: dict[int, int] = {}  # node references above MAX_ID, each to its negative code
 
     def scan(self, handle) -> None:
         """Read ``handle`` in chunks of lines and sort each chunk's links at once.
@@ -305,31 +319,32 @@ class _LinkSorter:
         that ``_LINK_SCAN_RE`` matches or a blank or comment line; any
         other chunk goes through ``parse_lines``, with its line numbers.
         """
-        declared = np.array(sorted(self.declared_nodes), dtype=np.int64)
         lineno = 1
         while lines := handle.readlines(_CHUNK_CHARS):
             text = "".join(lines)
             rows = _LINK_SCAN_RE.findall(text)
             if len(rows) == len(lines) or len(rows) + len(_SKIP_SCAN_RE.findall(text)) == len(lines):
                 if rows:
-                    self._sort_rows(rows, declared)
+                    self._sort_rows(np.fromstring(" ".join(chain.from_iterable(rows)), dtype=np.int64, sep=" "))
             else:
                 self.parse_lines(_lines(lines, lineno))
             lineno += len(lines)
 
-    def _sort_rows(self, rows: list[tuple[str, str, str]], declared: np.ndarray) -> None:
-        block = np.fromstring(" ".join(chain.from_iterable(rows)), dtype=np.int64, sep=" ").reshape(-1, 3)
+    def _sort_rows(self, values) -> None:
+        """Sort links given as int64 values, three per link: link id, a and b."""
+        block = np.frombuffer(values, dtype=np.int64).reshape(-1, 3)
         ends = block[:, 1:]
         is_kept = _members(ends, self.kept)
         undeclared = ~is_kept
-        undeclared[undeclared] = ~_members(ends[undeclared], declared)
+        undeclared[undeclared] = ~_members(ends[undeclared], self.declared)
         self_link = ends[:, 0] == ends[:, 1]
         missing = ~self_link & ~is_kept.all(axis=1)
         dangling = missing & undeclared.any(axis=1)
         if self.strict and dangling.any():
             row = int(np.argmax(dangling))
-            node = ends[row, 0] if undeclared[row, 0] else ends[row, 1]
-            raise DanglingLinkEndpoint(f"link L{int(block[row, 0])} references undefined node N{int(node)}")
+            code = int(ends[row, 0] if undeclared[row, 0] else ends[row, 1])
+            node = code if code >= 0 else list(self.huge)[-1 - code]
+            raise DanglingLinkEndpoint(f"link L{int(block[row, 0])} references undefined node N{node}")
         report = self.report
         report.input_links += len(block)
         report.self_links += int(self_link.sum())
@@ -338,40 +353,25 @@ class _LinkSorter:
         self.flat.frombytes(block[~self_link & ~missing].tobytes())
 
     def parse_lines(self, numbered: Iterator[tuple[int, str]]) -> None:
-        """The per-line link parser: exact on every line, malformed ones included."""
-        report = self.report
-        kept_nodes = self.kept_nodes
-        declared_nodes = self.declared_nodes
-        strict = self.strict
-        flat = self.flat
-        for lineno, line in numbered:
-            m = _LINK_RE.match(line)
-            if not m:
-                raise MalformedLine(lineno, f"expected 'link L<id>: ...', got {line!r}")
-            link_id = _int(m.group(1), lineno, "link id")
-            if link_id > MAX_ID:
-                raise MalformedLine(lineno, f"link id L{link_id} above {MAX_ID}")
-            report.input_links += 1
-            refs = _NODE_REF_RE.findall(m.group(2))
-            if len(refs) < 2:
-                raise MalformedLine(lineno, "link needs at least two node references")
-            a, b = (_int(ref, lineno, "node reference") for ref in refs[:2])
-            if a == b:
-                report.self_links += 1
-                continue
-            missing = [n for n in (a, b) if n not in kept_nodes]
-            if missing:
-                undeclared = [n for n in missing if n not in declared_nodes]
-                if undeclared:
-                    if strict:
-                        raise DanglingLinkEndpoint(
-                            f"link L{link_id} references undefined node N{undeclared[0]}"
-                        )
-                    report.dangling_links += 1
-                else:
-                    report.removed_links += 1
-                continue
-            flat.extend((link_id, a, b))
+        """The per-line link parser: every line, malformed ones included, to rows for ``_sort_rows``."""
+        rows, huge = array("q"), self.huge
+        try:
+            for lineno, line in numbered:
+                m = _LINK_RE.match(line)
+                if not m:
+                    raise MalformedLine(lineno, f"expected 'link L<id>: ...', got {line!r}")
+                link_id = _int(m.group(1), lineno, "link id")
+                if link_id > MAX_ID:
+                    raise MalformedLine(lineno, f"link id L{link_id} above {MAX_ID}")
+                refs = _NODE_REF_RE.findall(m.group(2))
+                if len(refs) < 2:
+                    raise MalformedLine(lineno, "link needs at least two node references")
+                ends = [_int(ref, lineno, "node reference") for ref in refs[:2]]
+                rows.extend([link_id] + [n if n <= MAX_ID else huge.setdefault(n, -1 - len(huge)) for n in ends])
+        except Exception:
+            self._sort_rows(rows)  # the links before the failing line come first: one may dangle
+            raise
+        self._sort_rows(rows)
 
 
 def _members(values: np.ndarray, sorted_ids: np.ndarray) -> np.ndarray:

@@ -103,6 +103,31 @@ class TestValidate:
         assert code == 1
         assert out["status"] == "warnings"
 
+    @pytest.mark.parametrize("flag", ["--stats", "--nodes"])
+    def test_missing_input_file_is_a_violation(self, tmp_path, capsys, flag):
+        missing = tmp_path / "missing"
+        code = main(["validate", flag, str(missing)])
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert code == 2
+        assert captured.err == ""
+        assert out["status"] == "violations"
+        assert out["violations"] == [f"FileNotFoundError: [Errno 2] No such file or directory: {str(missing)!r}"]
+
+    @pytest.mark.parametrize("kind", ["nodes", "components"])
+    def test_undecodable_input_is_a_violation(self, tmp_path, capsys, kind):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"node N1: 1.2.3.4\n\xff\n")
+        args = ["--nodes", str(path)] if kind == "nodes" else ["--components", f"ixp={path}"]
+        code = main(["validate", *args])
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert code == 2
+        assert captured.err == ""
+        assert out["status"] == "violations"
+        assert len(out["violations"]) == 1
+        assert out["violations"][0].startswith("UnicodeDecodeError: ")
+
 
 class TestOverlap:
     def test_each_point_resolved_once(self, workspace, tmp_path, monkeypatch):
@@ -196,6 +221,21 @@ class TestOverlap:
         )
         assert code == 2
         assert "unknown metric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metric, fraction", [("teapots", "0.5"), ("ixp", "1.5"), (None, "0.5")])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_bad_cumulative_query_writes_no_report(self, workspace, tmp_path, capsys, metric, fraction, to_file):
+        out = tmp_path / "r.json"
+        args = ["overlap", "--wasg", str(workspace / "wasg.geojson"), "--components", f"ixp={workspace / 'ixps.csv'}"]
+        args += ["--cumulative", fraction] + (["--metric", metric] if metric else [])
+        args += ["--out", str(out)] if to_file else []
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert not out.exists()
+        assert captured.err.startswith("error: ValueError: ")
+        assert captured.err.count("\n") == 1
 
     def test_csv_format(self, workspace, tmp_path):
         out = tmp_path / "report.csv"

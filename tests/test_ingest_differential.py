@@ -65,6 +65,7 @@ ODD = {
 }
 LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r"]
 SKIPPED_LINES = ["# a comment", "  # indented comment", "", "   ", "\t", "\xa0# comment after a no-break space", "\x0c"]
+MALFORMED_NODE_LINES = ["garbage", "node N1 1.1.1.1", f"node N{2**63}: 1.1.1.1", "node N" + "9" * 5000 + ": 1.1.1.1"]
 MALFORMED_LINES = ["garbage", "link L1 N1 N2", "link L7: N1", "link L7:", f"link L{2**63}: N1 N2",
                    "link L12345678901234567890: N1 N2"]
 
@@ -102,7 +103,15 @@ def node_text(draw) -> str:
         f"node N{node_id}:  " + " ".join(draw(st.lists(INTERFACE[i == odd], min_size=1, max_size=3)))
         for i, node_id in enumerate(ids)
     ]
+    # About one file in three repeats an id, on a line that may hold a
+    # refused address too; about one in four has a malformed line. Either
+    # may come before the other or before the line with a refused address.
+    if draw(st.integers(0, 2)) == 0:
+        interfaces = draw(st.lists(INTERFACE[draw(st.booleans())], min_size=1, max_size=3))
+        lines.append(f"node N{draw(st.sampled_from(ids))}: " + " ".join(interfaces))
     lines = draw(st.permutations(lines))
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(MALFORMED_NODE_LINES)))
     if draw(st.booleans()):
         lines.insert(draw(st.integers(0, len(lines))), "# nodes")
     return "".join(line + "\n" for line in lines)
@@ -195,6 +204,25 @@ EXAMPLE_NODES = "node N1: 1.1.1.1\nnode N2: 2.2.2.2\nnode N3: 3.3.3.3\n"
          form="path", chunk=ingest._CHUNK_CHARS)
 @example(nodes="node N" + "0" * 4999 + "1: 1.2.3.4\n", geo=None, links=None, strict=True, form="list",
          chunk=ingest._CHUNK_CHARS)
+# Strict mode: a dangling link before a malformed line of the same chunk is the first error.
+@example(nodes=EXAMPLE_NODES, geo=None, links="link L1: N1 N2\nlink L2: N1 N99\ngarbage\n", strict=True,
+         form="path", chunk=ingest._CHUNK_CHARS)
+# A repeated id is the first error: before a malformed line, and on a
+# line whose own address is refused.
+@example(nodes=EXAMPLE_NODES + "node N2: 4.4.4.4\nnode N1: 5.5.5.5\ngarbage\n", geo=None, links=None, strict=False,
+         form="path", chunk=ingest._CHUNK_CHARS)
+@example(nodes=EXAMPLE_NODES + "node N3: 1.2.3\n", geo=None, links=None, strict=False, form="list",
+         chunk=ingest._CHUNK_CHARS)
+# References above MAX_ID: the first undeclared end in strict mode, a
+# self link, two distinct ones; and a geo line naming one, next to node MAX_ID.
+@example(nodes=EXAMPLE_NODES, geo=None, links=f"link L1: N1 N2\nlink L2: N{2**63} N98\n", strict=True,
+         form="stringio", chunk=ingest._CHUNK_CHARS)
+@example(nodes=EXAMPLE_NODES, geo=None, links=f"link L1: N1 N2\nlink L2: N{2**63} N{2**63}\nlink L3: N{2**64} N{2**63}\n",
+         strict=True, form="path", chunk=ingest._CHUNK_CHARS)
+@example(nodes=EXAMPLE_NODES, geo=None, links=f"link L1: N{2**63} N{2**63}\nlink L2: N{2**63} N{2**64}\nlink L3: N1 N2\n",
+         strict=False, form="list", chunk=ingest._CHUNK_CHARS)
+@example(nodes=EXAMPLE_NODES + f"node N{ingest.MAX_ID}: 4.4.4.4\n", geo=f"node.geo N{2**63}: NA US TX Dallas 32.78 -96.80\n",
+         links=None, strict=False, form="stringio", chunk=ingest._CHUNK_CHARS)
 @example(nodes=EXAMPLE_NODES, geo="node.geo N" + "9" * 5000 + ": NA US TX Dallas 32.78 -96.80\n", links=None,
          strict=False, form="stringio", chunk=ingest._CHUNK_CHARS)
 @given(
