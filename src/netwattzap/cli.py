@@ -1,5 +1,9 @@
 """Command-line front end: validate, overlap, failure, connectivity, place.
 
+``COMMANDS`` is the one table of what each command takes: the report
+formats it writes, its flags besides ``--out`` and ``--format``, and the
+flags it requires. A flag the command does not take is an argparse usage
+error (exit 2); a flag without the flag it needs (``_NEEDS``) is an error line.
 Every report writer sorts keys and emits a trailing newline so that
 identical inputs and flags produce byte-identical outputs. A
 ``NetWattZapError``, ``OSError``, ``ValueError`` or ``MemoryError``
@@ -13,6 +17,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import connectivity as conn
 from . import failure as failure_mod
@@ -22,13 +27,27 @@ from .grid_model import aggregate_stats, load_registry, registry_to_geojson
 from .ingest import COMPONENT_KINDS, parse_components, parse_stats, parse_topology
 from .placement import load_problem, resolve_candidate_zones, solution_to_dict, solve_problem
 
-FORMATS_BY_COMMAND = {
-    "validate": {"json"},
-    "overlap": {"json", "csv"},
-    "failure": {"json", "geojson"},
-    "connectivity": {"json", "csv"},
-    "place": {"json", "geojson"},
+# Each flag's argparse definition; ``COMMANDS`` picks the flags of each command.
+_FLAGS = {
+    "wasg": dict(metavar="PATH", help="grid registry GeoJSON"),
+    "stats": dict(metavar="PATH", help="statistics CSV"),
+    "components": dict(metavar="KIND=PATH", action="append", default=[], help="component CSV for one kind; repeatable"),
+    "nodes": dict(metavar="PATH", help="topology nodes file"),
+    "geo": dict(metavar="PATH", help="topology geolocation file"),
+    "links": dict(metavar="PATH", help="topology links file"),
+    "strict": dict(action="store_true"),
+    "scenario": dict(metavar="PATH", help="failure scenario JSON"),
+    "problem": dict(metavar="PATH", help="placement problem JSON"),
+    "seed": dict(type=int, default=0, help="seed for sampled checks"),
+    "time-limit": dict(type=float, default=60.0, metavar="SECS"),
+    "metric": dict(help="ranking metric for --cumulative"),
+    "cumulative": dict(type=float, metavar="FRACTION", help="print smallest k reaching the fraction"),
+    "out": dict(metavar="PATH", help="output file (default: stdout)"),
+    "format": dict(default="json"),
 }
+
+# (flag, flag it needs): the first is read only together with the second.
+_NEEDS = (("geo", "nodes"), ("links", "nodes"), ("metric", "cumulative"), ("cumulative", "metric"))
 
 # Plural spellings accepted for --metric.
 _METRIC_ALIASES = {
@@ -40,6 +59,14 @@ _METRIC_ALIASES = {
 }
 
 
+class Command(NamedTuple):
+    handler: Callable[[argparse.Namespace], int]
+    help: str
+    formats: str  # space-separated names, as are flags and required
+    flags: str
+    required: str = ""
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netwattzap",
@@ -47,57 +74,27 @@ def build_parser() -> argparse.ArgumentParser:
         "overlap analysis, outage impact, connectivity loss, and resilient placement.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("validate", "load datasets and check every invariant"),
-        ("overlap", "per-grid component/user distribution report"),
-        ("failure", "unavailability under a failure scenario"),
-        ("connectivity", "max-flow reduction on the grid graph under a scenario"),
-        ("place", "solve a grid-resilient placement problem"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--wasg", metavar="PATH", help="grid registry GeoJSON")
-        p.add_argument("--stats", metavar="PATH", help="statistics CSV")
-        p.add_argument(
-            "--components",
-            metavar="KIND=PATH",
-            action="append",
-            default=[],
-            help="component CSV for one kind; repeatable",
-        )
-        p.add_argument("--nodes", metavar="PATH", help="topology nodes file")
-        p.add_argument("--geo", metavar="PATH", help="topology geolocation file")
-        p.add_argument("--links", metavar="PATH", help="topology links file")
-        p.add_argument("--scenario", metavar="PATH", help="failure scenario JSON")
-        p.add_argument("--problem", metavar="PATH", help="placement problem JSON")
-        p.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
-        p.add_argument("--format", default="json", choices=["json", "csv", "geojson"])
-        p.add_argument("--strict", action="store_true")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-        p.add_argument("--time-limit", type=float, default=60.0, metavar="SECS")
-    sub.choices["overlap"].add_argument("--metric", help="ranking metric for --cumulative")
-    sub.choices["overlap"].add_argument(
-        "--cumulative", type=float, metavar="FRACTION", help="print smallest k reaching the fraction"
-    )
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, description=f"{command.help} (formats: {command.formats})")
+        for flag in (*command.flags.split(), "out", "format"):
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler = {
-        "validate": cmd_validate,
-        "overlap": cmd_overlap,
-        "failure": cmd_failure,
-        "connectivity": cmd_connectivity,
-        "place": cmd_place,
-    }[args.command]
-    if args.format not in FORMATS_BY_COMMAND[args.command]:
-        print(
-            f"error: ValueError: format {args.format!r} not supported by {args.command!r}",
-            file=sys.stderr,
-        )
-        return 2
+    command = COMMANDS[args.command]
     try:
-        return handler(args)
+        if args.format not in command.formats.split():
+            raise ValueError(f"format {args.format!r} not supported by {args.command!r}")
+        given = {flag for flag, value in vars(args).items() if value not in (None, "")}
+        missing = [f"--{flag}" for flag in command.required.split() if flag not in given]
+        if missing:
+            raise ValueError(f"{args.command} requires {', '.join(missing)}")
+        for flag, needed in _NEEDS:
+            if flag in given and needed not in given:
+                raise ValueError(f"--{flag} requires --{needed}")
+        return command.handler(args)
     except (NetWattZapError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -126,12 +123,6 @@ def _parse_component_specs(specs: list[str]) -> list[tuple[str, str]]:
             raise ValueError(f"--components expects KIND=PATH with kind in {COMPONENT_KINDS}, got {spec!r}")
         pairs.append((kind, path))
     return pairs
-
-
-def _require(args, *names: str) -> None:
-    missing = [f"--{n}" for n in names if not getattr(args, n)]
-    if missing:
-        raise ValueError(f"{args.command} requires {', '.join(missing)}")
 
 
 def _load_topology(args, registry):
@@ -239,13 +230,10 @@ def _overlap_report_csv(report) -> str:
 
 
 def cmd_overlap(args) -> int:
-    _require(args, "wasg")
     registry = load_registry(args.wasg)
     components, tally, stats = _load_inputs(args, registry)
     report = overlap_mod.distribution_report(components, registry, stats=stats, tally=tally)
     if args.cumulative is not None:  # checked before any output is written
-        if not args.metric:
-            raise ValueError("--cumulative requires --metric")
         metric = _METRIC_ALIASES.get(args.metric, args.metric)
         if metric not in report.rankings:
             raise ValueError(f"unknown metric {args.metric!r}; have {sorted(report.rankings)}")
@@ -260,7 +248,6 @@ def cmd_overlap(args) -> int:
 
 
 def cmd_failure(args) -> int:
-    _require(args, "wasg", "scenario")
     registry = load_registry(args.wasg)
     scenario = failure_mod.load_scenario(args.scenario)
     components, tally, stats = _load_inputs(args, registry)
@@ -278,7 +265,6 @@ def cmd_failure(args) -> int:
 
 
 def cmd_connectivity(args) -> int:
-    _require(args, "wasg", "nodes", "geo", "links", "scenario")
     registry = load_registry(args.wasg)
     scenario = failure_mod.load_scenario(args.scenario)
     tally = _load_topology(args, registry)
@@ -299,7 +285,6 @@ def cmd_connectivity(args) -> int:
 
 
 def cmd_place(args) -> int:
-    _require(args, "problem")
     problem = load_problem(args.problem)
     if args.wasg:
         problem = resolve_candidate_zones(problem, load_registry(args.wasg))
@@ -318,6 +303,20 @@ def cmd_place(args) -> int:
     else:
         _emit_json(solution_to_dict(solution), args.out)
     return 0
+
+
+COMMANDS = {
+    "validate": Command(cmd_validate, "load datasets and check every invariant", "json",
+                        "wasg stats components nodes geo links strict scenario problem seed"),
+    "overlap": Command(cmd_overlap, "per-grid component/user distribution report", "json csv",
+                       "wasg stats components nodes geo links strict metric cumulative", required="wasg"),
+    "failure": Command(cmd_failure, "unavailability under a failure scenario", "json geojson",
+                       "wasg stats components nodes geo links strict scenario", required="wasg scenario"),
+    "connectivity": Command(cmd_connectivity, "max-flow reduction on the grid graph under a scenario", "json csv",
+                            "wasg nodes geo links strict scenario", required="wasg nodes geo links scenario"),
+    "place": Command(cmd_place, "solve a grid-resilient placement problem", "json geojson",
+                     "wasg problem time-limit", required="problem"),
+}
 
 
 if __name__ == "__main__":

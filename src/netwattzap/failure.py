@@ -21,7 +21,7 @@ from .errors import MalformedDocument, UnknownWasg
 from .geo import band_overlap
 from .grid_model import AggregateResult, WasgRegistry, _json_list, _json_number, _json_str, _load_document
 from .ingest import InfraComponent
-from .overlap import TopologyTally, az_collapse
+from .overlap import TopologyTally, _check_zones, az_collapse
 
 MODES = ("regional", "latitude_band")
 
@@ -154,6 +154,7 @@ def unavailability(
         if kind == "router" and tally is not None:
             per_zone.update(tally.routers)
             per_zone[None] += tally.routers_unzoned
+        _check_zones(registry, per_zone)
         total = sum(per_zone.values())
         if total:
             unavailable = sum(n for zone, n in per_zone.items() if zone in failed)
@@ -161,6 +162,7 @@ def unavailability(
     datacenters = [c for c in components if c.kind == "datacenter"]
     if datacenters:
         collapse = az_collapse(datacenters)
+        _check_zones(registry, collapse.groups)
         details["datacenter_zones"] = MetricDetail(
             unavailable=sum(1 for zone in collapse.groups if zone in failed),
             total=collapse.zone_count,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import logging
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -256,6 +257,12 @@ def _rank(per_wasg: dict[str, dict[str, float]], uncovered_total: float, metric:
     return entries
 
 
+def _check_zones(registry: WasgRegistry, zones) -> None:
+    """``UnknownWasg`` for a zone, other than None, that the registry lacks; pass counted zones, not components."""
+    for zone in set(zones) - {None}:
+        registry.get(zone)
+
+
 def distribution_report(
     components: Sequence[InfraComponent],
     registry: WasgRegistry,
@@ -267,9 +274,11 @@ def distribution_report(
         wasg_id: {kind: 0 for kind in COMPONENT_KINDS} for wasg_id in registry.ids
     }
     uncovered: dict[str, float] = {kind: 0 for kind in COMPONENT_KINDS}
-    for c in components:
-        target = per_wasg[c.zone] if c.zone is not None else uncovered
-        target[c.kind] = target.get(c.kind, 0) + 1
+    counts = Counter((c.zone, c.kind) for c in components)
+    _check_zones(registry, (zone for zone, _ in counts))
+    for (zone, kind), count in counts.items():
+        target = per_wasg[zone] if zone is not None else uncovered
+        target[kind] += count
     tally = tally or TopologyTally(counts=dict.fromkeys(LINK_CATEGORIES, 0), pairs={}, one_end={})
     for zone, count in tally.routers.items():
         per_wasg[zone]["router"] += count

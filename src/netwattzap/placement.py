@@ -679,8 +679,10 @@ def solve(model: IlpModel, time_limit: float = 60.0) -> PlacementSolution:
     The returned proof is "optimal" (certified), "infeasible" (certified,
     only when the search ran to completion), or "time_limit" with the
     best incumbent found. Ties break to the lexicographically smallest
-    chosen id set.
+    chosen id set. ``time_limit`` is in seconds: 0 or more, ``inf`` for none.
     """
+    if not time_limit >= 0:
+        raise ValueError(f"time limit must be >= 0 seconds, got {time_limit!r}")
     started = time.monotonic()
     search = _Search(model, time_limit)
     search.run()

@@ -128,6 +128,13 @@ class TestUnavailability:
         assert report.fractions["datacenter_zones"] == 1.0
         assert report.fractions["internet_users"] == 1.0
 
+    @pytest.mark.parametrize("kind", ["ixp", "router", "datacenter"])
+    def test_component_zone_missing_from_registry(self, kind):
+        registry = WasgRegistry([square_region("ONLY", "O", 0.0, 0.0, 10.0)])
+        components = [InfraComponent(id="c1", kind=kind, geo=GeoPoint(5.0, 5.0), zone="NOPE")]
+        with pytest.raises(UnknownWasg, match="'NOPE'"):
+            unavailability(regional("ONLY"), registry, components=components)
+
     def test_empty_failed_set_resolves_to_zero(self, synthetic_registry):
         components = _fixture_world(synthetic_registry)
         report = unavailability(storm(89.0), synthetic_registry, components=components)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netwattzap.errors import UnknownNode
+from netwattzap.errors import UnknownNode, UnknownWasg
 from netwattzap.failure import FailureScenario, unavailability
 from netwattzap.geo import GeoPoint, RegionEdges, band_overlap, point_in_region
 from netwattzap.grid_model import (
@@ -253,6 +253,12 @@ class TestAzCollapse:
 
 
 class TestDistributionReport:
+    def test_component_zone_missing_from_registry(self):
+        registry = WasgRegistry([square_region("ONLY", "O", 0.0, 0.0, 10.0)])
+        components = [InfraComponent(id="c1", kind="ixp", geo=GeoPoint(5.0, 5.0), zone="NOPE")]
+        with pytest.raises(UnknownWasg, match="'NOPE'"):
+            distribution_report(components, registry)
+
     def test_cumulative_fractions(self):
         registry = WasgRegistry(
             [square_region(f"R{i}", f"R{i}", lon0=20.0 * i, lat0=0.0, size=5.0) for i in range(4)]

@@ -445,6 +445,14 @@ class TestSolveFixtures:
         solution = solve_problem(eq_fixture(), time_limit=0.0)
         assert solution.proof == "time_limit"
 
+    @pytest.mark.parametrize("time_limit", [float("nan"), -1.0])
+    def test_time_limit_below_zero_or_nan_refused(self, time_limit):
+        with pytest.raises(ValueError, match="time limit"):
+            solve(build_ilp(eq_fixture()), time_limit=time_limit)
+
+    def test_infinite_time_limit_searches_to_the_end(self):
+        assert solve_problem(eq_fixture(), time_limit=float("inf")).proof == "optimal"
+
     def test_latency_bound_excludes_candidate_globally(self):
         problem = PlacementProblem(
             candidates=(
