@@ -245,14 +245,16 @@ def flow_reduction(g: WasgGraph, failed: Iterable[str]) -> FlowReductionReport:
 
     Pairs whose before-failure flow is 0 are excluded from the mean, as
     are pairs touching a failed node; with no qualifying pair the mean
-    is 0.0 over an empty table. Reductions are clamped to [0, 1].
+    is 0.0 over an empty table. Reductions are clamped to [0, 1]. A
+    graph with no node (no inter-grid link) gives that empty report,
+    with no failed node.
 
     Raises:
-        AllNodesFailed: when no graph node survives.
+        AllNodesFailed: when the graph has nodes and none survives.
     """
     failed_set = frozenset(failed) & g.nodes
     surviving = sorted(g.nodes - failed_set)
-    if not surviving:
+    if g.nodes and not surviving:
         raise AllNodesFailed("failure scenario removes every connectivity-graph node")
     after_flows = {(u, v): flow for u, v, flow in gomory_hu(subgraph(g, surviving)).all_pairs()}
     pairs: list[PairReduction] = []

@@ -179,11 +179,10 @@ def unavailability(
         )
 
     if stats is not None:
-        world = stats.world_totals()
         zoned_users = sum(t.internet_users for t in stats.per_wasg.values())
         details["internet_users"] = MetricDetail(
             unavailable=sum(stats.per_wasg[w].internet_users for w in failed if w in stats.per_wasg),
-            total=world.internet_users,
+            total=stats.uncovered.internet_users + zoned_users,
             zoned_total=zoned_users,
         )
 

@@ -26,6 +26,7 @@ from .errors import (
     OpenRing,
     UnknownWasg,
 )
+from .geo import _ordered_sum
 
 Ring = np.ndarray  # (n, 2) float64 of (lon, lat), read-only
 Polygon = tuple[Ring, ...]
@@ -339,13 +340,6 @@ class StatTotals:
     internet_users: int = 0
     area_km2: float = 0.0
 
-    def add(self, record: AdminStatRecord) -> "StatTotals":
-        return StatTotals(
-            population=self.population + record.population,
-            internet_users=self.internet_users + record.effective_internet_users(),
-            area_km2=self.area_km2 + (record.area_km2 or 0.0),
-        )
-
 
 @dataclass(frozen=True)
 class AggregateResult:
@@ -356,15 +350,14 @@ class AggregateResult:
     uncovered_codes: tuple[str, ...]
     missing_codes: tuple[str, ...]
 
-    def world_totals(self) -> StatTotals:
-        pop = self.uncovered.population
-        users = self.uncovered.internet_users
-        area = self.uncovered.area_km2
-        for totals in self.per_wasg.values():
-            pop += totals.population
-            users += totals.internet_users
-            area += totals.area_km2
-        return StatTotals(pop, users, area)
+
+def _totals(records: Sequence[AdminStatRecord]) -> StatTotals:
+    """The records' sums; areas are added left to right, so pass them in code order."""
+    return StatTotals(
+        population=sum(r.population for r in records),
+        internet_users=sum(r.effective_internet_users() for r in records),
+        area_km2=_ordered_sum(r.area_km2 or 0.0 for r in records),
+    )
 
 
 def aggregate_stats(
@@ -389,32 +382,19 @@ def aggregate_stats(
         by_code[record.code] = record
 
     per_wasg: dict[str, StatTotals] = {}
-    covered_codes: set[str] = set()
     missing: list[str] = []
     for region in registry:
-        totals = StatTotals()
-        for code in sorted(region.members):
-            record = by_code.get(code)
-            if record is None:
-                missing.append(code)
-                continue
-            covered_codes.add(code)
-            totals = totals.add(record)
-        per_wasg[region.id] = totals
+        members = sorted(region.members)
+        missing += (code for code in members if code not in by_code)
+        per_wasg[region.id] = _totals([by_code[code] for code in members if code in by_code])
 
     if strict and missing:
         raise MissingStats(missing)
 
-    uncovered = StatTotals()
-    uncovered_codes = []
-    for code in sorted(by_code):
-        if code not in covered_codes:
-            uncovered = uncovered.add(by_code[code])
-            uncovered_codes.append(code)
-
+    uncovered_codes = tuple(code for code in sorted(by_code) if registry.region_of_member(code) is None)
     return AggregateResult(
         per_wasg=per_wasg,
-        uncovered=uncovered,
-        uncovered_codes=tuple(uncovered_codes),
+        uncovered=_totals([by_code[code] for code in uncovered_codes]),
+        uncovered_codes=uncovered_codes,
         missing_codes=tuple(sorted(missing)),
     )

@@ -14,6 +14,8 @@ with any other line (ids of 19 or more digits, non-ASCII text, malformed
 lines) goes through the per-line link parser, which only parses too.
 ``_LinkSorter._sort_rows`` alone sorts the rows into kept, removed, self
 and dangling links, so every count and error is the same either way.
+An interface that is a dotted quad is classified by its first octet;
+any other interface token must be an IPv6 address.
 Kept nodes and links are data, not objects, 24 bytes each: node id,
 latitude and longitude in ``ParsedTopology.nodes`` (NaN without
 geolocation), link id and endpoints in the ``(k, 3)`` int64
@@ -30,7 +32,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
-from ipaddress import AddressValueError, IPv4Address, IPv6Address
+from ipaddress import AddressValueError, IPv6Address
 from itertools import chain
 from pathlib import Path
 from typing import Iterator
@@ -42,9 +44,6 @@ from .geo import GeoPoint, check_coordinates
 from .grid_model import AdminStatRecord
 
 logger = logging.getLogger(__name__)
-
-MULTICAST_LO = IPv4Address("224.0.0.0")
-MULTICAST_HI = IPv4Address("239.255.255.255")
 
 # Largest node or link id: ids are stored as int64.
 MAX_ID = 2**63 - 1
@@ -167,14 +166,10 @@ def _classify_interface(token: str, lineno: int) -> str:
     if quad is not None:
         return "multicast" if 224 <= int(quad.group(1)) <= 239 else "keep"
     try:
-        addr = IPv4Address(token)
+        IPv6Address(token)
     except AddressValueError:
-        try:
-            IPv6Address(token)
-        except AddressValueError:
-            raise MalformedLine(lineno, f"unparseable interface address {token!r}") from None
-        return "ipv6"
-    return "multicast" if MULTICAST_LO <= addr <= MULTICAST_HI else "keep"
+        raise MalformedLine(lineno, f"unparseable interface address {token!r}") from None
+    return "ipv6"
 
 
 def _int(digits: str, lineno: int, what: str) -> int:

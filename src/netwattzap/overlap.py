@@ -23,7 +23,7 @@ import numpy as np
 from .errors import UnknownNode
 # overlap.point_in_region stays bound: bench/layertrace.py wraps it there.
 from .geo import GeoPoint, RegionEdges, _ordered_sum, point_in_region  # noqa: F401
-from .grid_model import AggregateResult, WasgRegistry
+from .grid_model import AggregateResult, StatTotals, WasgRegistry
 from .ingest import COMPONENT_KINDS, InfraComponent, ParsedTopology
 
 logger = logging.getLogger(__name__)
@@ -285,14 +285,11 @@ def distribution_report(
     uncovered["router"] += tally.routers_unzoned
 
     if stats is not None:
-        for wasg_id, metrics in per_wasg.items():
-            totals = stats.per_wasg.get(wasg_id)
-            metrics["population"] = totals.population if totals else 0
-            metrics["internet_users"] = totals.internet_users if totals else 0
-            metrics["area_km2"] = totals.area_km2 if totals else 0.0
-        uncovered["population"] = stats.uncovered.population
-        uncovered["internet_users"] = stats.uncovered.internet_users
-        uncovered["area_km2"] = stats.uncovered.area_km2
+        empty = StatTotals()  # one shared record for every grid the statistics lack
+        targets = [(metrics, stats.per_wasg.get(wasg_id, empty)) for wasg_id, metrics in per_wasg.items()]
+        for metrics, totals in targets + [(uncovered, stats.uncovered)]:
+            for metric in STAT_METRICS:
+                metrics[metric] = getattr(totals, metric)
 
     for metrics in per_wasg.values():
         metrics["components"] = sum(metrics.get(kind, 0) for kind in COMPONENT_KINDS)

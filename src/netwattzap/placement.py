@@ -801,25 +801,18 @@ def problem_from_dict(doc: Mapping) -> PlacementProblem:
         n = _json_number(sc.get("n", 1), "select_count n", integer=True)
         select_count = SelectCount(mode=_json_str(sc.get("mode", "exactly"), "select_count mode"), n=n)
         rules = tuple(_rule_from_dict(r) for r in _json_list(doc.get("location_rules", []), "location_rules"))
-        latency_bounds = (
-            {
-                str(k): _json_number(v, f"latency_bounds[{k!r}]")
-                for k, v in _object(doc["latency_bounds"], "latency_bounds").items()
+        # An absent, null or empty object means none; any other non-object is refused.
+        latency_bounds = {
+            str(k): _json_number(v, f"latency_bounds[{k!r}]")
+            for k, v in _optional_object(doc, "latency_bounds").items()
+        } or None
+        override = {
+            str(dk): {
+                str(ck): _json_number(cv, f"latency_override[{dk!r}][{ck!r}]")
+                for ck, cv in _object(row, f"latency_override[{dk!r}]").items()
             }
-            if doc.get("latency_bounds")
-            else None
-        )
-        override = (
-            {
-                str(dk): {
-                    str(ck): _json_number(cv, f"latency_override[{dk!r}][{ck!r}]")
-                    for ck, cv in _object(row, f"latency_override[{dk!r}]").items()
-                }
-                for dk, row in _object(doc["latency_override"], "latency_override").items()
-            }
-            if doc.get("latency_override")
-            else None
-        )
+            for dk, row in _optional_object(doc, "latency_override").items()
+        } or None
         return PlacementProblem(
             candidates=candidates,
             demands=demands,
@@ -841,6 +834,12 @@ def _object(value, what: str) -> Mapping:
     if not isinstance(value, Mapping):
         raise TypeError(f"{what} is not an object")
     return value
+
+
+def _optional_object(doc: Mapping, key: str) -> Mapping:
+    """``doc[key]`` if it is a JSON object, {} if absent or null; TypeError if anything else."""
+    value = doc.get(key)
+    return {} if value is None else _object(value, key)
 
 
 def _rule_from_dict(doc: Mapping) -> LocationRule:

@@ -7,8 +7,9 @@ import json
 import pytest
 
 from netwattzap.cli import main
+from netwattzap.grid_model import WasgRegistry, registry_to_geojson
 
-from conftest import build_cli_workspace
+from conftest import build_cli_workspace, build_registry, square_region
 from test_placement import deep_min_cost_doc
 
 @pytest.fixture(scope="module")
@@ -102,6 +103,29 @@ class TestValidate:
         out = json.loads(capsys.readouterr().out)
         assert code == 1
         assert out["status"] == "warnings"
+
+    def test_skipped_row_and_dangling_link_warnings_exit_one(self, workspace, tmp_path, capsys):
+        components = tmp_path / "c.csv"
+        components.write_text("id,kind,lat,lon,weight,attrs_json\nix1,ixp,9.0,-146.0,,\nix2,ixp,,,,\n")
+        (tmp_path / "n").write_text("node N1: 10.0.0.1\nnode N2: 10.0.0.2\n", encoding="utf-8")
+        (tmp_path / "l").write_text("link L1: N1 N2\nlink L2: N2 N9\n", encoding="utf-8")
+        code = main(
+            [
+                "validate",
+                "--components", f"ixp={components}",
+                "--nodes", str(tmp_path / "n"),
+                "--links", str(tmp_path / "l"),
+            ]
+        )
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert out == {
+            "status": "warnings",
+            "violations": [],
+            "warnings": sorted(
+                [f"{components}: row 3 skipped (missing geolocation)", "1 links reference undefined nodes"]
+            ),
+        }
 
     @pytest.mark.parametrize("flag", ["--stats", "--nodes"])
     def test_missing_input_file_is_a_violation(self, tmp_path, capsys, flag):
@@ -377,6 +401,27 @@ class TestFailureCommand:
         doc = json.loads(out.read_text())
         assert [f["properties"]["id"] for f in doc["features"]] == ["W01"]
 
+    def test_geojson_output_keeps_a_failed_multipolygon(self, tmp_path):
+        doc = json.loads(json.dumps(registry_to_geojson(build_registry())))
+        feature = doc["features"][1]
+        ring = feature["geometry"]["coordinates"][0]
+        islands = [[[lon + 0.5, lat + 20.0] for lon, lat in ring]]
+        feature["geometry"] = {"type": "MultiPolygon", "coordinates": [[ring], islands]}
+        (tmp_path / "wasg.geojson").write_text(json.dumps(doc), encoding="utf-8")
+        (tmp_path / "s.json").write_text(json.dumps({"name": "x", "mode": "regional", "failed": ["W01"]}))
+        out = tmp_path / "failed.geojson"
+        code = main(
+            [
+                "failure",
+                "--wasg", str(tmp_path / "wasg.geojson"),
+                "--scenario", str(tmp_path / "s.json"),
+                "--format", "geojson",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert json.loads(out.read_text()) == {"type": "FeatureCollection", "features": [feature]}
+
     def test_unknown_wasg_in_scenario(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"name": "x", "mode": "regional", "failed": ["ZZ"]}))
@@ -430,6 +475,36 @@ class TestConnectivity:
         assert code == 0
         assert out.read_text() == "u,v,flow_before,flow_after,reduction\nW00,W02,1,0,1.0\n"
 
+    @pytest.mark.parametrize(
+        "fmt, expected",
+        [
+            ("json", '{\n  "failed": [],\n  "mean_reduction": 0.0,\n  "pairs": [],\n  "scenario": "fail B"\n}\n'),
+            ("csv", "u,v,flow_before,flow_after,reduction\n"),
+        ],
+        ids=["json", "csv"],
+    )
+    def test_no_inter_grid_link_gives_empty_report(self, tmp_path, capsys, fmt, expected):
+        # N1 and N2 in grid A, N3 without geolocation: the grid graph has no node.
+        registry = WasgRegistry([square_region("A", "A", 0.0, 0.0), square_region("B", "B", 20.0, 0.0)])
+        (tmp_path / "wasg.geojson").write_text(json.dumps(registry_to_geojson(registry)), encoding="utf-8")
+        (tmp_path / "n").write_text("node N1: 10.0.0.1\nnode N2: 10.0.0.2\nnode N3: 10.0.0.3\n", encoding="utf-8")
+        (tmp_path / "g").write_text("node.geo N1: XX YY ZZ City 4.0 4.0\nnode.geo N2: XX YY ZZ City 5.0 5.0\n")
+        (tmp_path / "l").write_text("link L1: N1 N2\nlink L2: N2 N3\n", encoding="utf-8")
+        (tmp_path / "s.json").write_text(json.dumps({"name": "fail B", "mode": "regional", "failed": ["B"]}))
+        code = main(
+            [
+                "connectivity",
+                "--wasg", str(tmp_path / "wasg.geojson"),
+                "--nodes", str(tmp_path / "n"),
+                "--geo", str(tmp_path / "g"),
+                "--links", str(tmp_path / "l"),
+                "--scenario", str(tmp_path / "s.json"),
+                "--format", fmt,
+            ]
+        )
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (0, expected, "")
+
     def test_requires_topology(self, workspace, capsys):
         code = main(
             [
@@ -481,7 +556,14 @@ class TestPlace:
 
     @pytest.mark.parametrize(
         "shape",
-        ["select_count", "latency_bounds", "latency_override", "latency_override_row", "predicate"],
+        [
+            "select_count",
+            "latency_bounds",
+            "latency_bounds_empty_list",
+            "latency_override",
+            "latency_override_row",
+            "predicate",
+        ],
     )
     def test_wrong_shaped_problem_is_one_error_line(self, workspace, tmp_path, capsys, shape):
         doc = json.loads((workspace / "problem.json").read_text())
@@ -489,6 +571,8 @@ class TestPlace:
             doc["select_count"] = [2]
         elif shape == "latency_bounds":
             doc["latency_bounds"] = [500.0]
+        elif shape == "latency_bounds_empty_list":  # falsy: it used to load as "no bounds"
+            doc["latency_bounds"] = []
         elif shape == "latency_override":
             doc["latency_override"] = [1]
         elif shape == "latency_override_row":

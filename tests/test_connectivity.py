@@ -228,6 +228,12 @@ class TestFlowReduction:
         with pytest.raises(AllNodesFailed):
             flow_reduction(g, {"A", "B"})
 
+    @pytest.mark.parametrize("failed", [set(), {"A"}])
+    def test_graph_without_nodes_gives_empty_report(self, failed):
+        # No inter-grid link: nothing to fail, so the empty report, not AllNodesFailed.
+        report = flow_reduction(build_graph({("A", "A"): 2}), failed)
+        assert report.to_dict() == {"failed": [], "mean_reduction": 0.0, "pairs": []}
+
     def test_monotone_never_negative(self):
         rng = random.Random(77)
         for _ in range(20):

@@ -148,6 +148,24 @@ class TestLoadRegistry:
         registry = load_registry(doc)
         assert len(registry.get("A").boundary) == 2
 
+    def test_null_geometry_loads_without_boundary(self):
+        doc = collection(feature("A", "A", ["US"]))
+        doc["features"][0]["geometry"] = None
+        assert load_registry(doc).get("A").boundary == ()
+
+    def test_multipolygon_and_no_geometry_serialize(self):
+        ring1 = square_ring(0.0, 0.0, 4.0)
+        ring2 = square_ring(10.0, 0.0, 4.0)
+        multi = WasgRegion("M", "Multi", "M", frozenset(), ((ring1,), (ring2,)), 0, 0, 10.0)
+        bare = WasgRegion("N", "None", "N", frozenset(), (), 0, 0, 0.0)
+        registry = WasgRegistry([multi, bare])
+        doc = registry_to_geojson(registry)
+        assert [f["geometry"] for f in doc["features"]] == [
+            {"type": "MultiPolygon", "coordinates": [[[list(v) for v in ring1]], [[list(v) for v in ring2]]]},
+            None,
+        ]
+        assert load_registry(doc) == registry
+
     def test_load_is_idempotent_under_round_trip(self):
         registry = build_registry()
         round_tripped = load_registry(registry_to_geojson(registry))
@@ -288,7 +306,32 @@ class TestAggregateStats:
         total_users = sum(t.internet_users for t in result.per_wasg.values()) + result.uncovered.internet_users
         assert total_pop == sum(r.population for r in stats)
         assert total_users == sum(r.effective_internet_users() for r in stats)
-        assert result.world_totals().population == total_pop
+
+    def test_areas_sum_left_to_right(self):
+        # Ten codes of 0.1 km2 add up to 0.9999999999999999 left to right;
+        # a compensated sum (Python 3.12's sum(), math.fsum) gives 1.0.
+        grid = [f"G{i}" for i in range(10)]
+        outside = [f"X{i}" for i in range(10)]
+        registry = WasgRegistry([square_region("A", "A", 0.0, 0.0, members=grid)])
+        stats = [AdminStatRecord(code=code, population=1, internet_users=1, area_km2=0.1) for code in grid + outside]
+        result = aggregate_stats(registry, stats)
+        assert result.per_wasg["A"].area_km2 == 0.9999999999999999
+        assert result.uncovered.area_km2 == 0.9999999999999999
+
+    def test_areas_sum_in_sorted_code_order(self):
+        # 1.0 first absorbs each 2**-53 (round half to even); the small ones
+        # first add up to 5 ulps of 1.0 and survive. "A" sorts before "B*".
+        small = [f"B{i}" for i in range(10)]
+        registry = WasgRegistry([square_region("G", "G", 0.0, 0.0, members=["A", *small])])
+        stats = [AdminStatRecord(code=code, population=1, internet_users=1, area_km2=2.0**-53) for code in small]
+        stats.append(AdminStatRecord(code="A", population=1, internet_users=1, area_km2=1.0))
+        outside = [
+            AdminStatRecord(code=f"Z{r.code}", population=1, internet_users=1, area_km2=r.area_km2) for r in stats
+        ]
+        result = aggregate_stats(registry, stats + outside)
+        assert result.per_wasg["G"].area_km2 == 1.0
+        assert result.uncovered.area_km2 == 1.0
+        assert 2.0**-53 * 10 + 1.0 != 1.0
 
     def test_permutation_invariance(self):
         registry = build_registry()

@@ -196,6 +196,14 @@ class TestParseComponents:
         with pytest.raises(MalformedRow):
             parse_components(io.StringIO("id,kind,lat,lon\n"))
 
+    def test_empty_kind_without_default(self):
+        with pytest.raises(MalformedRow, match=r"^row 2: kind missing and no default given$"):
+            parse_components(io.StringIO("id,kind,lat,lon,weight,attrs_json\nx,,5,0,,\n"))
+
+    def test_empty_id(self):
+        with pytest.raises(MalformedRow, match=r"^row 2: empty id$"):
+            parse_components(io.StringIO("id,kind,lat,lon,weight,attrs_json\n ,ixp,5,0,,\n"))
+
 
 STATS_CSV = """\
 code,population,internet_users,penetration,area_km2
@@ -215,6 +223,10 @@ class TestParseStats:
     def test_negative_population(self):
         with pytest.raises(MalformedRow):
             parse_stats(io.StringIO("code,population,internet_users,penetration,area_km2\nX,-5,1,,\n"))
+
+    def test_empty_code(self):
+        with pytest.raises(MalformedRow, match=r"^row 3: empty code$"):
+            parse_stats(io.StringIO("code,population,internet_users,penetration,area_km2\nX,5,1,,\n ,5,1,,\n"))
 
     def test_missing_users_and_penetration(self):
         with pytest.raises(MalformedRow):

@@ -717,3 +717,81 @@ class TestCheckFeasible:
         assert not ok and any("cardinality" in v for v in violations)
         ok, violations = check_feasible(problem, ("c1", "zz"))
         assert not ok and any("unknown" in v for v in violations)
+
+
+    # Each chosen set breaks exactly one rule and must get exactly its violation.
+    def test_duplicate_ids(self):
+        assert check_feasible(eq_fixture(), ("c1", "c3", "c1")) == (False, ["duplicate ids in chosen set"])
+
+    def test_at_most_cardinality(self):
+        problem = dataclasses.replace(eq_fixture("at_most"), zone_cap=2)
+        assert check_feasible(problem, ("c1", "c2")) == (True, [])
+        assert check_feasible(problem, ("c1", "c2", "c3")) == (False, ["cardinality: 3 chosen, at most 2 allowed"])
+
+    def test_location_rule(self):
+        rule = LocationRule(kind="hemisphere", value="southern", min_count=1)
+        problem = dataclasses.replace(eq_fixture(), location_rules=(rule,))
+        assert check_feasible(problem, ("c1", "c3")) == (
+            False,
+            ["location rule 0 (hemisphere=southern): 0 matched, 1 required"],
+        )
+
+    def test_nearest_latency_bound(self):
+        problem = bounded_fixture("min_weighted_nearest")
+        assert check_feasible(problem, ("c1", "c3")) == (True, [])
+        assert check_feasible(problem, ("c2", "c3")) == (
+            False,
+            ["latency: demand 'd1' has no chosen candidate within its bound"],
+        )
+
+    def test_per_candidate_latency_bound(self):
+        problem = bounded_fixture("min_weighted_sum_all")
+        assert check_feasible(problem, ("c1", "c3")) == (False, ["latency: candidate 'c3' violates demand 'd1' bound"])
+
+    def test_nearest_with_nothing_chosen(self):
+        problem = dataclasses.replace(eq_fixture("at_most"), objective="min_weighted_nearest")
+        assert check_feasible(problem, ()) == (False, ["nearest objective requires at least one chosen candidate"])
+
+
+def bounded_fixture(objective: str) -> PlacementProblem:
+    """eq_fixture under ``objective``, with demand d1 bounded at 15 ms and d2 unbounded."""
+    return dataclasses.replace(
+        eq_fixture(),
+        objective=objective,
+        demands=(demand("d1"), demand("d2")),
+        latency_override={"d1": {"c1": 10.0, "c2": 20.0, "c3": 30.0}, "d2": {"c1": 5.0, "c2": 5.0, "c3": 5.0}},
+        latency_bounds={"d1": 15.0},
+    )
+
+
+class TestObjectiveValueBounds:
+    def test_nearest_skips_candidates_beyond_the_bound(self):
+        # d1: c3 (30 ms) is past its 15 ms bound, so c1 serves it; d2 has no bound.
+        assert objective_value(bounded_fixture("min_weighted_nearest"), ("c1", "c3")) == 10.0 + 5.0
+
+    def test_no_assignable_chosen_candidate(self):
+        with pytest.raises(ValueError, match="demand 'd1' has no assignable chosen candidate"):
+            objective_value(bounded_fixture("min_weighted_nearest"), ("c2", "c3"))
+
+
+LATENCY_DOC = {
+    "candidates": [{"id": "c1", "lat": 0.0, "lon": 0.0}],
+    "demands": [{"id": "d1", "lat": 0.0, "lon": 0.0}],
+    "objective": "min_weighted_sum_all",
+}
+
+
+class TestLatencyDocumentValues:
+    @pytest.mark.parametrize("key", ["latency_bounds", "latency_override"])
+    @pytest.mark.parametrize("value", [[], 0, False, "", "x", [1]])
+    def test_non_object_refused(self, key, value):
+        # The falsy ones used to load as no bounds or no override.
+        from netwattzap.errors import MalformedDocument
+
+        with pytest.raises(MalformedDocument, match=rf"^bad placement problem: {key} is not an object$"):
+            problem_from_dict({**LATENCY_DOC, key: value})
+
+    @pytest.mark.parametrize("key", ["latency_bounds", "latency_override"])
+    @pytest.mark.parametrize("value", [None, {}])
+    def test_null_and_empty_object_mean_none(self, key, value):
+        assert getattr(problem_from_dict({**LATENCY_DOC, key: value}), key) is None
