@@ -72,7 +72,7 @@ def resolve_scenario(scenario: FailureScenario, registry: WasgRegistry) -> froze
         UnknownWasg: regional mode naming an id absent from the registry.
     """
     if scenario.mode == "regional":
-        for wasg_id in scenario.failed:
+        for wasg_id in sorted(scenario.failed):
             if wasg_id not in registry:
                 raise UnknownWasg(f"scenario {scenario.name!r} fails unknown grid {wasg_id!r}")
         return frozenset(scenario.failed)

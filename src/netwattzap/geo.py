@@ -8,7 +8,8 @@ as inside; polygons crossing the antimeridian must be pre-split in the
 source data. ``point_in_region`` tests one point in pure Python and is
 the reference for ``RegionEdges.contains``, which tests many points at
 once in numpy with the same float expressions, so both agree bit for
-bit.
+bit. It tests each point only against the edges whose closed latitude
+span holds it, the one-dimensional half of a cell grid.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ if TYPE_CHECKING:
 
 EARTH_RADIUS_KM = 6371.0088
 FIBER_KM_PER_SEC = 200_000.0
-# Point x edge elements per block of RegionEdges.contains: each
-# temporary is about 128 KiB of float64.
+# Point x edge elements per block of RegionEdges.contains: the one
+# dense temporary, the latitude-span mask, is 16 KiB of bool; the
+# arrays after it hold only the (point, edge) pairs that mask keeps.
 BLOCK_ELEMENTS = 1 << 14
 
 
@@ -139,7 +141,8 @@ class RegionEdges:
     """A region's boundary in numpy, for testing many points at once.
 
     Holds each ring as a (2, n) lon/lat view (``ring.T``, no copy) of
-    the region's (n, 2) array, and ``bbox``, (min lon, min lat, max lon,
+    the region's (n, 2) array, ``polygon_of_edge``, the polygon index of
+    each edge in ring order, and ``bbox``, (min lon, min lat, max lon,
     max lat) over all vertices. The edge arrays are built inside
     ``contains`` and dropped when it returns, so a caller walking many
     regions holds one region's edges at a time.
@@ -152,44 +155,46 @@ class RegionEdges:
         if not region.boundary:
             raise NoBoundary(f"region {region.id!r} has no boundary polygons")
         self.rings = [ring.T for polygon in region.boundary for ring in polygon]
-        # Index of each polygon's first edge; a ring of n vertices has n - 1 edges.
-        self.starts = np.cumsum([0] + [sum(len(ring) - 1 for ring in polygon) for polygon in region.boundary[:-1]])
-        vertices = np.concatenate(self.rings, axis=1)
-        self.bbox = (*vertices.min(axis=1).tolist(), *vertices.max(axis=1).tolist())
+        # Polygon of each edge; a ring of n vertices has n - 1 edges.
+        self.polygon_of_edge = np.repeat(
+            np.arange(len(region.boundary)), [sum(len(ring) - 1 for ring in polygon) for polygon in region.boundary]
+        )
+        lons, lats = np.concatenate(self.rings, axis=1)
+        self.bbox = (float(lons.min()), float(lats.min()), float(lons.max()), float(lats.max()))
 
     def contains(self, lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
-        """Boolean mask: ``point_in_region`` for each (lon, lat), in blocks of points x edges."""
-        x1, y1 = np.concatenate([ring[:, :-1] for ring in self.rings], axis=1)
-        x2, y2 = np.concatenate([ring[:, 1:] for ring in self.rings], axis=1)
-        dx = x2 - x1
-        dy = y2 - y1
+        """Boolean mask: ``point_in_region`` for each (lon, lat), in blocks of points x edges.
+
+        Each point meets only the edges whose closed latitude span holds
+        it. Any other edge has both ends above or both below the point, so
+        it neither straddles the point's latitude nor passes through it.
+        """
+        a = np.concatenate([ring[:, :-1] for ring in self.rings], axis=1)
+        b = np.concatenate([ring[:, 1:] for ring in self.rings], axis=1)
+        edges = np.concatenate([a, b, b - a])  # rows x1, y1, x2, y2, dx, dy
+        ylo, yhi = np.minimum(a[1], b[1]), np.maximum(a[1], b[1])
+        polygons = int(self.polygon_of_edge[-1]) + 1
         inside = np.zeros(len(lons), dtype=bool)
-        step = max(1, BLOCK_ELEMENTS // len(x1))
-        # Horizontal and zero-length edges divide by zero in xi; they never
-        # straddle, so their xi is masked out.
+        step = max(1, BLOCK_ELEMENTS // len(ylo))
+        # Horizontal and zero-length edges at a point's latitude divide by zero
+        # in xi; they never straddle, so their xi is masked out.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for s in range(0, len(lons), step):
-                px = lons[s : s + step, None]
                 py = lats[s : s + step, None]
-                rel_y = py - y1
+                i, j = np.nonzero((ylo <= py) & (py <= yhi))
+                x, y = lons[s + i], lats[s + i]
+                x1, y1, x2, y2, dx, dy = edges[:, j]
+                rel_y = y - y1
                 # The same expressions, in the same operand order, as _on_segment and
-                # _point_in_polygon, so every float matches the scalar test.
-                cross = dx * rel_y - dy * (px - x1)
-                i, j = np.nonzero(cross == 0.0)
-                if len(i):
-                    x = px[i, 0]
-                    y = py[i, 0]
-                    on = (
-                        (np.minimum(x1[j], x2[j]) <= x)
-                        & (x <= np.maximum(x1[j], x2[j]))
-                        & (np.minimum(y1[j], y2[j]) <= y)
-                        & (y <= np.maximum(y1[j], y2[j]))
-                    )
-                    inside[s + i[on]] = True
-                xi = x1 + rel_y * dx / dy
-                crossing = ((y1 > py) != (y2 > py)) & (xi > px)
-                odd = np.logical_xor.reduceat(crossing, self.starts, axis=1)
-                inside[s : s + step] |= odd.any(axis=1)
+                # _point_in_polygon, so every float matches the scalar test; the
+                # pairing is already the on-segment latitude test.
+                on = (dx * rel_y - dy * (x - x1) == 0.0) & (np.minimum(x1, x2) <= x) & (x <= np.maximum(x1, x2))
+                inside[s + i[on]] = True
+                crossing = ((y1 > y) != (y2 > y)) & (x1 + rel_y * dx / dy > x)
+                # Crossings per (point, polygon) of this block; an odd count is inside.
+                keys = i[crossing] * polygons + self.polygon_of_edge[j[crossing]]
+                odd = np.bincount(keys, minlength=len(py) * polygons) & 1
+                inside[s : s + step] |= odd.reshape(len(py), polygons).any(axis=1)
         return inside
 
 

@@ -63,6 +63,8 @@ class WasgRegion:
             raise ValueError(f"region {self.id!r}: area_km2 {self.area_km2!r} is not finite")
         if self.boundary and self.area_km2 <= 0:
             raise ValueError(f"region {self.id!r}: area_km2 must be positive when a boundary is present")
+        if any(len(polygon) == 0 for polygon in self.boundary):
+            raise ValueError(f"region {self.id!r}: polygon with no ring")
         object.__setattr__(self, "boundary", tuple(tuple(map(self._ring, polygon)) for polygon in self.boundary))
 
     def _ring(self, vertices) -> Ring:
@@ -130,7 +132,7 @@ class WasgRegistry:
                 raise MalformedDocument(f"duplicate region id {region.id!r}")
             if region.abbrev in self._by_abbrev:
                 raise DuplicateAbbrev(f"abbreviation {region.abbrev!r} used by more than one region")
-            for code in region.members:
+            for code in sorted(region.members):
                 if code in self._member_to_id:
                     raise DuplicateMember(
                         f"member code {code!r} claimed by both {self._member_to_id[code]!r} and {region.id!r}"
@@ -176,13 +178,20 @@ class WasgRegistry:
 
 
 def _coerce_ring(raw):
-    """``raw`` if it is a JSON list of points of JSON numbers, TypeError if not; WasgRegion checks the rest."""
+    """A JSON list of points of JSON numbers as an (n, 2) float64 array, TypeError if not; WasgRegion checks the rest.
+
+    Points that are not all pairs come back as ``raw``, so WasgRegion names their shape.
+    """
     # One type pass each, not a call per point: numpy would read the point ["1", "2"] or true as numbers.
     if not {list, tuple}.issuperset(map(type, _json_list(raw, "ring"))):
         raise TypeError("ring point is not a list")
-    if not all(map(_is_number_type, set(map(type, chain.from_iterable(raw))))):
+    flat = list(chain.from_iterable(raw))
+    if not all(map(_is_number_type, set(map(type, flat)))):
         raise TypeError("ring coordinate is not a number")
-    return raw
+    # numpy converts one flat list far faster than a list of pairs, to the same floats.
+    if set(map(len, raw)) != {2}:
+        return raw
+    return np.array(flat, dtype=np.float64).reshape(-1, 2)
 
 
 def _coerce_geometry(geometry: Mapping, region_id: str) -> tuple:

@@ -259,7 +259,7 @@ def _rank(per_wasg: dict[str, dict[str, float]], uncovered_total: float, metric:
 
 def _check_zones(registry: WasgRegistry, zones) -> None:
     """``UnknownWasg`` for a zone, other than None, that the registry lacks; pass counted zones, not components."""
-    for zone in set(zones) - {None}:
+    for zone in sorted(set(zones) - {None}):
         registry.get(zone)
 
 
@@ -354,8 +354,9 @@ def sample_polygon_overlap(
     x1 = max(edges.bbox[2] for edges in index.edges)
     y1 = max(edges.bbox[3] for edges in index.edges)
     rng = random.Random(seed)
-    draws = np.array([(rng.uniform(y0, y1), rng.uniform(x0, x1)) for _ in range(samples)]).reshape(-1, 2)
-    lats, lons = draws[:, 0], draws[:, 1]
+    # rng.uniform(a, b) is a + (b - a) * rng.random(); each sample draws its lat, then its lon.
+    draws = np.array([rng.random() for _ in range(2 * samples)])
+    lats, lons = y0 + (y1 - y0) * draws[0::2], x0 + (x1 - x0) * draws[1::2]
     hits = index.hits(lons, lats)
     count = np.bincount(np.concatenate(hits), minlength=samples)
     inside: dict[int, list[str]] = {}

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,8 @@ from netwattzap.grid_model import WasgRegistry, registry_to_geojson
 
 from conftest import build_cli_workspace, build_registry, square_region
 from test_placement import deep_min_cost_doc
+
+ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -84,6 +90,26 @@ class TestValidate:
         assert code == 2
         assert out["status"] == "violations"
         assert any(v.startswith("MalformedDocument: ") and repr(region) in v for v in out["violations"])
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [{"type": "Polygon", "coordinates": []}, {"type": "MultiPolygon", "coordinates": [[]]}],
+        ids=["polygon", "multi"],
+    )
+    def test_polygon_without_ring_is_a_violation(self, workspace, tmp_path, capsys, geometry):
+        # It used to load, and the overlap sampler then aborted validate with a ValueError.
+        doc = json.loads((workspace / "wasg.geojson").read_text())
+        region = doc["features"][0]["properties"]["id"]
+        doc["features"][0]["geometry"] = geometry
+        bad = tmp_path / "wasg_ringless.geojson"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["validate", "--wasg", str(bad)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert out["status"] == "violations"
+        assert out["violations"] == [
+            f"MalformedDocument: feature 0 ({region!r}): region {region!r}: polygon with no ring"
+        ]
 
     def test_duplicate_candidate_ids_exit_two(self, workspace, capsys):
         code = main(["validate", "--problem", str(workspace / "problem_dup.json")])
@@ -889,6 +915,69 @@ class TestDeterminism:
             tmp_path,
             "place",
         )
+
+
+# Runs each CLI argv in one process, then one distribution report of
+# components in zones the registry lacks; prints the outcomes as JSON.
+_HASH_PROBE = """
+import contextlib, io, json, sys
+from netwattzap.cli import main
+from netwattzap.errors import UnknownWasg
+from netwattzap.geo import GeoPoint
+from netwattzap.grid_model import load_registry
+from netwattzap.ingest import InfraComponent
+from netwattzap.overlap import distribution_report
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        results.append([main(argv), out.getvalue(), err.getvalue()])
+zones = ["NOPE3", "NOPE1", "NOPE4", "NOPE2"]
+try:
+    distribution_report(
+        [InfraComponent(id=z, kind="ixp", geo=GeoPoint(0.0, 0.0), zone=z) for z in zones], load_registry(sys.argv[2])
+    )
+except UnknownWasg as exc:
+    results.append(str(exc))
+print(json.dumps(results))
+"""
+
+
+def test_error_texts_name_the_smallest_code_under_any_hash_seed(workspace, tmp_path):
+    doc = json.loads((workspace / "wasg.geojson").read_text())
+    for f in doc["features"][:2]:
+        f["properties"]["members"] = ["X3", "X1", "X4", "X2"]
+    dup = tmp_path / "wasg_dup.geojson"
+    dup.write_text(json.dumps(doc), encoding="utf-8")
+    scenario = tmp_path / "scenario_unknown.json"
+    scenario.write_text(json.dumps({"name": "s", "mode": "regional", "failed": ["NOPE3", "NOPE1", "NOPE4", "NOPE2"]}))
+    wasg = str(workspace / "wasg.geojson")
+    runs = [
+        ["validate", "--wasg", str(dup)],
+        ["validate", "--wasg", wasg, "--scenario", str(scenario)],
+        ["failure", "--wasg", wasg, "--scenario", str(scenario)],
+    ]
+    outputs = set()
+    for seed in range(5):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-c", _HASH_PROBE, json.dumps(runs), wasg],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        outputs.add(result.stdout)
+    assert len(outputs) == 1
+    (dup_run, scenario_run, failure_run, zones_error) = json.loads(outputs.pop())
+    first, second = (f["properties"]["id"] for f in doc["features"][:2])
+    assert dup_run[0] == 2
+    assert json.loads(dup_run[1])["violations"] == [
+        f"DuplicateMember: member code 'X1' claimed by both {first!r} and {second!r}"
+    ]
+    assert scenario_run[0] == 2
+    assert json.loads(scenario_run[1])["violations"] == ["UnknownWasg: scenario 's' fails unknown grid 'NOPE1'"]
+    assert failure_run == [2, "", "error: UnknownWasg: scenario 's' fails unknown grid 'NOPE1'\n"]
+    assert zones_error == "no region with id 'NOPE1'"
 
 
 class TestFormatGuard:

@@ -14,6 +14,7 @@ from netwattzap.grid_model import (
     AdminStatRecord,
     WasgRegion,
     WasgRegistry,
+    _coerce_ring,
     aggregate_stats,
     load_registry,
     registry_to_geojson,
@@ -153,6 +154,23 @@ class TestLoadRegistry:
         doc["features"][0]["geometry"] = None
         assert load_registry(doc).get("A").boundary == ()
 
+    def test_multipolygon_without_polygon_loads_without_boundary(self):
+        doc = collection(feature("A", "A", ["US"]))
+        doc["features"][0]["geometry"] = {"type": "MultiPolygon", "coordinates": []}
+        assert load_registry(doc).get("A").boundary == ()
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [{"type": "Polygon", "coordinates": []}, {"type": "MultiPolygon", "coordinates": [[]]}],
+        ids=["polygon", "multi"],
+    )
+    def test_polygon_without_ring_rejected(self, geometry):
+        # It used to load, and resolution then failed in np.concatenate.
+        doc = collection(feature("A", "A", ["US"]))
+        doc["features"][0]["geometry"] = geometry
+        with pytest.raises(MalformedDocument, match="'A': polygon with no ring"):
+            load_registry(doc)
+
     def test_multipolygon_and_no_geometry_serialize(self):
         ring1 = square_ring(0.0, 0.0, 4.0)
         ring2 = square_ring(10.0, 0.0, 4.0)
@@ -223,6 +241,40 @@ class TestRingFormat:
         assert len({a, b}) == 2
         assert WasgRegistry([a]) == WasgRegistry([b])
         assert WasgRegistry([a]) != WasgRegistry([square_region("A", "A", 0.0, 0.5)])
+
+    @pytest.mark.parametrize(
+        "ring",
+        [
+            [[0, 0], [4, 0], [4, 4], [0, 0]],
+            [[2**53 + 1, 0.5], [-(2**63) - 1, 2**64 + 3], [10**30 + 7, -0.0], [-0.0, 0]],
+            [[-0.0, -0.0], [1.5, -0.0], [0.1, 0.2], [-0.0, -0.0]],
+            [(1, 2.5), [3, 4]],
+        ],
+        ids=["ints", "big_ints", "negative_zero", "tuple_point"],
+    )
+    def test_coerced_ring_is_numpys_array_of_the_points(self, ring):
+        # One flat list must give the same floats as numpy on the nested points.
+        coerced = _coerce_ring(ring)
+        expected = np.array(ring, dtype=np.float64)
+        assert coerced.dtype == np.float64 and coerced.shape == expected.shape
+        assert coerced.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "ring",
+        [[[0, 0], [1, 0, 5], [1, 1], [0, 0]], [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 0, 0]], [[0], [1], [1], [0]]],
+        ids=["ragged", "three_coordinates", "one_coordinate"],
+    )
+    def test_points_that_are_not_pairs_keep_the_region_message(self, ring):
+        with pytest.raises(ValueError) as built:
+            WasgRegion(
+                id="A", name="A", abbrev="A", members=frozenset(), boundary=((ring,),),
+                population=0, internet_users=0, area_km2=1000.0,
+            )
+        doc = collection(feature("A", "A", ["US"]))
+        doc["features"][0]["geometry"]["coordinates"] = [ring]
+        with pytest.raises(MalformedDocument) as loaded:
+            load_registry(doc)
+        assert str(loaded.value) == f"feature 0 ('A'): {built.value}"
 
     @pytest.mark.parametrize(
         "ring, error",

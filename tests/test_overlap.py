@@ -28,7 +28,7 @@ from netwattzap.grid_model import (
     load_registry,
     registry_to_geojson,
 )
-from netwattzap import overlap
+from netwattzap import geo, overlap
 from netwattzap.ingest import NODE_DTYPE, CleaningReport, InfraComponent, ParsedTopology, parse_topology
 from netwattzap.overlap import (
     RegionIndex,
@@ -436,19 +436,45 @@ def _points(registry):
     ).map(lambda lon_lat: GeoPoint(lat=lon_lat[1], lon=lon_lat[0]))
 
 
+def _latitude_points(registry):
+    """Points at each ring's lowest and highest latitude and at each horizontal edge's, on a vertex's x or free.
+
+    These latitudes are where an edge's closed latitude span starts or ends.
+    """
+    rings = [ring.tolist() for region in registry for polygon in region.boundary for ring in polygon]
+    lats = {lat for ring in rings for lat in (min(y for _, y in ring), max(y for _, y in ring))}
+    lats |= {a[1] for ring in rings for a, b in zip(ring, ring[1:]) if a[1] == b[1]}
+    lons = st.one_of(st.sampled_from(sorted({x for ring in rings for x, _ in ring})), st.floats(-4.0, 4.0))
+    return st.tuples(lons, st.sampled_from(sorted(lats))).map(lambda lon_lat: GeoPoint(lat=lon_lat[1], lon=lon_lat[0]))
+
+
+def _assert_batch_matches_scalar(registry, points):
+    lons = np.array([p.lon for p in points])
+    lats = np.array([p.lat for p in points])
+    for region in registry:
+        expected = [point_in_region(p, region) for p in points]
+        assert RegionEdges(region).contains(lons, lats).tolist() == expected
+    assert resolve_points(points, registry) == [brute_force_zone(p, registry) for p in points]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestBatchResolutionDifferential:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_batch_matches_scalar(self, data):
         registry = data.draw(_registries())
-        points = data.draw(st.lists(_points(registry), min_size=1, max_size=25))
-        lons = np.array([p.lon for p in points])
-        lats = np.array([p.lat for p in points])
-        for region in registry:
-            expected = [point_in_region(p, region) for p in points]
-            assert RegionEdges(region).contains(lons, lats).tolist() == expected
-        assert resolve_points(points, registry) == [brute_force_zone(p, registry) for p in points]
+        _assert_batch_matches_scalar(registry, data.draw(st.lists(_points(registry), min_size=1, max_size=25)))
+
+    # One point per block and blocks of 20 elements split polygons and rings across blocks.
+    @pytest.mark.parametrize("block", [1, 20, geo.BLOCK_ELEMENTS])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_points_at_span_ends_in_any_block_size(self, block, data):
+        registry = data.draw(_registries())
+        strategy = st.one_of(_latitude_points(registry), _points(registry))
+        points = data.draw(st.lists(strategy, min_size=1, max_size=25))
+        with mock.patch.object(geo, "BLOCK_ELEMENTS", block):
+            _assert_batch_matches_scalar(registry, points)
 
     @pytest.mark.parametrize("source", ["tuples", "json"])
     def test_edges_are_views_of_the_region_rings(self, source):
@@ -470,6 +496,21 @@ class TestBatchResolutionDifferential:
         registry = WasgRegistry([square_region("A", "A", 0.0, 0.0, 2.0), square_region("B", "B", 1.0, 1.0, 2.0)])
         points = [GeoPoint(lat=i * 0.25 - 0.5, lon=j * 0.25 - 0.5) for i in range(17) for j in range(17)]
         assert resolve_points(points, registry) == [brute_force_zone(p, registry) for p in points]
+
+    def test_sample_points_are_the_uniform_draws(self):
+        registry = WasgRegistry([square_region("A", "A", -3.0, 1.0, 2.0), square_region("B", "B", 4.0, -2.5, 1.5)])
+        seen = []
+        hits = RegionIndex.hits
+
+        def spy(index, lons, lats):
+            seen.append((lons.tolist(), lats.tolist()))
+            return hits(index, lons, lats)
+
+        with mock.patch.object(RegionIndex, "hits", spy):
+            sample_polygon_overlap(registry, samples=500, seed=3)
+        rng = random.Random(3)
+        draws = [(rng.uniform(-2.5, 3.0), rng.uniform(-3.0, 5.5)) for _ in range(500)]
+        assert seen == [([lon for _, lon in draws], [lat for lat, _ in draws])]
 
     def test_sampler_matches_scalar_recount(self):
         ring = ((0.0, 0.0), (6.0, 0.0), (6.0, 6.0), (0.0, 6.0), (0.0, 0.0))
