@@ -37,7 +37,6 @@ from .ingest import (
 from .overlap import (
     OverlapReport,
     az_collapse,
-    categorize_links,
     distribution_report,
     resolve_components,
     smallest_k,
@@ -82,7 +81,6 @@ __all__ = [
     "band_overlap",
     "build_graph",
     "build_ilp",
-    "categorize_links",
     "check_feasible",
     "distribution_report",
     "flow_reduction",

@@ -14,6 +14,8 @@ stderr and exits 2; any other exception is a bug and keeps its traceback.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -113,6 +115,13 @@ def _emit(text: str, out: str | None) -> None:
 
 def _emit_json(doc, out: str | None) -> None:
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
+
+
+def _emit_csv(rows, out: str | None) -> None:
+    """Rows as CSV lines ending in a newline; a field with a comma, quote or newline is quoted."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    _emit(text.getvalue(), out)
 
 
 def _parse_component_specs(specs: list[str]) -> list[tuple[str, str]]:
@@ -215,18 +224,14 @@ def _overlap_report_dict(report) -> dict:
     }
 
 
-def _overlap_report_csv(report) -> str:
-    lines = ["table,a,b,value"]
-    for category, count in sorted(report.link_categories.items()):
-        lines.append(f"link_categories,{category},,{count}")
-    for (a, b), count in sorted(report.pair_counts.items()):
-        lines.append(f"pair_counts,{a},{b},{count}")
-    for wasg, count in sorted(report.one_end_counts.items()):
-        lines.append(f"one_end_counts,{wasg},,{count}")
+def _overlap_report_rows(report) -> list[tuple]:
+    rows = [("table", "a", "b", "value")]
+    rows += [("link_categories", category, "", count) for category, count in sorted(report.link_categories.items())]
+    rows += [("pair_counts", a, b, count) for (a, b), count in sorted(report.pair_counts.items())]
+    rows += [("one_end_counts", wasg, "", count) for wasg, count in sorted(report.one_end_counts.items())]
     for wasg in sorted(report.per_wasg):
-        for metric, value in sorted(report.per_wasg[wasg].items()):
-            lines.append(f"per_wasg,{wasg},{metric},{value}")
-    return "\n".join(lines) + "\n"
+        rows += [("per_wasg", wasg, metric, value) for metric, value in sorted(report.per_wasg[wasg].items())]
+    return rows
 
 
 def cmd_overlap(args) -> int:
@@ -239,7 +244,7 @@ def cmd_overlap(args) -> int:
             raise ValueError(f"unknown metric {args.metric!r}; have {sorted(report.rankings)}")
         k = overlap_mod.smallest_k(report, metric, args.cumulative)
     if args.format == "csv":
-        _emit(_overlap_report_csv(report), args.out)
+        _emit_csv(_overlap_report_rows(report), args.out)
     else:
         _emit_json(_overlap_report_dict(report), args.out)
     if args.cumulative is not None:
@@ -272,11 +277,8 @@ def cmd_connectivity(args) -> int:
     failed = failure_mod.resolve_scenario(scenario, registry)
     report = conn.flow_reduction(graph, failed)
     if args.format == "csv":
-        lines = ["u,v,flow_before,flow_after,reduction"]
-        lines.extend(
-            f"{p.u},{p.v},{p.flow_before},{p.flow_after},{p.reduction!r}" for p in report.pairs
-        )
-        _emit("\n".join(lines) + "\n", args.out)
+        header = [("u", "v", "flow_before", "flow_after", "reduction")]
+        _emit_csv(header + [(p.u, p.v, p.flow_before, p.flow_after, p.reduction) for p in report.pairs], args.out)
     else:
         doc = report.to_dict()
         doc["scenario"] = scenario.name

@@ -147,6 +147,8 @@ def unavailability(
     ``stats``.
     """
     failed = resolve_scenario(scenario, registry)
+    if tally is not None:
+        _check_zones(registry, tally.zones())
     details: dict[str, MetricDetail] = {}
 
     for kind, metric in _KIND_METRICS:

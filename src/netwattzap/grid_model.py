@@ -53,6 +53,8 @@ class WasgRegion:
     area_km2: float
 
     def __post_init__(self) -> None:
+        if "|" in self.id:
+            raise ValueError(f"region {self.id!r}: '|' in an id, where it joins the grid pairs of overlap reports")
         if self.population < 0 or self.internet_users < 0:
             raise ValueError(f"region {self.id!r}: negative population figures")
         if self.population < self.internet_users:

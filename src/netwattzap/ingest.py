@@ -16,10 +16,11 @@ lines) goes through the per-line link parser, which only parses too.
 and dangling links, so every count and error is the same either way.
 An interface that is a dotted quad is classified by its first octet;
 any other interface token must be an IPv6 address.
-Kept nodes and links are data, not objects, 24 bytes each: node id,
-latitude and longitude in ``ParsedTopology.nodes`` (NaN without
-geolocation), link id and endpoints in the ``(k, 3)`` int64
-``ParsedTopology.links``, so multi-million-row topologies stay small.
+Kept nodes and links are data, not objects: ``ParsedTopology.nodes``
+holds node id, latitude and longitude (NaN without geolocation), 24
+bytes a node; the ``(k, 2)`` int64 ``ParsedTopology.links`` holds the
+rows of each link's ends in ``nodes``, 16 bytes a link, found by
+``_find``, the one place that maps node ids to rows.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .grid_model import AdminStatRecord
 
 logger = logging.getLogger(__name__)
 
-# Largest node or link id: ids are stored as int64.
+# Largest node or link id: node ids are stored as int64, and link ids must fit it too.
 MAX_ID = 2**63 - 1
 # A kept router: its id, and its latitude and longitude in degrees, both
 # NaN for a router without geolocation.
@@ -134,8 +135,8 @@ class CleaningReport:
 class ParsedTopology:
     """Kept nodes sorted by id, kept links in file order, and the removal counts.
 
-    ``nodes`` is a ``NODE_DTYPE`` array; ``links`` has shape ``(k, 3)``,
-    columns link id, a and b.
+    ``nodes`` is a ``NODE_DTYPE`` array; ``links`` is a ``(k, 2)`` int64
+    array, each link's ends a and b as rows of ``nodes``.
     """
 
     nodes: np.ndarray
@@ -209,7 +210,7 @@ def parse_topology(nodes_source, geo_source=None, links_source=None, *, strict: 
         # Other iterables may hold items with embedded or missing newlines,
         # which joining into chunks would split into lines differently.
         sorter.parse_lines(_lines(links_source))
-    return ParsedTopology(nodes=nodes, links=np.frombuffer(sorter.flat, dtype=np.int64).reshape(-1, 3), report=report)
+    return ParsedTopology(nodes=nodes, links=np.frombuffer(sorter.flat, dtype=np.int64).reshape(-1, 2), report=report)
 
 
 def _parse_nodes(source, report: CleaningReport) -> tuple[np.ndarray, np.ndarray]:
@@ -280,22 +281,20 @@ def _geolocate(source, kept_ids: np.ndarray, report: CleaningReport) -> np.ndarr
     nodes = np.empty(len(kept_ids), dtype=NODE_DTYPE)
     nodes["id"] = kept_ids
     nodes["lat"] = nodes["lon"] = np.nan
-    ids = np.frombuffer(geo_ids, dtype=np.int64)
-    known = _members(ids, kept_ids)
-    report.geo_for_unknown_nodes = len(ids) - int(known.sum())
+    rows, known = _find(np.frombuffer(geo_ids, dtype=np.int64), kept_ids)
+    report.geo_for_unknown_nodes = len(rows) - int(known.sum())
     # Reversed, a node's first line is its last in the file, the one np.unique picks.
-    ids, last = np.unique(ids[known][::-1], return_index=True)
+    rows, last = np.unique(rows[known][::-1], return_index=True)
     lat_lon = np.frombuffer(geo_lat_lon, dtype=np.float64).reshape(-1, 2)[known][::-1][last]
-    row = np.searchsorted(kept_ids, ids)
-    nodes["lat"][row], nodes["lon"][row] = lat_lon.T
+    nodes["lat"][rows], nodes["lon"][rows] = lat_lon.T
     return nodes
 
 
 class _LinkSorter:
     """Sorts link lines into kept, removed, self and dangling links.
 
-    Kept links go to ``flat`` (link id, a, b; 8 bytes per value) in file
-    order, and each removal is counted in ``report``. ``_sort_rows`` alone
+    Kept links go to ``flat`` (the node rows of a and b) in file order,
+    and each removal is counted in ``report``. ``_sort_rows`` alone
     decides a link's fate; ``scan`` and ``parse_lines`` only make its rows.
     """
 
@@ -329,9 +328,9 @@ class _LinkSorter:
         """Sort links given as int64 values, three per link: link id, a and b."""
         block = np.frombuffer(values, dtype=np.int64).reshape(-1, 3)
         ends = block[:, 1:]
-        is_kept = _members(ends, self.kept)
+        rows, is_kept = _find(ends, self.kept)
         undeclared = ~is_kept
-        undeclared[undeclared] = ~_members(ends[undeclared], self.declared)
+        undeclared[undeclared] = ~_find(ends[undeclared], self.declared)[1]
         self_link = ends[:, 0] == ends[:, 1]
         missing = ~self_link & ~is_kept.all(axis=1)
         dangling = missing & undeclared.any(axis=1)
@@ -345,7 +344,7 @@ class _LinkSorter:
         report.self_links += int(self_link.sum())
         report.dangling_links += int(dangling.sum())
         report.removed_links += int((missing & ~dangling).sum())
-        self.flat.frombytes(block[~self_link & ~missing].tobytes())
+        self.flat.frombytes(rows[~self_link & ~missing].tobytes())
 
     def parse_lines(self, numbered: Iterator[tuple[int, str]]) -> None:
         """The per-line link parser: every line, malformed ones included, to rows for ``_sort_rows``."""
@@ -369,12 +368,12 @@ class _LinkSorter:
         self._sort_rows(rows)
 
 
-def _members(values: np.ndarray, sorted_ids: np.ndarray) -> np.ndarray:
-    """Elementwise ``value in sorted_ids`` for an int64 array."""
-    if not len(sorted_ids):
-        return np.zeros(values.shape, dtype=bool)
-    pos = np.searchsorted(sorted_ids, values).clip(max=len(sorted_ids) - 1)
-    return sorted_ids[pos] == values
+def _find(values: np.ndarray, sorted_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise position of an int64 array's values in ``sorted_ids``, and whether each is there."""
+    pos = np.searchsorted(sorted_ids, values)
+    found = pos < len(sorted_ids)
+    found[found] = sorted_ids[pos[found]] == values[found]
+    return pos, found
 
 
 @dataclass

@@ -5,8 +5,9 @@ once and, region by region, tests each distinct point inside the
 region's bounding box with ``geo.RegionEdges.contains``. Overlapping
 polygons are data defects and resolve deterministically to the
 smallest-area region, with one warning per call. Routers stay columns,
-counted with numpy. All counting here is purely additive, so each
-reported figure can be re-derived by a brute-force recount.
+counted with numpy; link ends are node rows, zoned by row with no id
+lookup. All counting here is purely additive, so each reported figure
+can be re-derived by a brute-force recount.
 """
 
 from __future__ import annotations
@@ -127,49 +128,41 @@ class TopologyTally:
     routers: dict[str, int] = field(default_factory=dict)
     routers_unzoned: int = 0
 
+    def zones(self) -> set[str]:
+        """Every grid id the tally names."""
+        return {*self.routers, *self.one_end, *itertools.chain.from_iterable(self.pairs)}
+
 
 def tally_topology(topo: ParsedTopology, registry: WasgRegistry) -> TopologyTally:
-    """Resolve each geolocated router once and count routers and links per grid."""
+    """Resolve each geolocated router once and count routers and links per grid.
+
+    Raises:
+        UnknownNode: if a link end is not a row of ``topo.nodes``.
+    """
     index = RegionIndex(registry)
     nodes = topo.nodes
     located = ~np.isnan(nodes["lat"])
     codes = np.full(len(nodes), -1, dtype=np.int64)
     codes[located] = index.resolve(nodes["lon"][located], nodes["lat"][located])
-    tally = categorize_links(topo.links, nodes["id"], codes, index.zone_ids)
+    tally = _tally_links(topo.links, codes, index.zone_ids)
     # Shifted by one: bin 0 holds the routers outside every grid.
     per_zone = np.bincount(codes[located] + 1, minlength=len(index.zone_ids) + 1).tolist()
     routers = {zone: n for zone, n in zip(index.zone_ids, per_zone[1:]) if n}
     return replace(tally, routers=routers, routers_unzoned=per_zone[0])
 
 
-def categorize_links(
-    links: np.ndarray, node_ids: np.ndarray, node_codes: np.ndarray, zone_ids: Sequence[str]
-) -> TopologyTally:
-    """Tally links by how many endpoints map to a grid, and by which grids.
-
-    ``links`` is a ``(k, 3)`` integer array of link id, a and b, as in
-    ``ParsedTopology.links``. ``node_ids`` holds the known node ids in
-    ascending order and ``node_codes`` each one's zone, a position in the
-    sorted ``zone_ids`` or -1 for none. The tally counts no routers.
-
-    Raises:
-        UnknownNode: if a link references a node id absent from ``node_ids``.
-    """
+def _tally_links(links: np.ndarray, codes: np.ndarray, zone_ids: Sequence[str]) -> TopologyTally:
+    """Tally ``(k, 2)`` links of node rows by their mapped ends; ``codes`` is each row's zone code, -1 for none."""
+    outside = (links < 0) | (links >= len(codes))
+    if outside.any():
+        row, col = divmod(int(np.argmax(outside)), 2)
+        raise UnknownNode(f"link {row} names node row {links[row, col]}, outside the {len(codes)} nodes")
     # Codes follow sorted zone ids, so min/max of two codes is the sorted
     # pair; G, one past the last code, stands for "no zone".
     g = len(zone_ids)
-    # Look up each distinct endpoint once: ends = uniq[inverse], a and b interleaved.
-    uniq, inverse = np.unique(links[:, 1:].ravel(), return_inverse=True)
-    pos = np.searchsorted(node_ids, uniq)
-    found = pos < len(node_ids)
-    found[found] = node_ids[pos[found]] == uniq[found]
-    if not found.all():
-        row, col = divmod(int(np.argmin(found[inverse])), 2)
-        raise UnknownNode(f"link L{links[row, 0]} references unknown node N{links[row, 1 + col]}")
-    ends = node_codes[pos]
+    ends = codes[links]
     ends[ends < 0] = g
-    codes = ends[inverse].reshape(-1, 2)
-    lo, hi = np.minimum(codes[:, 0], codes[:, 1]), np.maximum(codes[:, 0], codes[:, 1])
+    lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
 
     both = hi < g
     keys, key_counts = np.unique(lo[both] * g + hi[both], return_counts=True)
@@ -275,11 +268,11 @@ def distribution_report(
     }
     uncovered: dict[str, float] = {kind: 0 for kind in COMPONENT_KINDS}
     counts = Counter((c.zone, c.kind) for c in components)
-    _check_zones(registry, (zone for zone, _ in counts))
+    tally = tally or TopologyTally(counts=dict.fromkeys(LINK_CATEGORIES, 0), pairs={}, one_end={})
+    _check_zones(registry, itertools.chain((zone for zone, _ in counts), tally.zones()))
     for (zone, kind), count in counts.items():
         target = per_wasg[zone] if zone is not None else uncovered
         target[kind] += count
-    tally = tally or TopologyTally(counts=dict.fromkeys(LINK_CATEGORIES, 0), pairs={}, one_end={})
     for zone, count in tally.routers.items():
         per_wasg[zone]["router"] += count
     uncovered["router"] += tally.routers_unzoned

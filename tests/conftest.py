@@ -119,8 +119,9 @@ def synthetic_components() -> list[InfraComponent]:
 def build_topology(seed: int = 11, n_nodes: int = 300, n_links: int = 2000):
     """Router nodes (some without geo) and random links between them.
 
-    Nodes are a ``NODE_DTYPE`` array and links a ``(k, 3)`` int64 array
-    of link id, a and b, as ``parse_topology`` returns them.
+    Nodes are a ``NODE_DTYPE`` array, as ``parse_topology`` returns them,
+    and links a ``(k, 3)`` int64 array of link id, a and b, which
+    ``link_rows`` turns into the rows ``parse_topology`` returns.
     """
     rng = random.Random(seed)
     nodes = []
@@ -144,6 +145,13 @@ def build_topology(seed: int = 11, n_nodes: int = 300, n_links: int = 2000):
             b = rng.randint(1, n_nodes)
         links.append((link_id, a, b))
     return np.array(nodes, dtype=NODE_DTYPE), np.array(links, dtype=np.int64)
+
+
+def link_rows(node_ids, links) -> np.ndarray:
+    """``(k, 3)`` links of link id, a and b as ``ParsedTopology.links``: the rows of a and b in ``node_ids``."""
+    ends = np.asarray(links, dtype=np.int64).reshape(-1, 3)[:, 1:]
+    assert np.isin(ends, node_ids).all(), "a link end is not a node"
+    return np.searchsorted(node_ids, ends)
 
 
 def node_geo(nodes) -> dict[int, GeoPoint | None]:

@@ -39,7 +39,15 @@ from netwattzap.placement import (
     solve_problem,
 )
 
-from conftest import build_cli_workspace, build_components, build_registry, build_stats, build_topology, node_geo
+from conftest import (
+    build_cli_workspace,
+    build_components,
+    build_registry,
+    build_stats,
+    build_topology,
+    link_rows,
+    node_geo,
+)
 
 
 def _criterion(num: int, name: str, budget_s: float, fn) -> None:
@@ -426,7 +434,8 @@ def test_criterion_07_counting_invariants():
         assert len(links) == 2000
 
         resolved = resolve_components(components, registry)
-        tally = tally_topology(ParsedTopology(nodes=nodes, links=links, report=CleaningReport()), registry)
+        topo = ParsedTopology(nodes=nodes, links=link_rows(nodes["id"], links), report=CleaningReport())
+        tally = tally_topology(topo, registry)
         agg = aggregate_stats(registry, stats)
         report = distribution_report(resolved, registry, stats=agg, tally=tally)
 

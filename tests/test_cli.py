@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -13,7 +15,7 @@ import pytest
 from netwattzap.cli import main
 from netwattzap.grid_model import WasgRegistry, registry_to_geojson
 
-from conftest import build_cli_workspace, build_registry, square_region
+from conftest import build_cli_workspace, build_registry, square_region, square_ring
 from test_placement import deep_min_cost_doc
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -987,6 +989,54 @@ class TestFormatGuard:
         )
         assert code == 2
         assert "not supported" in capsys.readouterr().err
+
+
+def _path_topology_files(root, ids) -> list[str]:
+    """Three grids in a row named ``ids``, a router in each, links 1-2 and 2-3; the flags naming the files."""
+    features = [
+        {
+            "type": "Feature",
+            "geometry": {"type": "Polygon", "coordinates": [[list(v) for v in square_ring(20.0 * i, 0.0, 8.0)]]},
+            "properties": {"id": rid, "name": rid, "abbrev": f"A{i}", "members": [], "area_km2": 1000.0},
+        }
+        for i, rid in enumerate(ids)
+    ]
+    (root / "wasg.geojson").write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+    (root / "n").write_text("node N1: 10.0.0.1\nnode N2: 10.0.0.2\nnode N3: 10.0.0.3\n")
+    (root / "g").write_text("".join(f"node.geo N{i + 1}: XX YY ZZ City 4.0 {20.0 * i + 4.0}\n" for i in range(3)))
+    (root / "l").write_text("link L1: N1 N2\nlink L2: N2 N3\n")
+    (root / "s.json").write_text(json.dumps({"name": "fail the third", "mode": "regional", "failed": [ids[2]]}))
+    files = {"wasg": "wasg.geojson", "nodes": "n", "geo": "g", "links": "l"}
+    return [arg for flag, name in files.items() for arg in (f"--{flag}", str(root / name))]
+
+
+class TestCsvQuoting:
+    @pytest.mark.parametrize("command", ["overlap", "connectivity"])
+    def test_id_with_comma_and_quote_is_one_field(self, tmp_path, capsys, command):
+        tricky = 'NA,"E"'
+        argv = [command, *_path_topology_files(tmp_path, ["G01", tricky, "Z"]), "--format", "csv"]
+        if command == "connectivity":
+            argv += ["--scenario", str(tmp_path / "s.json")]
+        assert main(argv) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert {len(row) for row in rows} == {len(rows[0])}
+        expected = ["pair_counts", "G01", tricky, "1"] if command == "overlap" else ["G01", tricky, "1", "1", "0.0"]
+        assert expected in rows
+
+
+class TestPipeInGridId:
+    def test_one_error_line(self, tmp_path, capsys):
+        # Pairs ("A|B", "C") and ("A", "B|C") would share the report key "A|B|C".
+        files = _path_topology_files(tmp_path, ["A", "B|C", "D"])
+        assert main(["overlap", *files]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: MalformedDocument: feature 1 ('B|C'): region 'B|C': '|' in an id, "
+            "where it joins the grid pairs of overlap reports\n"
+        )
+        assert main(["validate", *files]) == 2
+        assert [v.split(":")[0] for v in json.loads(capsys.readouterr().out)["violations"]] == ["MalformedDocument"]
 
 
 class TestExitContract:

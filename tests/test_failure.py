@@ -19,9 +19,9 @@ from netwattzap.failure import (
 from netwattzap.geo import GeoPoint
 from netwattzap.grid_model import AdminStatRecord, WasgRegistry, aggregate_stats
 from netwattzap.ingest import NODE_DTYPE, CleaningReport, InfraComponent, ParsedTopology
-from netwattzap.overlap import resolve_components, tally_topology
+from netwattzap.overlap import TopologyTally, resolve_components, tally_topology
 
-from conftest import square_region
+from conftest import link_rows, square_region
 
 
 def regional(*ids, name="test"):
@@ -162,13 +162,22 @@ class TestUnavailability:
             (3, 2, 3),  # one mapped (W01), survives
             (4, 3, 4),  # unmapped both ends, never fails
         ], dtype=np.int64)
-        tally = tally_topology(ParsedTopology(nodes=nodes, links=links, report=CleaningReport()), synthetic_registry)
+        topo = ParsedTopology(nodes=nodes, links=link_rows(nodes["id"], links), report=CleaningReport())
+        tally = tally_topology(topo, synthetic_registry)
         report = unavailability(regional("W00"), synthetic_registry, tally=tally)
         assert report.details["links"].unavailable == 2
         assert report.fractions["links"] == pytest.approx(2 / 4)
         # Three geolocated routers, one in W00 and one in open ocean.
         routers = report.details["routers"]
         assert (routers.unavailable, routers.total, routers.zoned_total) == (1, 3, 2)
+
+    @pytest.mark.parametrize("field", ["routers", "pairs", "one_end"])
+    def test_tally_zone_missing_from_registry(self, synthetic_registry, field):
+        named = {"routers": {"NOPE": 2}, "pairs": {("NOPE", "W00"): 1}, "one_end": {"NOPE": 1}}
+        tally = TopologyTally(counts={"both_mapped": 1, "one_mapped": 1, "none_mapped": 0}, pairs={}, one_end={})
+        setattr(tally, field, named[field])
+        with pytest.raises(UnknownWasg, match=r"^no region with id 'NOPE'$"):
+            unavailability(regional("W00"), synthetic_registry, tally=tally)
 
     def test_superset_monotonicity(self, synthetic_registry, synthetic_components, synthetic_stats):
         components = resolve_components(synthetic_components, synthetic_registry)

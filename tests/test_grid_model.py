@@ -130,6 +130,13 @@ class TestLoadRegistry:
                 population=0, internet_users=0, area_km2=float("nan"),
             )
 
+    def test_pipe_in_id_rejected(self):
+        # The overlap report keys grid pairs as "a|b": ("A|B", "C") and ("A", "B|C") would print alike.
+        with pytest.raises(ValueError, match=r"^region 'A\|B': '\|' in an id"):
+            square_region("A|B", "AB", 0.0, 0.0)
+        with pytest.raises(MalformedDocument, match=r"^feature 1 \('B\|C'\): region 'B\|C': '\|' in an id"):
+            load_registry(collection(feature("A", "A", ["US"]), feature("B|C", "B", ["CA"], lon0=10.0)))
+
     def test_infinite_population_rejected(self):
         doc = collection(feature("A", "A", ["US"]))
         doc["features"][0]["properties"]["population"] = float("inf")

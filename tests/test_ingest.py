@@ -53,9 +53,10 @@ class TestParseTopology:
         assert topo.report.removed_nodes == 1
         assert topo.report.removed_interfaces == 2
         assert topo.report.kept_nodes == 3
-        # L2 and L3 reference dropped N3; L5 dangles on N99.
+        # L2 and L3 reference dropped N3; L5 dangles on N99. Links hold node rows.
         assert topo.links.dtype == np.int64
-        assert topo.links.tolist() == [[1, 1, 2], [4, 2, 4]]
+        assert topo.links.tolist() == [[0, 1], [1, 2]]
+        assert topo.nodes["id"][topo.links].tolist() == [[1, 2], [2, 4]]
         assert topo.report.input_links == 5
         assert topo.report.removed_links == 2
         assert topo.report.dangling_links == 1
@@ -83,7 +84,8 @@ class TestParseTopology:
         topo = parse_topology(io.StringIO(NODES), io.StringIO(GEO), io.StringIO(LINKS))
         # Interface strings are not kept: write each kept node with one unicast address.
         nodes_text = "\n".join(f"node N{node_id}: 10.0.0.{node_id}" for node_id in topo.nodes["id"].tolist())
-        links_text = "\n".join(f"link L{link_id}: N{a} N{b}" for link_id, a, b in topo.links.tolist())
+        ends = topo.nodes["id"][topo.links].tolist()
+        links_text = "\n".join(f"link L{link_id}: N{a} N{b}" for link_id, (a, b) in enumerate(ends, start=1))
         again = parse_topology(io.StringIO(nodes_text), None, io.StringIO(links_text))
         assert again.nodes["id"].tolist() == topo.nodes["id"].tolist()
         assert again.links.tolist() == topo.links.tolist()
@@ -97,7 +99,7 @@ class TestParseTopology:
 
     def test_self_link_dropped(self):
         topo = parse_topology(io.StringIO("node N1: 1.2.3.4\nnode N2: 2.3.4.5"), None, io.StringIO("link L1: N1 N1\nlink L2: N1 N2"))
-        assert topo.links[:, 0].tolist() == [2]
+        assert topo.links.tolist() == [[0, 1]]
         assert topo.report.self_links == 1
 
     def test_hyperedge_uses_first_two_refs(self):
@@ -106,13 +108,13 @@ class TestParseTopology:
             None,
             io.StringIO("link L1: N2:2.2.2.2 N3 N1"),
         )
-        assert topo.links.tolist() == [[1, 2, 3]]
+        assert topo.nodes["id"][topo.links].tolist() == [[2, 3]]
 
     def test_ipv6_passthrough(self):
         topo = parse_topology(io.StringIO("node N1: 2001:db8::1 1.2.3.4\nnode N2: 2001:db8::2"), None, None)
         assert topo.nodes["id"].tolist() == [1, 2]
         assert topo.report.ipv6_interfaces == 2
-        assert topo.links.shape == (0, 3)
+        assert topo.links.shape == (0, 2)
 
     def test_malformed_lines(self):
         with pytest.raises(MalformedLine) as err:
@@ -145,7 +147,8 @@ class TestParseTopology:
         topo = parse_topology(
             io.StringIO(f"node N1: 1.2.3.4\nnode N{top}: 2.3.4.5"), None, io.StringIO(f"link L{top}: N1 N{top}")
         )
-        assert topo.links.tolist() == [[top, 1, top]]
+        assert topo.links.tolist() == [[0, 1]]
+        assert topo.nodes["id"][topo.links].tolist() == [[1, top]]
 
     def test_tab_separated_geo_with_spaced_city(self):
         geo = "node.geo N1:\tNA\tUS\tNY\tNew York\t40.71\t-74.00\textra"

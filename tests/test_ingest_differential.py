@@ -259,9 +259,10 @@ def test_dotted_quad_octets_classify_as_ipaddress_does():
 
 def test_scanned_and_per_line_chunks_keep_file_order_and_line_numbers(tmp_path):
     nodes = tmp_path / "nodes"
-    nodes.write_text("node N1: 1.1.1.1\nnode N2: 2.2.2.2\nnode N3: 224.0.0.1\n")
-    lines = ["link L1: N1 N2", f"link L{2**63 - 1}: N2 N1", "link L3: N1 N3", "link L4: N1:x N2 N3",
-             "link L5: N2\u00a0N1", "# end", "link L6: N2 N9"]
+    nodes.write_text("node N1: 1.1.1.1\nnode N2: 2.2.2.2\nnode N3: 224.0.0.1\nnode N4: 4.4.4.4\nnode N5: 5.5.5.5\n")
+    # Each kept link has its own pair of ends, so its rows show its place in the file.
+    lines = ["link L1: N1 N2", f"link L{2**63 - 1}: N2 N1", "link L3: N1 N3", "link L4: N1:x N4 N3",
+             "link L5: N5\u00a0N2", "# end", "link L6: N2 N9"]
     good = tmp_path / "good"
     good.write_text("\n".join(lines) + "\n")
     bad = tmp_path / "bad"
@@ -271,6 +272,7 @@ def test_scanned_and_per_line_chunks_keep_file_order_and_line_numbers(tmp_path):
             topo = parse_topology(nodes, None, good)
             with pytest.raises(MalformedLine) as err:
                 parse_topology(nodes, None, bad)
-        assert topo.links.tolist() == [[1, 1, 2], [2**63 - 1, 2, 1], [4, 1, 2], [5, 2, 1]]
+        assert topo.links.tolist() == [[0, 1], [1, 0], [0, 2], [3, 1]]
+        assert topo.nodes["id"][topo.links].tolist() == [[1, 2], [2, 1], [1, 4], [5, 2]]
         assert (topo.report.removed_links, topo.report.dangling_links) == (1, 1)
         assert err.value.lineno == 8

@@ -32,8 +32,8 @@ from netwattzap import geo, overlap
 from netwattzap.ingest import NODE_DTYPE, CleaningReport, InfraComponent, ParsedTopology, parse_topology
 from netwattzap.overlap import (
     RegionIndex,
+    TopologyTally,
     az_collapse,
-    categorize_links,
     distribution_report,
     resolve_components,
     sample_polygon_overlap,
@@ -41,7 +41,7 @@ from netwattzap.overlap import (
     tally_topology,
 )
 
-from conftest import build_registry, node_geo, square_region
+from conftest import build_registry, link_rows, node_geo, square_region
 
 
 def brute_force_zone(point: GeoPoint | None, registry) -> str | None:
@@ -60,7 +60,8 @@ def resolve_points(points, registry) -> list[str | None]:
 
 
 def topology(nodes, links) -> ParsedTopology:
-    return ParsedTopology(nodes=nodes, links=links, report=CleaningReport())
+    """A topology of ``NODE_DTYPE`` nodes and ``(k, 3)`` links of link id, a and b."""
+    return ParsedTopology(nodes=nodes, links=link_rows(nodes["id"], links), report=CleaningReport())
 
 
 class TestResolveComponents:
@@ -140,11 +141,11 @@ def recount_unavailable_links(links, node_zones, failed):
 
 
 def categorize(links, node_zones):
-    """``categorize_links`` with each node's zone given by a dict of node id to zone id or None."""
+    """The link tally of ``(k, 3)`` links with each node's zone given by a dict of node id to zone id or None."""
     zone_ids = sorted({zone for zone in node_zones.values() if zone is not None})
-    node_ids = sorted(node_zones)
-    codes = [-1 if node_zones[n] is None else zone_ids.index(node_zones[n]) for n in node_ids]
-    return categorize_links(links, np.array(node_ids, dtype=np.int64), np.array(codes, dtype=np.int64), zone_ids)
+    node_ids = np.array(sorted(node_zones), dtype=np.int64)
+    codes = [-1 if node_zones[n] is None else zone_ids.index(node_zones[n]) for n in node_ids.tolist()]
+    return overlap._tally_links(link_rows(node_ids, links), np.array(codes, dtype=np.int64), zone_ids)
 
 
 def tally_of(zone_pairs):
@@ -172,21 +173,30 @@ class TestCategorizeLinks:
         assert all(type(v) is int for v in [*values, result.routers_unzoned])
 
     def test_unknown_node(self, synthetic_registry, synthetic_topology):
+        # A hand-built topology whose links name rows past its ten nodes.
         nodes, links = synthetic_topology
-        known = set(nodes["id"][:10].tolist())
-        # The first missing endpoint in link order, a before b.
-        link_id, node_id = next((lid, n) for lid, a, b in links.tolist() for n in (a, b) if n not in known)
-        with pytest.raises(UnknownNode, match=rf"^link L{link_id} references unknown node N{node_id}$"):
-            tally_topology(topology(nodes[:10], links), synthetic_registry)
+        rows = link_rows(nodes["id"], links)
+        # The first such row in link order, a before b.
+        link, row = next((i, r) for i, ends in enumerate(rows.tolist()) for r in ends if r >= 10)
+        with pytest.raises(UnknownNode, match=rf"^link {link} names node row {row}, outside the 10 nodes$"):
+            tally_topology(ParsedTopology(nodes=nodes[:10], links=rows, report=CleaningReport()), synthetic_registry)
 
-    def test_empty_node_zones(self):
-        links = np.array([(7, 1, 2)], dtype=np.int64)
-        with pytest.raises(UnknownNode, match=r"^link L7 references unknown node N1$"):
-            categorize(links, {})
+    def test_empty_node_zones(self, synthetic_registry):
+        # Row len(nodes), here 0.
+        topo = ParsedTopology(nodes=np.empty(0, dtype=NODE_DTYPE), links=np.array([[0, 0]]), report=CleaningReport())
+        with pytest.raises(UnknownNode, match=r"^link 0 names node row 0, outside the 0 nodes$"):
+            tally_topology(topo, synthetic_registry)
+
+    def test_negative_row(self, synthetic_registry):
+        # Row -1 would index the last node if it were not refused.
+        nodes = np.array([(1, 9.0, -146.0), (2, 9.0, -106.0)], dtype=NODE_DTYPE)
+        topo = ParsedTopology(nodes=nodes, links=np.array([[0, 1], [1, -1]]), report=CleaningReport())
+        with pytest.raises(UnknownNode, match=r"^link 1 names node row -1, outside the 2 nodes$"):
+            tally_topology(topo, synthetic_registry)
 
     def test_zero_links(self, synthetic_registry):
         topo = parse_topology(["node N1: 1.2.3.4", "node N2: 2.3.4.5"], None, ["link L1: N1 N1"])
-        assert topo.links.shape == (0, 3)
+        assert topo.links.shape == (0, 2)
         tally = tally_topology(topo, synthetic_registry)
         assert tally.counts == {"both_mapped": 0, "one_mapped": 0, "none_mapped": 0}
         assert (tally.pairs, tally.one_end) == ({}, {})
@@ -258,6 +268,15 @@ class TestDistributionReport:
         components = [InfraComponent(id="c1", kind="ixp", geo=GeoPoint(5.0, 5.0), zone="NOPE")]
         with pytest.raises(UnknownWasg, match="'NOPE'"):
             distribution_report(components, registry)
+
+    @pytest.mark.parametrize("field", ["routers", "pairs", "one_end"])
+    def test_tally_zone_missing_from_registry(self, field):
+        registry = WasgRegistry([square_region("ONLY", "O", 0.0, 0.0, 10.0)])
+        named = {"routers": {"NOPE": 2}, "pairs": {("NOPE", "ONLY"): 1}, "one_end": {"NOPE": 1}}
+        tally = TopologyTally(counts={"both_mapped": 1, "one_mapped": 1, "none_mapped": 0}, pairs={}, one_end={})
+        setattr(tally, field, named[field])
+        with pytest.raises(UnknownWasg, match=r"^no region with id 'NOPE'$"):
+            distribution_report([], registry, tally=tally)
 
     def test_cumulative_fractions(self):
         registry = WasgRegistry(

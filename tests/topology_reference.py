@@ -3,8 +3,10 @@
 This is ``netwattzap.ingest.parse_topology`` as it was before link files
 were scanned in chunks, node interfaces got a dotted-quad fast path and
 geolocation went from a dict of points to columns, kept as written but
-for two changes: an id with more digits than ``int()`` converts raises
-``MalformedLine``, and the nodes are returned as a ``NODE_DTYPE`` array.
+for three changes: an id with more digits than ``int()`` converts raises
+``MalformedLine``, the nodes are returned as a ``NODE_DTYPE`` array, and
+the links as the rows of their ends in it, found with ``np.searchsorted``
+over the sorted node ids (link ids are checked, not returned).
 The differential tests hold the library to it: same node array bytes,
 same link array bytes, same cleaning report, and the same exception type
 and message (line number included) on bad input.
@@ -149,7 +151,7 @@ def parse_topology(nodes_source, geo_source=None, links_source=None, *, strict: 
             else:
                 report.geo_for_unknown_nodes += 1
 
-    flat = array("q")  # link id, a, b of each kept link, 8 bytes per value
+    ends = array("q")  # a, b of each kept link, 8 bytes per value
     if links_source is not None:
         for lineno, line in _lines(links_source):
             m = _LINK_RE.match(line)
@@ -178,12 +180,12 @@ def parse_topology(nodes_source, geo_source=None, links_source=None, *, strict: 
                 else:
                     report.removed_links += 1
                 continue
-            flat.extend((link_id, a, b))
+            ends.extend((a, b))
 
     rows = []
     for nid in sorted(kept_nodes):
         point = geo_by_node.get(nid)
         rows.append((nid, np.nan, np.nan) if point is None else (nid, point.lat, point.lon))
     nodes = np.array(rows, dtype=NODE_DTYPE)
-    links = np.frombuffer(flat, dtype=np.int64).reshape(-1, 3)
+    links = np.searchsorted(nodes["id"], np.frombuffer(ends, dtype=np.int64).reshape(-1, 2))
     return ParsedTopology(nodes=nodes, links=links, report=report)
