@@ -9,6 +9,7 @@ resolution (see ``overlap``).
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass, fields
@@ -31,6 +32,7 @@ from .geo import _ordered_sum
 Ring = np.ndarray  # (n, 2) float64 of (lon, lat), read-only
 Polygon = tuple[Ring, ...]
 MultiPolygon = tuple[Polygon, ...]
+_RINGS = object()  # key of a decoded geometry's polygons, in place of its point lists
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,11 +198,14 @@ def _coerce_ring(raw):
     return np.array(flat, dtype=np.float64).reshape(-1, 2)
 
 
-def _coerce_geometry(geometry: Mapping, region_id: str) -> tuple:
+def _coerce_geometry(geometry) -> tuple:
+    """A GeoJSON geometry's polygons, each a tuple of coerced rings; TypeError or ValueError if it is not one."""
     if geometry is None:
         return ()
     if not isinstance(geometry, Mapping):
-        raise MalformedDocument(f"region {region_id!r}: geometry is not an object")
+        raise TypeError("geometry is not an object")
+    if _RINGS in geometry:  # only the decode hook's own dicts hold it; once read, the region keeps a copy
+        return geometry.pop(_RINGS)
     gtype = geometry.get("type")
     coords = geometry.get("coordinates")
     if gtype == "Polygon":
@@ -208,8 +213,22 @@ def _coerce_geometry(geometry: Mapping, region_id: str) -> tuple:
     elif gtype == "MultiPolygon":
         polygons = _json_list(coords, "MultiPolygon coordinates")
     else:
-        raise MalformedDocument(f"region {region_id!r}: unsupported geometry type {gtype!r}")
+        raise ValueError(f"unsupported geometry type {gtype!r}")
     return tuple(tuple(map(_coerce_ring, _json_list(polygon, "polygon"))) for polygon in polygons)
+
+
+def _decode_geometry(obj: dict) -> dict:
+    """Decode hook: a geometry's rings as arrays once it closes, so its point lists go; else ``obj`` as read."""
+    if obj.get("type") in ("Polygon", "MultiPolygon") and "coordinates" in obj:
+        # What load_registry catches; let out of json.loads, a ring's 10**400 would end the CLI in a traceback.
+        try:
+            polygons = _coerce_geometry(obj)
+        except (TypeError, ValueError, OverflowError):
+            return obj
+        if all(type(ring) is np.ndarray for polygon in polygons for ring in polygon):
+            del obj["coordinates"]
+            obj[_RINGS] = polygons
+    return obj
 
 
 def load_registry(source) -> WasgRegistry:
@@ -225,7 +244,7 @@ def load_registry(source) -> WasgRegistry:
             type, or missing properties.
         DuplicateAbbrev, DuplicateMember, OpenRing: on invariant violations.
     """
-    doc = source if isinstance(source, Mapping) else _load_document(source)
+    doc = source if isinstance(source, Mapping) else _load_document(source, _decode_geometry)
     if doc.get("type") != "FeatureCollection" or not isinstance(doc.get("features"), list):
         raise MalformedDocument("expected a GeoJSON FeatureCollection with a 'features' list")
     regions = []
@@ -245,7 +264,7 @@ def load_registry(source) -> WasgRegistry:
                 name=_json_str(props["name"], "name"),
                 abbrev=_json_str(props["abbrev"], "abbrev"),
                 members=frozenset(_json_str(m, "member code") for m in _json_list(props["members"], "members")),
-                boundary=_coerce_geometry(feature.get("geometry"), region_id),
+                boundary=_coerce_geometry(feature.get("geometry")),
                 population=_json_number(props.get("population", 0), "population", integer=True),
                 internet_users=_json_number(props.get("internet_users", 0), "internet_users", integer=True),
                 area_km2=_json_number(props.get("area_km2", 0.0), "area_km2"),
@@ -256,8 +275,11 @@ def load_registry(source) -> WasgRegistry:
     return WasgRegistry(regions)
 
 
-def _load_document(path) -> Mapping:
+def _load_document(path, object_hook=None) -> Mapping:
     """Read one JSON object from a file; every JSON document loader uses this.
+
+    ``object_hook`` goes to ``json.loads``. The decode, which builds no cycle, pauses the
+    cyclic collector for the whole process; its prior state comes back however the decode ends.
 
     Raises:
         MalformedDocument: the file cannot be read, is not JSON, or holds
@@ -265,13 +287,18 @@ def _load_document(path) -> Mapping:
     """
     if not isinstance(path, (str, Path)):
         raise MalformedDocument(f"unsupported document source type {type(path).__name__}")
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_hook=object_hook)
     except OSError as exc:
         raise MalformedDocument(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         # RecursionError: nesting deeper than the decoder's stack allows.
         raise MalformedDocument(f"invalid JSON in {path}: {exc}") from exc
+    finally:
+        if collecting:
+            gc.enable()
     if not isinstance(doc, Mapping):
         raise MalformedDocument(f"{path}: expected a JSON object, got {type(doc).__name__}")
     return doc

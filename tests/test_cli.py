@@ -1039,6 +1039,26 @@ class TestPipeInGridId:
         assert [v.split(":")[0] for v in json.loads(capsys.readouterr().out)["violations"]] == ["MalformedDocument"]
 
 
+class TestGeometryErrorsNameTheirFeature:
+    @pytest.mark.parametrize(
+        "geometry, message",
+        [([1, 2], "geometry is not an object"), ({"type": "Point", "coordinates": [1, 2]}, "unsupported geometry type 'Point'")],
+        ids=["not_an_object", "point"],
+    )
+    def test_one_error_line_and_one_violation(self, tmp_path, capsys, geometry, message):
+        files = _path_topology_files(tmp_path, ["A", "B", "C"])
+        wasg = tmp_path / "wasg.geojson"
+        doc = json.loads(wasg.read_text())
+        doc["features"][0]["geometry"] = geometry
+        wasg.write_text(json.dumps(doc))
+        assert main(["overlap", *files]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: MalformedDocument: feature 0 ('A'): {message}\n"
+        assert main(["validate", *files]) == 2
+        assert json.loads(capsys.readouterr().out)["violations"] == [f"MalformedDocument: feature 0 ('A'): {message}"]
+
+
 class TestExitContract:
     @pytest.mark.parametrize("error", [MemoryError(), MemoryError("no room for 10^9 links")])
     def test_memory_error_is_one_error_line(self, workspace, monkeypatch, capsys, error):

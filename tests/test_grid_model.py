@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import copy
+import gc
+import json
 import pickle
 import random
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netwattzap.errors import DuplicateAbbrev, DuplicateMember, MalformedDocument, MissingStats, OpenRing
 from netwattzap.grid_model import (
@@ -15,6 +22,7 @@ from netwattzap.grid_model import (
     WasgRegion,
     WasgRegistry,
     _coerce_ring,
+    _load_document,
     aggregate_stats,
     load_registry,
     registry_to_geojson,
@@ -198,8 +206,6 @@ class TestLoadRegistry:
         assert load_registry(registry_to_geojson(round_tripped)) == registry
 
     def test_file_source(self, tmp_path):
-        import json
-
         path = tmp_path / "wasg.geojson"
         path.write_text(json.dumps(collection(feature("A", "A", ["US"]))), encoding="utf-8")
         assert len(load_registry(path)) == 1
@@ -302,6 +308,187 @@ class TestRingFormat:
                 id="A", name="A", abbrev="A", members=frozenset(), boundary=((ring,),),
                 population=0, internet_users=0, area_km2=1.0,
             )
+
+
+class Pairs(list):
+    """A JSON object as its (key, value) pairs, so that a key can repeat."""
+
+
+def dumps(value) -> str:
+    """JSON text of ``value``; NaN and the infinities as the literals Python's decoder reads."""
+    if isinstance(value, dict):
+        value = Pairs(value.items())
+    if isinstance(value, Pairs):
+        return "{" + ", ".join(f"{json.dumps(key)}: {dumps(item)}" for key, item in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(dumps, value)) + "]"
+    return json.dumps(value)
+
+
+def registry_outcome(source):
+    """Each region with its rings' bytes, dtype, shape and write flag; or the error's type and text."""
+    try:
+        registry = load_registry(source)
+    except MalformedDocument as exc:
+        return type(exc).__name__, str(exc)
+    return [
+        (
+            region.id, region.name, region.abbrev, sorted(region.members),
+            region.population, region.internet_users, region.area_km2,
+            [[(r.tobytes(), r.dtype.str, r.shape, r.flags.writeable) for r in polygon] for polygon in region.boundary],
+        )
+        for region in registry
+    ]
+
+
+# Mostly the boundary itself, so that most documents load.
+PLACES = ["geometry"] * 4 + ["feature", "properties", "members", "document"]
+# bool, string and null coordinates, an integer no float holds, and the NaN and infinity literals.
+ODD_VALUES = [True, False, "1", None, 10**400, -(10**400), float("nan"), float("inf"), float("-inf")]
+SQUARE = [[0, 0], [4, 0], [4, 4], [0, 0]]
+
+
+def placed(geometry, place: str) -> Pairs:
+    """A one-grid FeatureCollection holding the geometry-shaped ``geometry`` at ``place``.
+
+    Anywhere but "geometry", the grid keeps a square boundary, and the
+    placed object is one that ``load_registry`` does not read as a boundary.
+    """
+    shape = list(geometry) if isinstance(geometry, Pairs) else [("shape", geometry)]
+    props = Pairs([("id", "A"), ("name", "A"), ("abbrev", "A"), ("members", ["US"]), ("area_km2", 1000.0)])
+    if place == "properties":
+        props += shape
+    if place == "members":
+        props[3] = ("members", ["US", geometry])
+    square = {"type": "Polygon", "coordinates": [SQUARE]}
+    grid = Pairs([("type", "Feature"), ("geometry", geometry if place == "geometry" else square), ("properties", props)])
+    if place == "feature":
+        grid += shape
+    top = Pairs([("type", "FeatureCollection"), ("features", [grid])])
+    return Pairs(top + shape) if place == "document" else top
+
+
+@st.composite
+def ring_values(draw):
+    first = [draw(st.integers(-170, 170)), draw(st.integers(-80, 80))]
+    middle = [
+        [draw(st.floats(-180, 180) | st.integers(-180, 180)), draw(st.floats(-90, 90) | st.integers(-90, 90))]
+        for _ in range(draw(st.integers(2, 4)))
+    ]
+    ring = [first, *middle, list(first)]
+    change = draw(st.sampled_from(["none"] * 4 + ["coordinate", "point", "all_points", "ring"]))
+    if change == "coordinate":
+        ring[draw(st.integers(0, len(ring) - 1))][draw(st.integers(0, 1))] = draw(st.sampled_from(ODD_VALUES))
+    elif change == "point":
+        i = draw(st.integers(0, len(ring) - 1))
+        ring[i] = draw(st.sampled_from([ring[i][:1], ring[i] + [0], [], "p", None, 7, {}]))
+    elif change == "all_points":
+        ring = draw(st.sampled_from([[p[:1] for p in ring], [p + [0.5] for p in ring]]))
+    elif change == "ring":
+        ring = draw(st.sampled_from([*ODD_VALUES, []]))
+    return ring
+
+
+@st.composite
+def geometries(draw):
+    gtype = draw(st.sampled_from(["Polygon", "MultiPolygon"] * 3 + ["Point", None, "absent"]))
+    if gtype == "absent":
+        return draw(st.sampled_from([None, [1, 2], 3, "Polygon", Pairs()]))
+
+    def polygon():
+        return [draw(ring_values()) for _ in range(draw(st.sampled_from([1, 1, 2, 0])))]
+
+    def coordinates():
+        if draw(st.integers(0, 7)) == 0:
+            return draw(st.sampled_from(ODD_VALUES))
+        return [polygon() for _ in range(draw(st.sampled_from([1, 2, 0])))] if gtype == "MultiPolygon" else polygon()
+
+    geometry = Pairs([("type", gtype), ("coordinates", coordinates())])
+    if draw(st.booleans()):
+        geometry.insert(draw(st.integers(0, 2)), ("coordinates", coordinates()))
+    return geometry
+
+
+class TestDecodeHook:
+    """A registry file loads exactly as the same document, parsed first, does."""
+
+    @settings(max_examples=150, deadline=None)
+    @example(doc=placed({"type": "Polygon", "coordinates": [SQUARE, [[0.1, 1], [2, 0.3], [2, 2], [0.1, 1]]]}, "geometry"))
+    @example(doc=placed({"type": "MultiPolygon", "coordinates": [[SQUARE], [[[9, 9], [9, 8], [8, 8], [9, 9]]]]}, "geometry"))
+    @example(doc=placed({"type": "Polygon", "coordinates": [[[0, 0], [4, True], [4, 4], [0, 0]]]}, "geometry"))
+    @example(doc=placed({"type": "Polygon", "coordinates": [[[0, 0], ["4", 0], [4, 4], [0, 0]]]}, "geometry"))
+    @example(doc=placed({"type": "Polygon", "coordinates": None}, "geometry"))
+    @example(doc=placed({"type": "Polygon", "coordinates": [[[0, 0], [4, None], [4, 4], [0, 0]]]}, "geometry"))
+    @example(doc=placed({"type": "Polygon", "coordinates": [[p + [1] for p in SQUARE]]}, "geometry"))
+    @example(doc=placed({"type": "Polygon", "coordinates": [[p[:1] for p in SQUARE]]}, "geometry"))
+    @example(doc=placed({"type": "Polygon", "coordinates": [[[0, 0], [10**400, 0], [4, 4], [0, 0]]]}, "geometry"))
+    @example(doc=placed({"type": "Polygon", "coordinates": [[[0, 0], [float("nan"), 0], [4, 4], [0, 0]]]}, "geometry"))
+    @example(doc=placed({"type": "Polygon", "coordinates": [[[0, 0], [4, float("-inf")], [4, 4], [0, 0]]]}, "geometry"))
+    @example(doc=placed(Pairs([("type", "Polygon"), ("coordinates", [SQUARE]), ("coordinates", None)]), "geometry"))
+    @example(doc=placed(Pairs([("coordinates", None), ("type", "Polygon"), ("coordinates", [SQUARE])]), "geometry"))
+    @example(doc=placed(Pairs([("type", "Polygon"), ("coordinates", [SQUARE])]), "feature"))
+    @example(doc=placed(Pairs([("type", "MultiPolygon"), ("coordinates", [[SQUARE]])]), "properties"))
+    @example(doc=placed(Pairs([("type", "Polygon"), ("coordinates", [SQUARE])]), "members"))
+    @example(doc=placed(Pairs([("type", "Polygon"), ("coordinates", [SQUARE])]), "document"))
+    @given(doc=st.builds(placed, geometries(), st.sampled_from(PLACES)))
+    def test_path_loads_as_the_parsed_mapping(self, doc):
+        text = dumps(doc)
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "wasg.geojson"
+            path.write_text(text, encoding="utf-8")
+            assert registry_outcome(path) == registry_outcome(json.loads(text))
+
+
+class TestLoadDocumentCollector:
+    """The decode pauses the cyclic collector and leaves it as it found it, however it ends."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("ending", ["loaded", "unreadable", "invalid_json", "hook_raises"])
+    def test_collector_state_is_restored(self, tmp_path, enabled, ending):
+        path = tmp_path / "doc.json"
+        path.write_text('{"a": {"b": 1}}' if ending != "invalid_json" else '{"a": ', encoding="utf-8")
+        seen = []
+
+        def hook(obj):
+            seen.append(gc.isenabled())
+            if ending == "hook_raises":
+                raise RuntimeError("hook")
+            return obj
+
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if ending == "loaded":
+                assert _load_document(path, hook) == {"a": {"b": 1}}
+            else:
+                with pytest.raises(RuntimeError if ending == "hook_raises" else MalformedDocument):
+                    _load_document(tmp_path / "missing.json" if ending == "unreadable" else path, hook)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert not any(seen)
+
+
+def test_registry_decode_peak_memory_is_bounded_by_the_file(tmp_path):
+    # 43 grids of 1,000 distinct vertices each: more than 1 MiB of ring text.
+    rng = random.Random(7)
+    features = []
+    for i in range(43):
+        ring = [[round(rng.uniform(-170, 170), 6), round(rng.uniform(-80, 80), 6)] for _ in range(1000)]
+        features.append(feature(f"G{i:02d}", f"G{i:02d}", [f"M{i}"]))
+        features[-1]["geometry"]["coordinates"] = [ring + ring[:1]]
+    path = tmp_path / "wasg.geojson"
+    path.write_text(json.dumps(collection(*features)), encoding="utf-8")
+    size = path.stat().st_size
+    assert size >= 2**20
+    tracemalloc.start()
+    try:
+        registry = load_registry(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(registry) == 43
+    assert peak <= 3 * size, f"peak {peak} B for a {size} B file"
 
 
 class TestAdminStatRecord:
