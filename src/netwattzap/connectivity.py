@@ -12,8 +12,10 @@ cross-component pairs have flow 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -58,10 +60,14 @@ def build_graph(pair_counts: Mapping[tuple[str, str], int]) -> WasgGraph:
     """Build the grid graph from unordered pair counts.
 
     Same-grid entries and zero counts are dropped; the nodes are the
-    endpoints of the remaining edges.
+    endpoints of the remaining edges. A count that is a bool, fractional,
+    non-finite or negative raises ValueError naming its pair.
     """
     edges: dict[tuple[str, str], int] = {}
     for (a, b), count in pair_counts.items():
+        # int() alone would take True as 1, cut 2.7 to 2 and drop a NaN count's edge unseen.
+        if isinstance(count, bool) or not isinstance(count, Real) or not 0 <= count < math.inf or count % 1:
+            raise ValueError(f"pair {(a, b)!r}: count {count!r} is not a non-negative integer")
         if a != b and count > 0:
             key = (a, b) if a <= b else (b, a)
             edges[key] = edges.get(key, 0) + int(count)

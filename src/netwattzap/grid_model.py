@@ -35,6 +35,10 @@ MultiPolygon = tuple[Polygon, ...]
 _RINGS = object()  # key of a decoded geometry's polygons, in place of its point lists
 
 
+class _Decoded(np.ndarray):
+    """A ring array that ``_coerce_ring`` made and nothing else holds: a region keeps it without a copy."""
+
+
 @dataclass(frozen=True, eq=False)
 class WasgRegion:
     """One synchronous grid: identity, members, boundary, demographics.
@@ -72,7 +76,8 @@ class WasgRegion:
         object.__setattr__(self, "boundary", tuple(tuple(map(self._ring, polygon)) for polygon in self.boundary))
 
     def _ring(self, vertices) -> Ring:
-        ring = np.array(vertices, dtype=np.float64)
+        # A caller's vertices are copied, so the region never shares their memory.
+        ring = vertices.view(np.ndarray) if type(vertices) is _Decoded else np.array(vertices, dtype=np.float64)
         if len(ring) < 4:
             raise OpenRing(f"region {self.id!r}: ring with {len(ring)} vertices (need >= 4)")
         if ring.shape[1:] != (2,):
@@ -195,7 +200,7 @@ def _coerce_ring(raw):
     # numpy converts one flat list far faster than a list of pairs, to the same floats.
     if set(map(len, raw)) != {2}:
         return raw
-    return np.array(flat, dtype=np.float64).reshape(-1, 2)
+    return np.array(flat, dtype=np.float64).reshape(-1, 2).view(_Decoded)
 
 
 def _coerce_geometry(geometry) -> tuple:
@@ -204,7 +209,7 @@ def _coerce_geometry(geometry) -> tuple:
         return ()
     if not isinstance(geometry, Mapping):
         raise TypeError("geometry is not an object")
-    if _RINGS in geometry:  # only the decode hook's own dicts hold it; once read, the region keeps a copy
+    if _RINGS in geometry:  # only the decode hook's own dicts hold it; once read, the region keeps the rings
         return geometry.pop(_RINGS)
     gtype = geometry.get("type")
     coords = geometry.get("coordinates")
@@ -225,7 +230,7 @@ def _decode_geometry(obj: dict) -> dict:
             polygons = _coerce_geometry(obj)
         except (TypeError, ValueError, OverflowError):
             return obj
-        if all(type(ring) is np.ndarray for polygon in polygons for ring in polygon):
+        if all(type(ring) is _Decoded for polygon in polygons for ring in polygon):
             del obj["coordinates"]
             obj[_RINGS] = polygons
     return obj

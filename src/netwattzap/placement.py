@@ -187,9 +187,9 @@ class PlacementProblem:
                             f"latency_override ({d.id!r}, {c.id!r}): {row[c.id]!r} not finite and non-negative"
                         )
 
-    def zone_key(self, candidate: Candidate) -> str:
-        """Grid id, or a singleton key for candidates outside every grid."""
-        return candidate.zone if candidate.zone is not None else f"~solo:{candidate.id}"
+    def zone_key(self, candidate: Candidate) -> str | tuple[str]:
+        """Grid id, or for a candidate outside every grid a singleton key no grid id can equal."""
+        return candidate.zone if candidate.zone is not None else (candidate.id,)
 
 
 def latency_matrix(problem: PlacementProblem) -> list[list[float]]:
@@ -221,7 +221,7 @@ class IlpModel:
     order: tuple[str, ...]
     objective_sense: str
     excluded: frozenset[str]
-    zone_of: tuple[str, ...]
+    zone_of: tuple[str | tuple[str], ...]  # PlacementProblem.zone_key
     lin_coeff: tuple[float, ...]
     lat: tuple[tuple[float, ...], ...]
     allowed: tuple[tuple[bool, ...], ...]
@@ -264,13 +264,11 @@ class IlpModel:
         problem, order, cap = self.problem, self.order, self.problem.zone_cap
         sense = "==" if problem.select_count.mode == "exactly" else "<="
         yield "select_count", [(v, 1) for v in x], sense, problem.select_count.n
-        by_zone: dict[str, list[int]] = {}
+        by_zone: dict = {}
         for i, zone in enumerate(self.zone_of):
             by_zone.setdefault(zone, []).append(i)
-        for zone in sorted(by_zone):
-            members = by_zone[zone]
-            if len(members) <= cap:
-                continue
+        # Singleton keys have one member, never over cap: the rest are grid ids.
+        for zone, members in sorted((z, members) for z, members in by_zone.items() if len(members) > cap):
             if cap > 1:
                 yield f"zone_cap[{zone}]", [(x[i], 1) for i in members], "<=", cap
                 continue
@@ -364,7 +362,7 @@ def build_ilp(problem: PlacementProblem) -> IlpModel:
             )
 
     if problem.select_count.mode == "exactly":
-        by_zone: dict[str, int] = {}
+        by_zone: dict = {}
         for cid, zone in zip(order, zone_of):
             by_zone[zone] = by_zone.get(zone, 0) + (cid not in excluded)
         capacity = sum(min(problem.zone_cap, free) for free in by_zone.values())
@@ -484,20 +482,23 @@ def objective_value(problem: PlacementProblem, chosen: Sequence[str]) -> float:
 
 
 class _Search:
-    """Depth-first branch-and-bound over the x variables, on an explicit stack.
+    """Depth-first branch-and-bound over the x variables, in one loop on an explicit stack.
 
     Nodes are visited in the order of the recursion this replaces: at
-    position i, choose i (when it may be chosen), then skip it. A node
-    reads tables built here once per solve, so it scans no tail:
-    suffix counts of available candidates and of rule matches, rule hit
-    counters kept on choose and undo, and per objective:
+    position i, choose i (when it may be chosen), then skip it. ``run``
+    builds its tables once and binds them to locals, so a node calls no
+    helper and scans no tail: suffix counts of available candidates and
+    of rule matches, rule hit counters kept on choose and undo, and per
+    objective:
 
-    - nearest: a (m+1, D+1) suffix minimum of the latency columns (inf
-      where a demand may not be assigned), the chosen set's best
-      latencies as one array, and a leading zero-weight column, so that
-      ``np.add.accumulate`` sums as ``total = 0.0; total += w * best``;
-    - linear: the chosen set's running sum and the n cheapest available
-      coefficients of each tail;
+    - nearest: a (D+1, m+1) suffix minimum of the latency columns (inf
+      where a demand may not be assigned) under a zero-weight row, so
+      that ``np.add.accumulate`` sums each column as ``total = 0.0;
+      total += w * best``. Each choice tables, in one numpy pass, the
+      bound of every later position for the new chosen set, and a node
+      reads its bound there;
+    - linear: the chosen set's running sum and the running sums of the n
+      cheapest available coefficients of each tail;
     - pairwise: the chosen set's pair sum, the K = n(n-1)/2 best tail
       pairs of each tail, and each candidate's K best distances to it.
 
@@ -508,169 +509,147 @@ class _Search:
 
     def __init__(self, model: IlpModel, time_limit: float):
         self.model = model
-        problem = self.problem = model.problem
-        m = self.m = len(model.order)
-        n = self.n = problem.select_count.n
-        self.exactly = problem.select_count.mode == "exactly"
-        self.nearest = problem.objective == "min_weighted_nearest"
-        self.pairwise = problem.objective in PAIRWISE_OBJECTIVES
-        self.available = available = [cid not in model.excluded for cid in model.order]
-        zones = {zone: k for k, zone in enumerate(dict.fromkeys(model.zone_of))}
-        self.zone_of = [zones[zone] for zone in model.zone_of]
-        self.zone_used = [0] * len(zones)
-        self.rules_of = [[r for r, marks in enumerate(model.rule_match) if marks[i]] for i in range(m)]
-        self.min_count = [rule.min_count for rule in problem.location_rules]
-        self.hits = [0] * len(self.min_count)
-        # suffix_free[i], suffix_rule[r][i]: available candidates, and available matches of rule r, at positions >= i.
-        self.suffix_free = _suffix_sums(available)
-        self.suffix_rule = [_suffix_sums(marks) for marks in model.rule_match]
         self.deadline = time.monotonic() + time_limit
         self.timed_out = False
         self.nodes = 0
         self.best_value: float | None = None
         self.best_chosen: tuple[int, ...] | None = None
-        self.chosen: list[int] = []
-        # current[-1]: the chosen set's best latency per demand (nearest) or its value.
-        self.current: list
-        if self.nearest:
-            shape = (len(problem.demands), m)
-            lat = np.array(model.lat, dtype=np.float64).reshape(shape)
-            ok = np.array(model.allowed, dtype=bool).reshape(shape) & np.array(available, dtype=bool)
-            cols = np.zeros((m + 1, shape[0] + 1))
-            cols[:m, 1:] = np.where(ok, lat, np.inf).T
-            cols[m, 1:] = np.inf
-            self.cols = cols
-            self.smin = np.minimum.accumulate(cols[::-1], axis=0)[::-1]
-            self.weights = np.array([0.0] + [d.weight for d in problem.demands], dtype=np.float64)
-            self.current = [cols[m]]
-            self._bound = self._nearest_bound
-        elif self.pairwise:
-            self.pair_sign = sign = -1.0 if model.objective_sense == "max" else 1.0
-            signed = [[sign * v for v in row] for row in model.dist]
-            self.current = [sign * 0.0]  # the empty set's value, signed as every pair sum is
-            self.tail_pairs, self.tail_rows = _pair_tables(signed, available, n * (n - 1) // 2)
-            self._bound = self._pairwise_bound
-        else:
-            self.current = [0.0]
-            self.tail_min = _tail_minima(model.lin_coeff, available, n)
-            self._bound = self._linear_bound
 
     def run(self) -> None:
-        m, n, cap = self.m, self.n, self.problem.zone_cap
-        chosen, zone_of, zone_used = self.chosen, self.zone_of, self.zone_used
+        model, problem, inf = self.model, self.model.problem, math.inf
+        m, n, cap = len(model.order), problem.select_count.n, problem.zone_cap
+        exactly = problem.select_count.mode == "exactly"
+        nearest = problem.objective == "min_weighted_nearest"
+        pairwise = problem.objective in PAIRWISE_OBJECTIVES
+        available = [cid not in model.excluded for cid in model.order]
+        zones = {zone: k for k, zone in enumerate(dict.fromkeys(model.zone_of))}
+        zone_of = [zones[zone] for zone in model.zone_of]
+        zone_used = [0] * len(zones)
+        rules_of = [[r for r, marks in enumerate(model.rule_match) if marks[i]] for i in range(m)]
+        hits = [0] * len(problem.location_rules)
+        # suffix_free[i]: available candidates at positions >= i; short[r][i]: the
+        # hits of rule r below which its available matches at positions >= i fall short.
+        suffix_free = _suffix_sums(available)
+        short = [
+            [rule.min_count - s for s in _suffix_sums(marks)]
+            for rule, marks in zip(problem.location_rules, model.rule_match)
+        ]
+        # cur: the chosen set's best latency per demand (nearest) or its value.
+        if nearest:
+            ok = np.array(model.allowed, dtype=bool).reshape(-1, m) & np.array(available)
+            # cols[:, i]: candidate i's latency per demand under a zero row; cols[:, m]: none.
+            cols = np.full((len(ok) + 1, m + 1), np.inf)
+            cols[0] = 0.0
+            cols[1:, :m] = np.where(ok, np.array(model.lat).reshape(-1, m), np.inf)
+            smin = np.minimum.accumulate(cols[:, ::-1], axis=1)[:, ::-1]
+            weights = np.array([0.0] + [d.weight for d in problem.demands])[:, None]
+
+            def bounds(cur, i):
+                """The bounds at positions i..m, read at ``[position - m - 1]``; None prunes outright."""
+                best = np.minimum(cur, smin[:, i:])
+                totals = np.add.accumulate(weights * best)[-1]
+                table = totals.tolist()
+                # A demand no chosen or later candidate may serve makes the total inf or nan.
+                if not sum(table) < inf:
+                    table = np.where((totals < inf) | ~np.isinf(best).any(axis=0), totals, None).tolist()
+                return table
+
+            cur = cols[:, m:]
+        elif pairwise:
+            sign = -1.0 if model.objective_sense == "max" else 1.0
+            dist = model.dist
+            tail_pairs, tail_rows = _pair_tables([[sign * v for v in row] for row in dist], available, n * (n - 1) // 2)
+            cur = sign * 0.0  # the empty set's value, signed as every pair sum is
+        else:
+            coeff, cur = model.lin_coeff, 0.0
+            tail_sums = [list(accumulate(tail, initial=0.0)) for tail in _tail_minima(coeff, available, n)]
+        deadline, monotonic = self.deadline, time.monotonic
+        nodes, best_value, best_chosen, table = 0, None, None, None
+        chosen: list[int] = []
+        saved = []  # (cur, table) before each choice in chosen
         # A nearest bound meets 0 * inf (a weightless demand that no candidate is
         # left to serve) and may overflow: it tests its total, not numpy's flags.
         with np.errstate(invalid="ignore", over="ignore"):
+            if nearest:
+                table = bounds(cur, 0)
             stack = [0]  # a position i to visit, or ~i to undo the choice of i
             while stack:
                 i = stack.pop()
                 if i < 0:
-                    self._undo(~i)
+                    i = ~i
+                    chosen.pop()
+                    zone_used[zone_of[i]] -= 1
+                    for r in rules_of[i]:
+                        hits[r] -= 1
+                    cur, table = saved.pop()
                     continue
-                self.nodes += 1
-                if time.monotonic() > self.deadline:
+                nodes += 1
+                if monotonic() > deadline:
                     self.timed_out = True
-                    return
-                if not self._can_complete(i):
+                    break
+                k = len(chosen)
+                if exactly and k + suffix_free[i] < n or short and any(h < s[i] for h, s in zip(hits, short)):
                     continue
-                bound = self._bound(i)
+                rem = n - k
+                if nearest:
+                    bound = table[i - m - 1]
+                elif rem <= 0 or not (exactly or pairwise):
+                    bound = cur
+                elif pairwise:
+                    # The size best tail and chosen-to-tail pairs are among these lists' first.
+                    size = rem * (rem - 1) // 2 + rem * k
+                    pool = tail_pairs[i][:size]
+                    for c in chosen:
+                        pool += tail_rows[c][i - c - 1][:size]
+                    pool.sort()
+                    total = 0.0
+                    for v in pool[:size]:
+                        if exactly or v < 0:
+                            total += v
+                    bound = cur + total
+                else:
+                    bound = cur + tail_sums[i][rem]
                 # Strictly-worse only: equal-bound subtrees may hold an equal-value
                 # solution that wins the lexicographic tie-break.
-                if bound is None or (self.best_value is not None and bound > self.best_value):
+                if bound is None or (best_value is not None and bound > best_value):
                     continue
                 if i == m:
-                    self._leaf(bound if self.nearest else self.current[-1])
+                    # The checks above have seen to the cardinality and the location rules.
+                    value, picked = bound if nearest else cur, tuple(chosen)
+                    if best_value is None or value < best_value or (value == best_value and picked < best_chosen):
+                        best_value, best_chosen = value, picked
                     continue
                 stack.append(i + 1)
-                if self.available[i] and len(chosen) < n and zone_used[zone_of[i]] < cap:
+                if available[i] and rem > 0 and zone_used[zone_of[i]] < cap:
                     stack += (~i, i + 1)
-                    self._choose(i)
-
-    def _choose(self, i: int) -> None:
-        chosen = self.chosen
-        chosen.append(i)
-        self.zone_used[self.zone_of[i]] += 1
-        for r in self.rules_of[i]:
-            self.hits[r] += 1
-        if self.nearest:
-            self.current.append(np.minimum(self.current[-1], self.cols[i]))
-        elif self.pairwise:
-            # In (a, b) order, signed after the sum, as the reported value is.
-            dist = self.model.dist
-            pairs = (dist[a][b] for k, a in enumerate(chosen) for b in chosen[k + 1 :])
-            self.current.append(self.pair_sign * _ordered_sum(pairs))
-        else:
-            self.current.append(self.current[-1] + self.model.lin_coeff[i])
-
-    def _undo(self, i: int) -> None:
-        self.chosen.pop()
-        self.zone_used[self.zone_of[i]] -= 1
-        for r in self.rules_of[i]:
-            self.hits[r] -= 1
-        self.current.pop()
-
-    def _can_complete(self, i: int) -> bool:
-        if self.exactly and len(self.chosen) + self.suffix_free[i] < self.n:
-            return False
-        for hits, suffix, need in zip(self.hits, self.suffix_rule, self.min_count):
-            if hits + suffix[i] < need:
-                return False
-        return True
-
-    def _nearest_bound(self, i: int) -> float | None:
-        """Admissible lower bound on any completion; None prunes outright."""
-        best = np.minimum(self.current[-1], self.smin[i])
-        total = float(np.add.accumulate(self.weights * best)[-1])
-        # A demand no chosen or later candidate may serve makes the total inf or nan.
-        if not total < math.inf and np.isinf(best).any():
-            return None
-        return total
-
-    def _linear_bound(self, i: int) -> float:
-        rem = self.n - len(self.chosen)
-        if not self.exactly or rem <= 0:
-            return self.current[-1]
-        return self.current[-1] + _ordered_sum(self.tail_min[i][:rem])
-
-    def _pairwise_bound(self, i: int) -> float:
-        chosen = self.chosen
-        rem = self.n - len(chosen)
-        if rem <= 0:
-            return self.current[-1]
-        # The k best of the tail pairs and of the chosen-to-tail pairs are among these lists' first k.
-        k = rem * (rem - 1) // 2 + rem * len(chosen)
-        pool = self.tail_pairs[i][:k]
-        for c in chosen:
-            pool += self.tail_rows[c][i - c - 1][:k]
-        pool.sort()
-        if self.exactly:
-            return self.current[-1] + _ordered_sum(pool[:k])
-        return self.current[-1] + _ordered_sum(v for v in pool[:k] if v < 0)
-
-    def _leaf(self, value: float) -> None:
-        # _can_complete has seen to the cardinality and the location rules.
-        chosen = tuple(self.chosen)
-        if (
-            self.best_value is None
-            or value < self.best_value
-            or (value == self.best_value and chosen < self.best_chosen)
-        ):
-            self.best_value = value
-            self.best_chosen = chosen
+                    saved.append((cur, table))
+                    chosen.append(i)
+                    zone_used[zone_of[i]] += 1
+                    for r in rules_of[i]:
+                        hits[r] += 1
+                    if nearest:
+                        cur = np.minimum(cur, cols[:, i : i + 1])
+                        table = bounds(cur, i + 1)
+                    elif pairwise:
+                        # In (a, b) order, signed after the sum, as the reported value is.
+                        total = 0.0
+                        for a, c in enumerate(chosen):
+                            for b in chosen[a + 1 :]:
+                                total += dist[c][b]
+                        cur = sign * total
+                    else:
+                        cur += coeff[i]
+        self.nodes, self.best_value, self.best_chosen = nodes, best_value, best_chosen
 
     def assignment_for(self, chosen: tuple[int, ...]) -> dict[str, str]:
-        if not self.nearest:
+        model = self.model
+        if model.problem.objective != "min_weighted_nearest":
             return {}
-        out: dict[str, str] = {}
-        for j, d in enumerate(self.problem.demands):
-            best = None
-            best_t = None
-            for t in chosen:
-                if self.model.allowed[j][t] and (best is None or self.model.lat[j][t] < best):
-                    best = self.model.lat[j][t]
-                    best_t = t
-            out[d.id] = self.model.order[best_t]
-        return out
+        # Each demand's lowest allowed latency, the earliest candidate on a tie.
+        return {
+            d.id: model.order[min((model.lat[j][t], t) for t in chosen if model.allowed[j][t])[1]]
+            for j, d in enumerate(model.problem.demands)
+        }
 
 
 def solve(model: IlpModel, time_limit: float = 60.0) -> PlacementSolution:
@@ -740,9 +719,9 @@ def check_feasible(problem: PlacementProblem, chosen: Sequence[str]) -> tuple[bo
     for c in picked:
         key = problem.zone_key(c)
         per_zone[key] = per_zone.get(key, 0) + 1
-    for zone, used in sorted(per_zone.items()):
-        if used > problem.zone_cap:
-            violations.append(f"zone cap: {used} chosen in zone {zone!r}, cap {problem.zone_cap}")
+    # Singleton keys count one pick, never over cap: the rest are grid ids.
+    for zone, used in sorted((z, used) for z, used in per_zone.items() if used > problem.zone_cap):
+        violations.append(f"zone cap: {used} chosen in zone {zone!r}, cap {problem.zone_cap}")
 
     for r, rule in enumerate(problem.location_rules):
         matched = sum(1 for c in picked if rule.matches(c))

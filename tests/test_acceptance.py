@@ -152,8 +152,9 @@ def test_criterion_03_flow_reduction_vs_brute_force():
 # ------------------------------------------------------ placement oracle
 
 
-def _zone_key(c: Candidate) -> str:
-    return c.zone if c.zone is not None else f"!{c.id}"
+def _zone_key(c: Candidate) -> str | tuple[None, str]:
+    # A tuple, as no zone name (a str) can equal it.
+    return c.zone if c.zone is not None else (None, c.id)
 
 
 def _oracle_best(problem: PlacementProblem):

@@ -9,11 +9,13 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import math
 import pickle
 import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,6 +99,24 @@ class TestBuildGraph:
         g = build_graph({("A", "B"): 3, ("A", "A"): 5})
         assert g.nodes == {"A", "B"}
         assert g.edges == {("A", "B"): 3}
+
+    @pytest.mark.parametrize(
+        "count",
+        [True, 2.7, math.nan, math.inf, -1, np.float64(0.5)],
+        ids=["bool", "fractional", "nan", "inf", "negative", "numpy-fractional"],
+    )
+    def test_refuses_counts_that_are_not_non_negative_integers(self, count):
+        with pytest.raises(ValueError, match=r"pair \('a', 'b'\): count .* is not a non-negative integer"):
+            build_graph({("a", "b"): count, ("a", "c"): 1})
+
+    def test_refuses_a_bad_count_on_a_same_grid_entry(self):
+        with pytest.raises(ValueError, match=r"pair \('a', 'a'\)"):
+            build_graph({("a", "a"): 0.5})
+
+    def test_takes_python_and_numpy_integers_and_drops_zero_counts(self):
+        g = build_graph({("b", "a"): np.int64(2), ("a", "c"): 3, ("b", "c"): np.uint8(0), ("c", "d"): 0})
+        assert g.edges == {("a", "b"): 2, ("a", "c"): 3}
+        assert all(type(c) is int for c in g.edges.values())
 
     def test_empty(self):
         g = build_graph({})

@@ -10,12 +10,14 @@ import random
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from netwattzap import grid_model
 from netwattzap.errors import DuplicateAbbrev, DuplicateMember, MalformedDocument, MissingStats, OpenRing
 from netwattzap.grid_model import (
     AdminStatRecord,
@@ -245,8 +247,27 @@ class TestRingFormat:
             id="A", name="A", abbrev="A", members=frozenset(), boundary=((vertices,),),
             population=0, internet_users=0, area_km2=1.0,
         )
+        ring = region.boundary[0][0]
+        assert not np.shares_memory(ring, vertices) and not ring.flags.writeable
+        assert vertices.flags.writeable
         vertices[1, 0] = 9.0
-        assert region.boundary[0][0][1, 0] == 4.0
+        assert ring[1, 0] == 4.0
+
+    def test_ring_loaded_from_a_path_is_the_decoders_array(self, tmp_path):
+        path = tmp_path / "wasg.geojson"
+        path.write_text(json.dumps(collection(feature("A", "A", ["US"]), feature("B", "B", ["MX"], lon0=20.0))))
+        decoded, coerce_ring = [], grid_model._coerce_ring
+
+        def coerce(raw):
+            decoded.append(coerce_ring(raw))
+            return decoded[-1]
+
+        with mock.patch.object(grid_model, "_coerce_ring", coerce):
+            registry = load_registry(path)
+        assert len(decoded) == len(rings(registry)) == 2
+        for ring, made in zip(rings(registry), decoded):
+            assert np.shares_memory(ring, made)
+            assert type(ring) is np.ndarray and not ring.flags.writeable
 
     def test_regions_compare_by_identity_and_registries_by_content(self):
         a, b = square_region("A", "A", 0.0, 0.0), square_region("A", "A", 0.0, 0.0)

@@ -40,12 +40,13 @@ PAIRWISE = ("min_pairwise_distance_sum", "max_pairwise_distance_sum")
 # ---------------------------------------------------------------- oracle
 
 
-def oracle_zone(candidate: Candidate) -> str:
-    return candidate.zone if candidate.zone is not None else f"#solo#{candidate.id}"
+def oracle_zone(candidate: Candidate) -> str | tuple[None, str]:
+    # A tuple, as no zone name (a str) can equal it.
+    return candidate.zone if candidate.zone is not None else (None, candidate.id)
 
 
 def oracle_feasible(problem: PlacementProblem, picked: tuple[Candidate, ...], lat, index) -> bool:
-    zones: dict[str, int] = {}
+    zones: dict = {}
     for c in picked:
         z = oracle_zone(c)
         zones[z] = zones.get(z, 0) + 1
@@ -704,6 +705,40 @@ def test_negative_latency_override_rejected():
 
     with pytest.raises(MalformedDocument, match="non-negative"):
         problem_from_dict({**doc, "latency_override": negative})
+
+
+class TestUnzonedCandidates:
+    """An unzoned candidate is its own zone, whatever the other candidates' zone names."""
+
+    @pytest.mark.parametrize("zone", ["~solo:b", "#solo#b", "!b", "b", "('b',)"])
+    def test_zone_named_like_a_singleton_key_is_another_zone(self, zone):
+        problem = PlacementProblem(
+            candidates=(cand("a", zone=zone, cost=1.0), cand("b", cost=2.0), cand("c", zone=zone, cost=0.5)),
+            demands=(),
+            objective="min_cost",
+            select_count=SelectCount(mode="exactly", n=2),
+            zone_cap=1,
+        )
+        model = build_ilp(problem)
+        assert len(set(model.zone_of)) == 2
+        solution = solve(model)
+        assert (solution.chosen, solution.objective_value, solution.proof) == (("b", "c"), 2.5, "optimal")
+        assert enumerate_optimum(problem) == (2.5, ("b", "c"))
+        assert check_feasible(problem, ("a", "b")) == (True, [])
+        assert check_feasible(problem, ("a", "c")) == (False, [f"zone cap: 2 chosen in zone {zone!r}, cap 1"])
+        assert "zone_conflict" in model.dump()
+
+    def test_only_unzoned_candidates_in_a_zone_named_like_their_key(self):
+        # Two candidates, exactly two: refused as a pigeonhole when a's zone shared b's key.
+        problem = PlacementProblem(
+            candidates=(cand("a", zone="~solo:b", cost=1.0), cand("b", cost=2.0)),
+            demands=(),
+            objective="min_cost",
+            select_count=SelectCount(mode="exactly", n=2),
+            zone_cap=1,
+        )
+        assert solve(build_ilp(problem)).chosen == ("a", "b")
+        assert check_feasible(problem, ("a", "b")) == (True, [])
 
 
 class TestCheckFeasible:

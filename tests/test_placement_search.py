@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from netwattzap.errors import UnsatisfiableStructure
@@ -50,9 +50,10 @@ RULES = st.sampled_from(
 
 
 @st.composite
-def problems(draw, objective: str, mode: str) -> PlacementProblem:
+def problems(draw, objective: str, mode: str, deep: bool = False) -> PlacementProblem:
+    """A drawn problem; ``deep`` ones have 12-16 candidates and a weightless, latency-bounded first demand."""
     pairwise = objective in PAIRWISE_OBJECTIVES
-    m = draw(st.integers(2 if pairwise else 1, 9), label="m")
+    m = draw(st.integers(12, 16) if deep else st.integers(2 if pairwise else 1, 9), label="m")
     candidates = tuple(
         Candidate(
             id=f"c{i}",
@@ -67,14 +68,16 @@ def problems(draw, objective: str, mode: str) -> PlacementProblem:
         DemandPoint(
             id=f"d{j}",
             geo=GeoPoint(draw(st.floats(-60.0, 60.0)), draw(st.floats(-150.0, 150.0))),
-            weight=draw(st.integers(0, 4)),
+            weight=0 if deep and j == 0 else draw(st.integers(0, 4)),
         )
-        for j in range(draw(st.sampled_from([0, 1, 2, 4, 9, 12]), label="demands"))
+        for j in range(draw(st.sampled_from([2, 4, 9, 12] if deep else [0, 1, 2, 4, 9, 12]), label="demands"))
     )
     override = None
     if draw(st.booleans(), label="override"):
         override = {d.id: {c.id: float(draw(st.integers(0, 9))) for c in candidates} for d in demands}
     bounded = draw(st.lists(st.sampled_from([d.id for d in demands]), max_size=2, unique=True)) if demands else []
+    if deep and "d0" not in bounded:
+        bounded.append("d0")
     bounds = {d: draw(st.sampled_from([3.0, 6.0, 15.0, 30.0])) for d in bounded}
     rules = tuple(
         LocationRule(kind=kind, value=value, min_count=draw(st.integers(1, 2)))
@@ -106,6 +109,21 @@ def test_search_matches_reference(objective, mode, data):
         model = build_ilp(problem)
     except UnsatisfiableStructure:
         return
+    assert report(solve(model)) == report(placement_reference.solve(model))
+
+
+@pytest.mark.parametrize("mode", ["exactly", "at_most"])
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_deep_search_matches_reference(objective, mode, data):
+    # Nearest bound tables span up to 17 positions, and a weightless demand left
+    # without a candidate makes 0 * inf = nan, which must prune as the scans do.
+    problem = data.draw(problems(objective, mode, deep=True), label="problem")
+    try:
+        model = build_ilp(problem)
+    except UnsatisfiableStructure:
+        reject()  # so that every counted example is searched
     assert report(solve(model)) == report(placement_reference.solve(model))
 
 
