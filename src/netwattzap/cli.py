@@ -114,7 +114,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(doc, out: str | None) -> None:
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
+    _emit(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n", out)
 
 
 def _emit_csv(rows, out: str | None) -> None:

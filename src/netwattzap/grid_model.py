@@ -12,6 +12,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
@@ -122,6 +123,9 @@ class AdminStatRecord:
             raise ValueError(f"stat {self.code!r}: penetration {self.penetration} outside [0, 1]")
         if self.area_km2 is not None and not 0 <= self.area_km2 < math.inf:
             raise ValueError(f"stat {self.code!r}: area_km2 {self.area_km2!r} not finite and non-negative")
+        # Reports rank both counts as floats. An int compares with a float exactly, without converting.
+        if not (self.population <= sys.float_info.max and self.effective_internet_users() <= sys.float_info.max):
+            raise ValueError(f"stat {self.code!r}: population or internet users past the float range")
 
     def effective_internet_users(self) -> int:
         if self.internet_users is not None:

@@ -434,14 +434,18 @@ def parse_stats(source) -> list[AdminStatRecord]:
     """Parse a statistics CSV ``code,population,internet_users,penetration,area_km2``.
 
     Empty cells mean absent; a row missing both internet_users and
-    penetration, or carrying negative/out-of-range numbers, raises
-    MalformedRow.
+    penetration, carrying negative/out-of-range numbers, or repeating
+    an earlier row's code raises MalformedRow.
     """
     records: list[AdminStatRecord] = []
+    first_row: dict[str, int] = {}
     for rowno, row in _csv_rows(source, required=("code", "population", "internet_users", "penetration", "area_km2")):
         code = (row.get("code") or "").strip()
         if not code:
             raise MalformedRow(rowno, "empty code")
+        if code in first_row:
+            raise MalformedRow(rowno, f"duplicate code {code!r}, first on row {first_row[code]}")
+        first_row[code] = rowno
         try:
             record = AdminStatRecord(
                 code=code,

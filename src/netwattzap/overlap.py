@@ -147,36 +147,29 @@ def tally_topology(topo: ParsedTopology, registry: WasgRegistry) -> TopologyTall
     tally = _tally_links(topo.links, codes, index.zone_ids)
     # Shifted by one: bin 0 holds the routers outside every grid.
     per_zone = np.bincount(codes[located] + 1, minlength=len(index.zone_ids) + 1).tolist()
-    routers = {zone: n for zone, n in zip(index.zone_ids, per_zone[1:]) if n}
-    return replace(tally, routers=routers, routers_unzoned=per_zone[0])
+    tally.routers = {zone: n for zone, n in zip(index.zone_ids, per_zone[1:]) if n}
+    tally.routers_unzoned = per_zone[0]
+    return tally
 
 
 def _tally_links(links: np.ndarray, codes: np.ndarray, zone_ids: Sequence[str]) -> TopologyTally:
     """Tally ``(k, 2)`` links of node rows by their mapped ends; ``codes`` is each row's zone code, -1 for none."""
-    outside = (links < 0) | (links >= len(codes))
-    if outside.any():
-        row, col = divmod(int(np.argmax(outside)), 2)
+    if len(links) and (links.min() < 0 or links.max() >= len(codes)):
+        row, col = divmod(int(np.argmax((links < 0) | (links >= len(codes)))), 2)
         raise UnknownNode(f"link {row} names node row {links[row, col]}, outside the {len(codes)} nodes")
-    # Codes follow sorted zone ids, so min/max of two codes is the sorted
-    # pair; G, one past the last code, stands for "no zone".
+    # Count each ordered pair of end codes, with G (one past the last code) for "no zone". Codes
+    # follow sorted zone ids, so the matrix folded onto its upper triangle counts sorted pairs.
     g = len(zone_ids)
-    ends = codes[links]
-    ends[ends < 0] = g
-    lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
-
-    both = hi < g
-    keys, key_counts = np.unique(lo[both] * g + hi[both], return_counts=True)
-    pairs = {
-        (zone_ids[key // g], zone_ids[key % g]): count for key, count in zip(keys.tolist(), key_counts.tolist())
-    }
-    one = (lo < g) & ~both
-    one_end_counts = np.bincount(lo[one], minlength=g).tolist()
-    one_end = {zone_ids[code]: count for code, count in enumerate(one_end_counts) if count}
-    counts = {
-        "both_mapped": int(both.sum()),
-        "one_mapped": int(one.sum()),
-        "none_mapped": int((lo == g).sum()),
-    }
+    zoned = np.where(codes < 0, g, codes)
+    key = (zoned * (g + 1))[links[:, 0]]
+    key += zoned[links[:, 1]]
+    ordered = np.bincount(key, minlength=(g + 1) ** 2).reshape(g + 1, g + 1)
+    matrix = np.triu(ordered) + np.tril(ordered, -1).T
+    lo, hi = np.nonzero(matrix[:g, :g])
+    pairs = {(zone_ids[a], zone_ids[b]): n for a, b, n in zip(lo.tolist(), hi.tolist(), matrix[lo, hi].tolist())}
+    one = matrix[:g, g].tolist()
+    one_end = {zone_ids[code]: n for code, n in enumerate(one) if n}
+    counts = {"both_mapped": sum(pairs.values()), "one_mapped": sum(one), "none_mapped": int(matrix[g, g])}
     return TopologyTally(counts=counts, pairs=pairs, one_end=one_end)
 
 
@@ -284,9 +277,8 @@ def distribution_report(
             for metric in STAT_METRICS:
                 metrics[metric] = getattr(totals, metric)
 
-    for metrics in per_wasg.values():
+    for metrics in [*per_wasg.values(), uncovered]:
         metrics["components"] = sum(metrics.get(kind, 0) for kind in COMPONENT_KINDS)
-    uncovered["components"] = sum(uncovered.get(kind, 0) for kind in COMPONENT_KINDS)
 
     metrics_present = list(COMPONENT_KINDS) + ["components"]
     if stats is not None:

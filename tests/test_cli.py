@@ -1093,3 +1093,92 @@ class TestExitContract:
             main(["connectivity", "--wasg", str(workspace / "wasg.geojson"), "--nodes", str(workspace / "topo.nodes"),
                   "--geo", str(workspace / "topo.geo"), "--links", str(workspace / "topo.links"),
                   "--scenario", str(workspace / "scenario_regional.json")])
+
+
+STATS_HEADER = "code,population,internet_users,penetration,area_km2\n"
+
+
+class TestStatisticsPastTheFloatRange:
+    """A count that float() cannot hold is one MalformedRow, not an OverflowError traceback."""
+
+    HUGE = "9" * 401
+
+    @pytest.mark.parametrize(
+        "cells",
+        [f"{HUGE},1000,,5000", f"1000,{HUGE},,5000", f"{HUGE},,0.5,5000"],
+        ids=["population", "internet_users", "penetration"],
+    )
+    def test_one_error_line_and_one_violation(self, workspace, tmp_path, capsys, cells):
+        path = tmp_path / "huge.csv"
+        path.write_text(f"{STATS_HEADER}M00A,{cells}\n", encoding="utf-8")
+        argv = ["--wasg", str(workspace / "wasg.geojson"), "--stats", str(path)]
+        code = main(["overlap", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: MalformedRow: row 2: stat 'M00A': population or internet users past the float range\n"
+        code = main(["validate", *argv])
+        violations = json.loads(capsys.readouterr().out)["violations"]
+        assert code == 2
+        assert violations == ["MalformedRow: row 2: stat 'M00A': population or internet users past the float range"]
+
+
+class TestDuplicateStatisticsCode:
+    """A code on two rows of the statistics is refused on its second row, naming the first."""
+
+    ERROR = "MalformedRow: row 22: duplicate code 'M00A', first on row 2"
+
+    @pytest.fixture
+    def duplicated(self, workspace, tmp_path):
+        rows = (workspace / "stats.csv").read_text(encoding="utf-8").splitlines()
+        path = tmp_path / "dup.csv"
+        path.write_text("\n".join(rows + [rows[1]]) + "\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("with_wasg", [False, True])
+    def test_validate_reports_one_violation(self, workspace, duplicated, capsys, with_wasg):
+        wasg = ["--wasg", str(workspace / "wasg.geojson")] if with_wasg else []
+        code = main(["validate", *wasg, "--stats", str(duplicated)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        assert json.loads(captured.out)["violations"] == [self.ERROR]
+
+    def test_overlap_is_one_error_line(self, workspace, duplicated, capsys):
+        code = main(["overlap", "--wasg", str(workspace / "wasg.geojson"), "--stats", str(duplicated)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {self.ERROR}\n"
+
+
+class TestNonFiniteReportNumber:
+    """A report number that overflows to infinity is one ValueError line; no report is written."""
+
+    # Newer Pythons append the value to this message.
+    PREFIX = "error: ValueError: Out of range float values are not JSON compliant"
+
+    def run(self, argv, out, capsys):
+        code = main([*argv, "--out", str(out)] if out else argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(self.PREFIX)
+        assert captured.err.count("\n") == 1
+        assert out is None or not out.exists()
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_uncovered_area_sum(self, workspace, tmp_path, capsys, to_file):
+        # Two codes outside every grid, each with a finite area, sum to an infinite uncovered area.
+        path = tmp_path / "vast.csv"
+        path.write_text(f"{STATS_HEADER}X1,1,1,,1e308\nX2,1,1,,1e308\n", encoding="utf-8")
+        argv = ["overlap", "--wasg", str(workspace / "wasg.geojson"), "--stats", str(path)]
+        self.run(argv, tmp_path / "r.json" if to_file else None, capsys)
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_place_objective(self, workspace, tmp_path, capsys, to_file):
+        doc = json.loads((workspace / "problem.json").read_text())
+        doc["demands"][0]["weight"] = 1e308
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        self.run(["place", "--problem", str(path)], tmp_path / "r.json" if to_file else None, capsys)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import logging
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -140,9 +141,13 @@ def recount_unavailable_links(links, node_zones, failed):
     return unavailable, len(links), zoned
 
 
-def categorize(links, node_zones):
-    """The link tally of ``(k, 3)`` links with each node's zone given by a dict of node id to zone id or None."""
-    zone_ids = sorted({zone for zone in node_zones.values() if zone is not None})
+def categorize(links, node_zones, zone_ids=None):
+    """The link tally of ``(k, 3)`` links with each node's zone given by a dict of node id to zone id or None.
+
+    ``zone_ids`` is the sorted registry the codes point into; by default, the zones the nodes name.
+    """
+    if zone_ids is None:
+        zone_ids = sorted({zone for zone in node_zones.values() if zone is not None})
     node_ids = np.array(sorted(node_zones), dtype=np.int64)
     codes = [-1 if node_zones[n] is None else zone_ids.index(node_zones[n]) for n in node_ids.tolist()]
     return overlap._tally_links(link_rows(node_ids, links), np.array(codes, dtype=np.int64), zone_ids)
@@ -206,14 +211,19 @@ class TestCategorizeLinks:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_tally_matches_per_link_recount(self, data):
+        # Registries of no zone, one zone and four: the count matrix is 1x1, 2x2 or 5x5.
+        zones = TALLY_ZONES[: data.draw(st.sampled_from((0, 1, 4)))]
         # Sparse ids up to the int64 limit, in no particular order.
         nodes = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=2, max_size=10, unique=True))
-        node_zones = {n: data.draw(st.sampled_from((None,) + TALLY_ZONES)) for n in nodes}
+        node_zones = {n: data.draw(st.sampled_from((None,) + zones)) for n in nodes}
         ends = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(lambda e: e[0] != e[1])
         drawn = data.draw(st.lists(ends, max_size=30))
         links = np.array([(i, a, b) for i, (a, b) in enumerate(drawn)], dtype=np.int64).reshape(-1, 3)
-        tally = categorize(links, node_zones)
-        assert (tally.counts, tally.pairs, tally.one_end) == recount_links(links, node_zones)
+        tally = categorize(links, node_zones, list(zones))
+        counts, pairs, one_end = recount_links(links, node_zones)
+        assert (tally.counts, tally.one_end) == (counts, one_end)
+        # Pairs in sorted order, as the reports list them.
+        assert list(tally.pairs.items()) == sorted(pairs.items())
 
         registry = WasgRegistry(
             [square_region(z, f"A{i}", -150.0 + 20.0 * i, 5.0) for i, z in enumerate(TALLY_ZONES)]
@@ -227,6 +237,23 @@ class TestCategorizeLinks:
             d = details["links"]
             expected = recount_unavailable_links(links, node_zones, failed)
             assert (d.unavailable, d.total, d.zoned_total) == expected
+
+
+    def test_tally_peak_memory_within_twice_the_links(self):
+        # About 2x10^5 random links among 10^3 nodes in 43 zones; the tally's
+        # temporaries may not outgrow the links array itself.
+        rng = np.random.default_rng(0)
+        zone_ids = [f"Z{i:02d}" for i in range(43)]
+        codes = rng.integers(-1, len(zone_ids), 1000)
+        links = rng.integers(0, len(codes), (200_000, 2))
+        tracemalloc.start()
+        try:
+            tally = overlap._tally_links(links, codes, zone_ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(tally.counts.values()) == len(links)
+        assert peak <= 2 * links.nbytes, f"peak {peak} B for a {links.nbytes} B links array"
 
 
 class TestPairCounts:
