@@ -169,8 +169,8 @@ def cmd_validate(args) -> int:
 
     records = check(lambda: parse_stats(args.stats)) if args.stats else None
     if records is not None and registry is not None:
-        agg = aggregate_stats(registry, records, strict=False)
-        if agg.missing_codes:
+        agg = check(lambda: aggregate_stats(registry, records, strict=False))
+        if agg is not None and agg.missing_codes:
             warnings.append(f"member codes without statistics: {', '.join(agg.missing_codes)}")
 
     for kind, path in check(lambda: _parse_component_specs(args.components)) or []:

@@ -3,17 +3,16 @@
 A scenario fails whole grids: either an explicit set (regional outages
 from weather or targeted attacks) or every grid reaching poleward of a
 latitude threshold (solar-storm model). Components in no grid are never
-failed - their grid exposure is unknown. Topology routers and links
-enter as the grid-level tally of ``overlap.tally_topology``: its router
-counts join the ``router`` components, and a link is unavailable as soon
-as either mapped endpoint sits in a failed grid, so the unavailable links
-are the grid pairs and one-end counts touching a failed grid; links with
-both ends unmapped survive every scenario.
+failed - their grid exposure is unknown. The metrics read the per-grid
+table of ``overlap``, which counts components, the routers of a topology
+tally and statistics once. A link is unavailable as soon as either mapped
+endpoint sits in a failed grid, so the unavailable links are the tally's
+grid pairs and one-end counts touching a failed grid; links with both
+ends unmapped survive every scenario.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -21,12 +20,9 @@ from .errors import MalformedDocument, UnknownWasg
 from .geo import band_overlap
 from .grid_model import AggregateResult, WasgRegistry, _json_list, _json_number, _json_str, _load_document
 from .ingest import InfraComponent
-from .overlap import TopologyTally, _check_zones, az_collapse
+from .overlap import TopologyTally, _grid_table, az_collapse
 
 MODES = ("regional", "latitude_band")
-
-# Component kinds surfaced as report metrics, in report order.
-_KIND_METRICS = (("ixp", "ixps"), ("dns_root", "dns_roots"), ("router", "routers"))
 
 
 @dataclass(frozen=True)
@@ -140,52 +136,45 @@ def unavailability(
 ) -> UnavailabilityReport:
     """Evaluate a scenario over resolved components, a topology tally, and stats.
 
-    Metrics appear only for the inputs supplied: a component kind needs
-    a component of that kind (routers also count from the ``tally``),
-    datacenter zones need a datacenter, the links metric needs a
-    ``tally`` that counted at least one link, internet_users needs
-    ``stats``.
+    The ixps, dns_roots, routers and internet_users metrics sum a column of the
+    per-grid table ``overlap`` ranks: over the failed grids (unavailable), over
+    every grid (zoned total), and with the remainder outside every grid (total).
+    Metrics appear only for the inputs supplied: a component kind needs a
+    component of that kind (routers also count from the ``tally``), datacenter
+    zones need a datacenter, the links metric needs a ``tally`` that counted at
+    least one link, internet_users needs ``stats``. Raises ``UnknownWasg`` for a
+    failed grid, then the smallest counted zone, that the registry lacks.
     """
     failed = resolve_scenario(scenario, registry)
-    if tally is not None:
-        _check_zones(registry, tally.zones())
+    per_wasg, uncovered, tally = _grid_table(components, registry, stats, tally)
     details: dict[str, MetricDetail] = {}
 
-    for kind, metric in _KIND_METRICS:
-        per_zone = Counter(c.zone for c in components if c.kind == kind)
-        if kind == "router" and tally is not None:
-            per_zone.update(tally.routers)
-            per_zone[None] += tally.routers_unzoned
-        _check_zones(registry, per_zone)
-        total = sum(per_zone.values())
-        if total:
-            unavailable = sum(n for zone, n in per_zone.items() if zone in failed)
-            details[metric] = MetricDetail(unavailable=unavailable, total=total, zoned_total=total - per_zone[None])
+    for column, metric in (("ixp", "ixps"), ("dns_root", "dns_roots"), ("router", "routers"),
+                           ("internet_users", "internet_users")):
+        if column not in uncovered:  # statistics not given
+            continue
+        zoned_total = sum(metrics[column] for metrics in per_wasg.values())
+        total = zoned_total + uncovered[column]
+        if total or column == "internet_users":
+            unavailable = sum(per_wasg[wasg_id][column] for wasg_id in failed)
+            details[metric] = MetricDetail(unavailable=unavailable, total=total, zoned_total=zoned_total)
+
     datacenters = [c for c in components if c.kind == "datacenter"]
     if datacenters:
         collapse = az_collapse(datacenters)
-        _check_zones(registry, collapse.groups)
         details["datacenter_zones"] = MetricDetail(
             unavailable=sum(1 for zone in collapse.groups if zone in failed),
             total=collapse.zone_count,
             zoned_total=len(collapse.groups),
         )
 
-    links_total = sum(tally.counts.values()) if tally is not None else 0
+    links_total = sum(tally.counts.values())
     if links_total:
         details["links"] = MetricDetail(
             unavailable=sum(c for (a, b), c in tally.pairs.items() if a in failed or b in failed)
             + sum(c for zone, c in tally.one_end.items() if zone in failed),
             total=links_total,
             zoned_total=tally.counts["both_mapped"] + tally.counts["one_mapped"],
-        )
-
-    if stats is not None:
-        zoned_users = sum(t.internet_users for t in stats.per_wasg.values())
-        details["internet_users"] = MetricDetail(
-            unavailable=sum(stats.per_wasg[w].internet_users for w in failed if w in stats.per_wasg),
-            total=stats.uncovered.internet_users + zoned_users,
-            zoned_total=zoned_users,
         )
 
     return UnavailabilityReport(

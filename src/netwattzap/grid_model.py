@@ -398,13 +398,21 @@ class AggregateResult:
     missing_codes: tuple[str, ...]
 
 
-def _totals(records: Sequence[AdminStatRecord]) -> StatTotals:
-    """The records' sums; areas are added left to right, so pass them in code order."""
-    return StatTotals(
+def _totals(records: Sequence[AdminStatRecord], where: str) -> StatTotals:
+    """The records' sums; areas are added left to right, so pass them in code order.
+
+    Raises:
+        ValueError: a population or internet-user sum past the float range, naming ``where``.
+    """
+    totals = StatTotals(
         population=sum(r.population for r in records),
         internet_users=sum(r.effective_internet_users() for r in records),
         area_km2=_ordered_sum(r.area_km2 or 0.0 for r in records),
     )
+    # Reports rank both sums as floats. An int compares with a float exactly, without converting.
+    if not (totals.population <= sys.float_info.max and totals.internet_users <= sys.float_info.max):
+        raise ValueError(f"statistics {where}: population or internet users past the float range")
+    return totals
 
 
 def aggregate_stats(
@@ -420,7 +428,8 @@ def aggregate_stats(
 
     Raises:
         MissingStats: strict mode only, when member codes lack records.
-        ValueError: on duplicate stat codes.
+        ValueError: on duplicate stat codes, or a grid's or the remainder's
+            population or internet-user sum past the float range.
     """
     by_code: dict[str, AdminStatRecord] = {}
     for record in stats:
@@ -433,7 +442,7 @@ def aggregate_stats(
     for region in registry:
         members = sorted(region.members)
         missing += (code for code in members if code not in by_code)
-        per_wasg[region.id] = _totals([by_code[code] for code in members if code in by_code])
+        per_wasg[region.id] = _totals([by_code[code] for code in members if code in by_code], f"of grid {region.id!r}")
 
     if strict and missing:
         raise MissingStats(missing)
@@ -441,7 +450,7 @@ def aggregate_stats(
     uncovered_codes = tuple(code for code in sorted(by_code) if registry.region_of_member(code) is None)
     return AggregateResult(
         per_wasg=per_wasg,
-        uncovered=_totals([by_code[code] for code in uncovered_codes]),
+        uncovered=_totals([by_code[code] for code in uncovered_codes], "outside every grid"),
         uncovered_codes=uncovered_codes,
         missing_codes=tuple(sorted(missing)),
     )

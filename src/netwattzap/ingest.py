@@ -386,12 +386,19 @@ def parse_components(source, kind: str | None = None) -> ParsedComponents:
     """Parse a component CSV with header ``id,kind,lat,lon,weight,attrs_json``.
 
     Rows with empty lat/lon are skipped and reported; out-of-range or
-    non-numeric coordinates raise MalformedRow. The ``kind`` argument
-    fills rows whose kind cell is empty.
+    non-numeric coordinates, or an id an earlier row (skipped or not)
+    carries, raise MalformedRow. The ``kind`` argument fills rows whose
+    kind cell is empty.
     """
     components: list[InfraComponent] = []
     skipped: list[tuple[int, str]] = []
+    first_row: dict[str, int] = {}
     for rowno, row in _csv_rows(source, required=("id", "kind", "lat", "lon", "weight", "attrs_json")):
+        component_id = (row.get("id") or "").strip()
+        if component_id in first_row:
+            raise MalformedRow(rowno, f"duplicate id {component_id!r}, first on row {first_row[component_id]}")
+        if component_id:
+            first_row[component_id] = rowno
         lat_raw = (row.get("lat") or "").strip()
         lon_raw = (row.get("lon") or "").strip()
         if not lat_raw or not lon_raw:
@@ -414,7 +421,7 @@ def parse_components(source, kind: str | None = None) -> ParsedComponents:
             raise MalformedRow(rowno, f"bad attrs_json: {exc}") from None
         try:
             component = InfraComponent(
-                id=(row.get("id") or "").strip(),
+                id=component_id,
                 kind=row_kind,
                 geo=point,
                 weight=float(weight_raw) if weight_raw else 1.0,

@@ -128,10 +128,6 @@ class TopologyTally:
     routers: dict[str, int] = field(default_factory=dict)
     routers_unzoned: int = 0
 
-    def zones(self) -> set[str]:
-        """Every grid id the tally names."""
-        return {*self.routers, *self.one_end, *itertools.chain.from_iterable(self.pairs)}
-
 
 def tally_topology(topo: ParsedTopology, registry: WasgRegistry) -> TopologyTally:
     """Resolve each geolocated router once and count routers and links per grid.
@@ -243,10 +239,44 @@ def _rank(per_wasg: dict[str, dict[str, float]], uncovered_total: float, metric:
     return entries
 
 
-def _check_zones(registry: WasgRegistry, zones) -> None:
-    """``UnknownWasg`` for a zone, other than None, that the registry lacks; pass counted zones, not components."""
-    for zone in sorted(set(zones) - {None}):
+def _grid_table(
+    components: Sequence[InfraComponent],
+    registry: WasgRegistry,
+    stats: AggregateResult | None,
+    tally: TopologyTally | None,
+) -> tuple[dict[str, dict[str, float]], dict[str, float], TopologyTally]:
+    """Per-grid and uncovered columns: each component kind (the tally's routers join ``router``),
+    the statistics when given, and ``components``; and the tally, an empty one for None.
+    Raises ``UnknownWasg`` for the smallest zone, other than None, that the registry lacks.
+    """
+    tally = tally or TopologyTally(counts=dict.fromkeys(LINK_CATEGORIES, 0), pairs={}, one_end={})
+    # One Counter per kind over its zones: cheaper than counting (zone, kind) tuples.
+    zones_of_kind: dict[str, list[str | None]] = {kind: [] for kind in COMPONENT_KINDS}
+    for c in components:
+        zones_of_kind[c.kind].append(c.zone)
+    counts = {kind: Counter(zones) for kind, zones in zones_of_kind.items()}
+    for zone in sorted(set(itertools.chain(tally.routers, tally.one_end, *tally.pairs, *counts.values())) - {None}):
         registry.get(zone)
+
+    per_wasg: dict[str, dict[str, float]] = {
+        wasg_id: {kind: 0 for kind in COMPONENT_KINDS} for wasg_id in registry.ids
+    }
+    uncovered: dict[str, float] = {kind: 0 for kind in COMPONENT_KINDS}
+    for kind, per_zone in counts.items():
+        for zone, count in per_zone.items():
+            (per_wasg[zone] if zone is not None else uncovered)[kind] += count
+    for zone, count in tally.routers.items():
+        per_wasg[zone]["router"] += count
+    uncovered["router"] += tally.routers_unzoned
+
+    empty = StatTotals()  # one shared record for every grid the statistics lack
+    for wasg_id, metrics in [*per_wasg.items(), (None, uncovered)]:
+        if stats is not None:
+            totals = stats.per_wasg.get(wasg_id, empty) if wasg_id is not None else stats.uncovered
+            for metric in STAT_METRICS:
+                metrics[metric] = getattr(totals, metric)
+        metrics["components"] = sum(metrics[kind] for kind in COMPONENT_KINDS)
+    return per_wasg, uncovered, tally
 
 
 def distribution_report(
@@ -256,30 +286,7 @@ def distribution_report(
     tally: TopologyTally | None = None,
 ) -> OverlapReport:
     """Aggregate resolved components, a topology tally's routers and links, and statistics per grid."""
-    per_wasg: dict[str, dict[str, float]] = {
-        wasg_id: {kind: 0 for kind in COMPONENT_KINDS} for wasg_id in registry.ids
-    }
-    uncovered: dict[str, float] = {kind: 0 for kind in COMPONENT_KINDS}
-    counts = Counter((c.zone, c.kind) for c in components)
-    tally = tally or TopologyTally(counts=dict.fromkeys(LINK_CATEGORIES, 0), pairs={}, one_end={})
-    _check_zones(registry, itertools.chain((zone for zone, _ in counts), tally.zones()))
-    for (zone, kind), count in counts.items():
-        target = per_wasg[zone] if zone is not None else uncovered
-        target[kind] += count
-    for zone, count in tally.routers.items():
-        per_wasg[zone]["router"] += count
-    uncovered["router"] += tally.routers_unzoned
-
-    if stats is not None:
-        empty = StatTotals()  # one shared record for every grid the statistics lack
-        targets = [(metrics, stats.per_wasg.get(wasg_id, empty)) for wasg_id, metrics in per_wasg.items()]
-        for metrics, totals in targets + [(uncovered, stats.uncovered)]:
-            for metric in STAT_METRICS:
-                metrics[metric] = getattr(totals, metric)
-
-    for metrics in [*per_wasg.values(), uncovered]:
-        metrics["components"] = sum(metrics.get(kind, 0) for kind in COMPONENT_KINDS)
-
+    per_wasg, uncovered, tally = _grid_table(components, registry, stats, tally)
     metrics_present = list(COMPONENT_KINDS) + ["components"]
     if stats is not None:
         metrics_present += list(STAT_METRICS)

@@ -1152,6 +1152,46 @@ class TestDuplicateStatisticsCode:
         assert captured.err == f"error: {self.ERROR}\n"
 
 
+class TestStatisticsSumPastTheFloatRange:
+    """Records that each fit a float but sum past its range, in one grid or outside every grid."""
+
+    BIG = "1" + "0" * 308
+
+    @pytest.mark.parametrize(
+        "codes, where",
+        [(("M00A", "M00B"), "of grid 'W00'"), (("X1", "X2"), "outside every grid")],
+        ids=["grid", "uncovered"],
+    )
+    def test_one_error_line_and_one_violation(self, workspace, tmp_path, capsys, codes, where):
+        path = tmp_path / "big.csv"
+        path.write_text(STATS_HEADER + "".join(f"{code},{self.BIG},1,,\n" for code in codes), encoding="utf-8")
+        error = f"ValueError: statistics {where}: population or internet users past the float range"
+        argv = ["--wasg", str(workspace / "wasg.geojson"), "--stats", str(path)]
+        for command in (["overlap"], ["failure", "--scenario", str(workspace / "scenario_regional.json")]):
+            code = main([*command, *argv])
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (2, "", f"error: {error}\n")
+        code = main(["validate", *argv])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["violations"] == [error]
+
+
+class TestDuplicateComponentId:
+    """An id on two rows of one component file is refused on its second row, naming the first."""
+
+    def test_overlap_and_validate(self, workspace, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("id,kind,lat,lon,weight,attrs_json\nX1,ixp,5,5,,\nX1,ixp,5,5,,\n", encoding="utf-8")
+        error = "row 3: duplicate id 'X1', first on row 2"
+        argv = ["--wasg", str(workspace / "wasg.geojson"), "--components", f"ixp={path}"]
+        code = main(["overlap", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: MalformedRow: {error}\n")
+        code = main(["validate", *argv])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["violations"] == [f"MalformedRow: {path}: {error}"]
+
+
 class TestNonFiniteReportNumber:
     """A report number that overflows to infinity is one ValueError line; no report is written."""
 

@@ -207,6 +207,20 @@ class TestParseComponents:
         with pytest.raises(MalformedRow, match=r"^row 2: empty id$"):
             parse_components(io.StringIO("id,kind,lat,lon,weight,attrs_json\n ,ixp,5,0,,\n"))
 
+    @pytest.mark.parametrize(
+        "rows",
+        ["X1,ixp,5,5,,\n X1 ,ixp,6,6,,\n", "X1,ixp,,,,\nX1,ixp,6,6,,\n", "X1,ixp,5,5,,\nX1,ixp,,,,\n"],
+        ids=["both-located", "first-skipped", "second-skipped"],
+    )
+    def test_repeated_id(self, rows):
+        # A skipped row still holds its id.
+        with pytest.raises(MalformedRow, match=r"^row 3: duplicate id 'X1', first on row 2$"):
+            parse_components(io.StringIO("id,kind,lat,lon,weight,attrs_json\n" + rows))
+
+    def test_empty_ids_are_not_repeats(self):
+        parsed = parse_components(io.StringIO("id,kind,lat,lon,weight,attrs_json\n,ixp,,,,\n,ixp,,,,\n"))
+        assert parsed.skipped == [(2, "missing geolocation"), (3, "missing geolocation")]
+
 
 STATS_CSV = """\
 code,population,internet_users,penetration,area_km2
