@@ -428,8 +428,9 @@ def aggregate_stats(
 
     Raises:
         MissingStats: strict mode only, when member codes lack records.
-        ValueError: on duplicate stat codes, or a grid's or the remainder's
-            population or internet-user sum past the float range.
+        ValueError: on duplicate stat codes, a grid's or the remainder's
+            population or internet-user sum past the float range, or a
+            statistic's total over every grid and the remainder past it.
     """
     by_code: dict[str, AdminStatRecord] = {}
     for record in stats:
@@ -448,9 +449,14 @@ def aggregate_stats(
         raise MissingStats(missing)
 
     uncovered_codes = tuple(code for code in sorted(by_code) if registry.region_of_member(code) is None)
+    uncovered = _totals([by_code[code] for code in uncovered_codes], "outside every grid")
+    # Reports rank each statistic against its total over every grid and the remainder, as a float.
+    for metric in (f.name for f in fields(StatTotals)):
+        if not sum(getattr(totals, metric) for totals in (*per_wasg.values(), uncovered)) <= sys.float_info.max:
+            raise ValueError(f"statistics of all grids and outside them: {metric} total past the float range")
     return AggregateResult(
         per_wasg=per_wasg,
-        uncovered=_totals([by_code[code] for code in uncovered_codes], "outside every grid"),
+        uncovered=uncovered,
         uncovered_codes=uncovered_codes,
         missing_codes=tuple(sorted(missing)),
     )

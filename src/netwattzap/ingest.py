@@ -6,21 +6,21 @@ multicast-range (224.0.0.0-239.255.255.255) interfaces, drops nodes
 left without interfaces, and drops links whose endpoints disappeared;
 every removal is counted so input totals reconcile exactly.
 
-Node, geo and CSV parsers stream their input line by line; declared and
-kept node ids are sorted int64 arrays. Link files given as a path or a
-text file are scanned in chunks of about 16 KiB, one regular expression
-turning each plain link line into a row of link id and ends; a chunk
-with any other line (ids of 19 or more digits, non-ASCII text, malformed
-lines) goes through the per-line link parser, which only parses too.
-``_LinkSorter._sort_rows`` alone sorts the rows into kept, removed, self
-and dangling links, so every count and error is the same either way.
-An interface that is a dotted quad is classified by its first octet;
-any other interface token must be an IPv6 address.
+Node, geo and CSV parsers stream their input line by line. The node
+pass ends in ``_IdTable``, the one place that maps node ids to codes: a
+kept node's row, or the fate of any other id. Link files given as a path
+or a text file are read in chunks of about 16 KiB of lines, one regular
+expression turning each plain link line into its two ends; a
+chunk with any other line (ids of 19 or more digits, non-ASCII text,
+malformed lines) goes through the per-line link parser, which only
+parses too. ``_LinkSorter._sort_rows`` alone sorts the links into kept,
+removed, self and dangling, so every count and error is the same either
+way. An interface that is a dotted quad is classified by its first
+octet; any other interface token must be an IPv6 address.
 Kept nodes and links are data, not objects: ``ParsedTopology.nodes``
 holds node id, latitude and longitude (NaN without geolocation), 24
 bytes a node; the ``(k, 2)`` int64 ``ParsedTopology.links`` holds the
-rows of each link's ends in ``nodes``, 16 bytes a link, found by
-``_find``, the one place that maps node ids to rows.
+rows of each link's ends in ``nodes``, 16 bytes a link.
 """
 
 from __future__ import annotations
@@ -71,14 +71,14 @@ _DOTTED_QUAD_RE = re.compile(rf"({_OCTET})(?:\.{_OCTET}){{3}}")
 _CHUNK_CHARS = 16384
 # A link line the chunk scan takes as is. Everything it matches is
 # ASCII; ids have at most 18 digits, so they fit int64 and stay below
-# MAX_ID; the two groups after the link id are the first two node
-# references that _NODE_REF_RE finds in the same line.
+# MAX_ID; its two groups are the first two node references that
+# _NODE_REF_RE finds in the same line.
 _LINK_SCAN_RE = re.compile(
-    r"^[ \t]*link L([0-9]{1,18}):[ \t]*N([0-9]{1,18})(?::[!-~]+)?[ \t]+N([0-9]{1,18})(?!\d).*$", re.M
+    r"^[ \t]*link L[0-9]{1,18}:[ \t]*N([0-9]{1,18})(?::[!-~]+)?[ \t]+N([0-9]{1,18})(?!\d).*$", re.M
 )
 # A blank or comment line of a chunk; (?!\Z) skips the empty "line"
 # after the chunk's final newline.
-_SKIP_SCAN_RE = re.compile(r"^(?!\Z)[ \t\r]*(?:#.*)?$", re.M)
+_SKIP_SCAN_RE = re.compile(r"^(?!\Z)[ \t]*(?:#.*)?$", re.M)
 
 
 @dataclass(frozen=True)
@@ -195,12 +195,12 @@ def parse_topology(nodes_source, geo_source=None, links_source=None, *, strict: 
         DanglingLinkEndpoint: strict mode, links naming unknown nodes.
     """
     report = CleaningReport()
-    declared, kept_ids = _parse_nodes(nodes_source, report)
+    table = _parse_nodes(nodes_source, report)
     if report.ipv6_interfaces:
         logger.warning("passed through %d IPv6 interfaces unvalidated", report.ipv6_interfaces)
-    nodes = _geolocate(geo_source, kept_ids, report)
+    nodes = _geolocate(geo_source, table, report)
 
-    sorter = _LinkSorter(report, declared, kept_ids, strict)
+    sorter = _LinkSorter(report, table, strict)
     if isinstance(links_source, (str, Path)):
         with open(links_source, "r", encoding="utf-8") as handle:
             sorter.scan(handle)
@@ -213,8 +213,8 @@ def parse_topology(nodes_source, geo_source=None, links_source=None, *, strict: 
     return ParsedTopology(nodes=nodes, links=np.frombuffer(sorter.flat, dtype=np.int64).reshape(-1, 2), report=report)
 
 
-def _parse_nodes(source, report: CleaningReport) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted ids of the declared nodes and of the kept ones, those left with an interface."""
+def _parse_nodes(source, report: CleaningReport) -> _IdTable:
+    """The id table of the declared nodes, the kept ones being those left with an interface."""
     ids, linenos, kept = array("q"), array("q"), array("b")
     try:
         for lineno, line in _lines(source):
@@ -240,9 +240,9 @@ def _parse_nodes(source, report: CleaningReport) -> tuple[np.ndarray, np.ndarray
         _sort_ids(ids, linenos)  # a repeated id before the failing line, or on it, is the first error
         raise
     order, declared = _sort_ids(ids, linenos)
-    kept_ids = declared[np.frombuffer(kept, dtype=bool)[order]]
-    report.input_nodes, report.removed_nodes = len(declared), len(declared) - len(kept_ids)
-    return declared, kept_ids
+    table = _IdTable(declared, np.frombuffer(kept, dtype=bool)[order])
+    report.input_nodes, report.removed_nodes = len(declared), len(declared) - len(table.kept_ids)
+    return table
 
 
 def _sort_ids(ids: array, linenos: array) -> tuple[np.ndarray, np.ndarray]:
@@ -257,7 +257,33 @@ def _sort_ids(ids: array, linenos: array) -> tuple[np.ndarray, np.ndarray]:
     return order, ordered
 
 
-def _geolocate(source, kept_ids: np.ndarray, report: CleaningReport) -> np.ndarray:
+class _IdTable:
+    """Node ids to codes: a kept node's row, -1 for a node declared but not kept, -2 for an id not declared.
+
+    ``codes`` is an int32 table over the ids ``0..max id`` (4 bytes an id) and a last -2 that other ids read.
+    Ids sparser than 4 times their count plus 2**16 get no table, but a code for each of ``sparse_ids``.
+    """
+
+    def __init__(self, declared: np.ndarray, kept: np.ndarray):
+        self.kept_ids = declared[kept]
+        top = int(declared[-1]) + 1 if len(declared) else 0
+        dense = top <= 4 * len(declared) + 2**16
+        self.sparse_ids = None if dense else declared
+        slots = declared if dense else np.arange(len(declared))  # where each declared id's code goes
+        self.codes = np.full((top if dense else len(declared)) + 1, -2, dtype=np.int32)
+        self.codes[slots] = -1
+        self.codes[slots[kept]] = np.arange(len(self.kept_ids), dtype=np.int32)
+
+    def __call__(self, ids: np.ndarray) -> np.ndarray:
+        """The code of each id of an int64 array, in its shape."""
+        if self.sparse_ids is None:  # as uint64 a negative id is past the table too: it reads the last entry, -2
+            return self.codes.take(np.minimum(ids.view(np.uint64), len(self.codes) - 1))
+        pos, found = _find(ids, self.sparse_ids)
+        pos[~found] = len(self.sparse_ids)
+        return self.codes[pos]
+
+
+def _geolocate(source, table: _IdTable, report: CleaningReport) -> np.ndarray:
     """The kept nodes as a ``NODE_DTYPE`` array, located by the geo file; a later line for a node wins."""
     geo_ids, geo_lat_lon = array("q"), array("d")
     if source is not None:
@@ -278,10 +304,11 @@ def _geolocate(source, kept_ids: np.ndarray, report: CleaningReport) -> np.ndarr
                 raise MalformedLine(lineno, str(exc)) from None
             geo_ids.append(node_id if node_id <= MAX_ID else -1)  # -1 names no node, as ids above MAX_ID
             geo_lat_lon.extend((lat, lon))
-    nodes = np.empty(len(kept_ids), dtype=NODE_DTYPE)
-    nodes["id"] = kept_ids
+    nodes = np.empty(len(table.kept_ids), dtype=NODE_DTYPE)
+    nodes["id"] = table.kept_ids
     nodes["lat"] = nodes["lon"] = np.nan
-    rows, known = _find(np.frombuffer(geo_ids, dtype=np.int64), kept_ids)
+    rows = table(np.frombuffer(geo_ids, dtype=np.int64))
+    known = rows >= 0
     report.geo_for_unknown_nodes = len(rows) - int(known.sum())
     # Reversed, a node's first line is its last in the file, the one np.unique picks.
     rows, last = np.unique(rows[known][::-1], return_index=True)
@@ -295,13 +322,13 @@ class _LinkSorter:
 
     Kept links go to ``flat`` (the node rows of a and b) in file order,
     and each removal is counted in ``report``. ``_sort_rows`` alone
-    decides a link's fate; ``scan`` and ``parse_lines`` only make its rows.
+    decides a link's fate, reading the fate of both ends off ``table``
+    in one lookup; ``scan`` and ``parse_lines`` only make its rows.
     """
 
-    def __init__(self, report: CleaningReport, declared: np.ndarray, kept: np.ndarray, strict: bool):
+    def __init__(self, report: CleaningReport, table: _IdTable, strict: bool):
         self.report = report
-        self.declared = declared
-        self.kept = kept
+        self.table = table
         self.strict = strict
         self.flat = array("q")
         self.huge: dict[int, int] = {}  # node references above MAX_ID, each to its negative code
@@ -309,46 +336,51 @@ class _LinkSorter:
     def scan(self, handle) -> None:
         """Read ``handle`` in chunks of lines and sort each chunk's links at once.
 
-        A chunk is taken whole only when every line of it is a link line
-        that ``_LINK_SCAN_RE`` matches or a blank or comment line; any
-        other chunk goes through ``parse_lines``, with its line numbers.
+        A chunk is taken whole, as the ends of each link, only when each line ends in its one newline and is a
+        link line that ``_LINK_SCAN_RE`` matches or a blank or comment line. Any other chunk goes through
+        ``parse_lines``, with its line numbers, and so does one where strict mode meets a dangling link.
         """
         lineno = 1
         while lines := handle.readlines(_CHUNK_CHARS):
-            text = "".join(lines)
-            rows = _LINK_SCAN_RE.findall(text)
-            if len(rows) == len(lines) or len(rows) + len(_SKIP_SCAN_RE.findall(text)) == len(lines):
-                if rows:
-                    self._sort_rows(np.fromstring(" ".join(chain.from_iterable(rows)), dtype=np.int64, sep=" "))
-            else:
+            text, n = "".join(lines), len(lines)
+            ends = _LINK_SCAN_RE.findall(text)
+            # A newline mode that ends lines at "\r" splits them where the expressions do not.
+            whole = "\r" not in text and text.count("\n") == n and text[-1] == "\n" and (
+                len(ends) == n or len(ends) + len(_SKIP_SCAN_RE.findall(text)) == n
+            )
+            if not whole or ends and not self._sort_rows(
+                np.fromstring(" ".join(chain.from_iterable(ends)), dtype=np.int64, sep=" ").reshape(-1, 2)
+            ):
                 self.parse_lines(_lines(lines, lineno))
-            lineno += len(lines)
+            lineno += n
 
-    def _sort_rows(self, values) -> None:
-        """Sort links given as int64 values, three per link: link id, a and b."""
-        block = np.frombuffer(values, dtype=np.int64).reshape(-1, 3)
-        ends = block[:, 1:]
-        rows, is_kept = _find(ends, self.kept)
-        undeclared = ~is_kept
-        undeclared[undeclared] = ~_find(ends[undeclared], self.declared)[1]
+    def _sort_rows(self, ends: np.ndarray, link_ids: array | None = None) -> bool:
+        """Sort links given as a ``(k, 2)`` int64 array of their ends a and b; False, with nothing
+        counted, when strict mode meets a dangling link and no ``link_ids`` were given to name it."""
+        codes = self.table(ends)
+        is_kept = codes >= 0
+        undeclared = codes == -2
         self_link = ends[:, 0] == ends[:, 1]
         missing = ~self_link & ~is_kept.all(axis=1)
         dangling = missing & undeclared.any(axis=1)
         if self.strict and dangling.any():
+            if link_ids is None:
+                return False
             row = int(np.argmax(dangling))
             code = int(ends[row, 0] if undeclared[row, 0] else ends[row, 1])
             node = code if code >= 0 else list(self.huge)[-1 - code]
-            raise DanglingLinkEndpoint(f"link L{int(block[row, 0])} references undefined node N{node}")
+            raise DanglingLinkEndpoint(f"link L{link_ids[row]} references undefined node N{node}")
         report = self.report
-        report.input_links += len(block)
+        report.input_links += len(ends)
         report.self_links += int(self_link.sum())
         report.dangling_links += int(dangling.sum())
         report.removed_links += int((missing & ~dangling).sum())
-        self.flat.frombytes(rows[~self_link & ~missing].tobytes())
+        self.flat.frombytes(codes[~self_link & ~missing].astype(np.int64).tobytes())
+        return True
 
     def parse_lines(self, numbered: Iterator[tuple[int, str]]) -> None:
         """The per-line link parser: every line, malformed ones included, to rows for ``_sort_rows``."""
-        rows, huge = array("q"), self.huge
+        link_ids, ends, huge = array("q"), array("q"), self.huge
         try:
             for lineno, line in numbered:
                 m = _LINK_RE.match(line)
@@ -360,12 +392,11 @@ class _LinkSorter:
                 refs = _NODE_REF_RE.findall(m.group(2))
                 if len(refs) < 2:
                     raise MalformedLine(lineno, "link needs at least two node references")
-                ends = [_int(ref, lineno, "node reference") for ref in refs[:2]]
-                rows.extend([link_id] + [n if n <= MAX_ID else huge.setdefault(n, -1 - len(huge)) for n in ends])
-        except Exception:
-            self._sort_rows(rows)  # the links before the failing line come first: one may dangle
-            raise
-        self._sort_rows(rows)
+                pair = [_int(ref, lineno, "node reference") for ref in refs[:2]]
+                link_ids.append(link_id)
+                ends.extend([n if n <= MAX_ID else huge.setdefault(n, -1 - len(huge)) for n in pair])
+        finally:  # the links before a failing line come first: one may dangle
+            self._sort_rows(np.frombuffer(ends, dtype=np.int64).reshape(-1, 2), link_ids)
 
 
 def _find(values: np.ndarray, sorted_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

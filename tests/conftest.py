@@ -14,10 +14,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from netwattzap.geo import GeoPoint
 from netwattzap.grid_model import AdminStatRecord, WasgRegion, WasgRegistry, registry_to_geojson
 from netwattzap.ingest import NODE_DTYPE, InfraComponent
+
+# A failing example prints its @reproduce_failure blob, so a failure seen
+# only on one CI job's numpy can be replayed from its log.
+settings.register_profile("repo", print_blob=True)
+settings.load_profile("repo")
 
 
 def square_ring(lon0: float, lat0: float, size: float):

@@ -1176,6 +1176,26 @@ class TestStatisticsSumPastTheFloatRange:
         assert json.loads(capsys.readouterr().out)["violations"] == [error]
 
 
+    @pytest.mark.parametrize(
+        "cells, metric",
+        [(f"{BIG},1,,", "population"), (f"1,{BIG},,", "internet_users"), ("1,1,,1e308", "area_km2")],
+        ids=["population", "internet_users", "area_km2"],
+    )
+    def test_total_over_grids_is_one_error_line_and_one_violation(self, workspace, tmp_path, capsys, cells, metric):
+        # Two grids, each within the float range, whose total is past it.
+        path = tmp_path / "big.csv"
+        path.write_text(STATS_HEADER + "".join(f"{code},{cells}\n" for code in ("M00A", "M01A")), encoding="utf-8")
+        error = f"ValueError: statistics of all grids and outside them: {metric} total past the float range"
+        argv = ["--wasg", str(workspace / "wasg.geojson"), "--stats", str(path)]
+        for command in (["overlap"], ["failure", "--scenario", str(workspace / "scenario_regional.json")]):
+            code = main([*command, *argv])
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (2, "", f"error: {error}\n")
+        code = main(["validate", *argv])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["violations"] == [error]
+
+
 class TestDuplicateComponentId:
     """An id on two rows of one component file is refused on its second row, naming the first."""
 
@@ -1198,22 +1218,24 @@ class TestNonFiniteReportNumber:
     # Newer Pythons append the value to this message.
     PREFIX = "error: ValueError: Out of range float values are not JSON compliant"
 
-    def run(self, argv, out, capsys):
+    def run(self, argv, out, capsys, prefix=PREFIX):
         code = main([*argv, "--out", str(out)] if out else argv)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith(self.PREFIX)
+        assert captured.err.startswith(prefix)
         assert captured.err.count("\n") == 1
         assert out is None or not out.exists()
 
     @pytest.mark.parametrize("to_file", [False, True])
     def test_uncovered_area_sum(self, workspace, tmp_path, capsys, to_file):
-        # Two codes outside every grid, each with a finite area, sum to an infinite uncovered area.
+        # Two codes outside every grid, each with a finite area, sum to an infinite uncovered area,
+        # which the statistics' total check names before any report number is made.
         path = tmp_path / "vast.csv"
         path.write_text(f"{STATS_HEADER}X1,1,1,,1e308\nX2,1,1,,1e308\n", encoding="utf-8")
         argv = ["overlap", "--wasg", str(workspace / "wasg.geojson"), "--stats", str(path)]
-        self.run(argv, tmp_path / "r.json" if to_file else None, capsys)
+        prefix = "error: ValueError: statistics of all grids and outside them: area_km2 total past the float range"
+        self.run(argv, tmp_path / "r.json" if to_file else None, capsys, prefix)
 
     @pytest.mark.parametrize("to_file", [False, True])
     def test_place_objective(self, workspace, tmp_path, capsys, to_file):

@@ -10,6 +10,7 @@ per-line parser handles (19- and 20-digit ids, Unicode digits and
 spaces, ``XN5`` references, leading form feeds, malformed lines), and
 the chunk size is patched down to a few characters so that chunk
 boundaries fall everywhere and scanned and per-line chunks alternate.
+The id table that maps node ids to rows is held to two ``_find`` calls.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -225,6 +227,33 @@ EXAMPLE_NODES = "node N1: 1.1.1.1\nnode N2: 2.2.2.2\nnode N3: 3.3.3.3\n"
          links=None, strict=False, form="stringio", chunk=ingest._CHUNK_CHARS)
 @example(nodes=EXAMPLE_NODES, geo="node.geo N" + "9" * 5000 + ": NA US TX Dallas 32.78 -96.80\n", links=None,
          strict=False, form="stringio", chunk=ingest._CHUNK_CHARS)
+# Chunk reads: CRLF and lone-CR line ends in a file, which reading
+# translates to newlines; a last line without a newline; a link line
+# longer than the chunk size; a malformed line right after a chunk
+# boundary, the first line being 15 characters with its newline; the
+# strict-mode first dangling link of a scanned chunk, named by its link
+# id; node ids too sparse for the id table, with a geo line and a removed
+# node; a form feed, a file separator and a line separator, which end
+# lines for str.splitlines but not for a file, before a malformed line.
+@example(nodes=EXAMPLE_NODES, geo=None, links="link L1: N1 N2\r\n# c\r\nlink L2: N2 N3\r\nlink L3 N1\r\n", strict=False,
+         form="path", chunk=ingest._CHUNK_CHARS)
+@example(nodes=EXAMPLE_NODES, geo=None, links="link L1: N1 N2\rlink L2: N2 N9\r\rlink L3 N1\r", strict=False,
+         form="path", chunk=5)
+@example(nodes=EXAMPLE_NODES, geo=None, links="link L1: N1 N2\nlink L2: N2 N3", strict=False, form="path", chunk=5)
+@example(nodes=EXAMPLE_NODES, geo=None, links="link L1: N1 N2\nlink L2: N3", strict=False, form="path",
+         chunk=ingest._CHUNK_CHARS)
+@example(nodes=EXAMPLE_NODES, geo=None, links="link L1: N1:" + "x" * 100 + " N2\nlink L2: N2 N3\n", strict=False,
+         form="path", chunk=40)
+@example(nodes=EXAMPLE_NODES, geo=None, links="link L1: N1 N2\ngarbage\nlink L2: N2 N3\n", strict=False, form="path",
+         chunk=15)
+@example(nodes=EXAMPLE_NODES, geo=None, links="link L1: N1 N2\nlink L70: N1 N99\nlink L80: N98 N2\n", strict=True,
+         form="path", chunk=ingest._CHUNK_CHARS)
+@example(nodes=EXAMPLE_NODES, geo=None, links="link L1: N1 N2\x0c\nlink L2: N2\x1cN3\nlink L3: N1 N2 \u2028\ngarbage\n",
+         strict=False, form="path", chunk=5)
+@example(nodes=f"node N1: 1.1.1.1\nnode N{2**40}: 2.2.2.2\nnode N{2**62}: 224.0.0.1\nnode N{ingest.MAX_ID}: 3.3.3.3\n",
+         geo=f"node.geo N{2**40}: NA US TX Dallas 32.78 -96.80\n",
+         links=f"link L1: N1 N{2**40}\nlink L2: N{ingest.MAX_ID} N{2**62}\nlink L3: N1 N{2**41}\nlink L4: N1 N{2**63}\n",
+         strict=False, form="path", chunk=ingest._CHUNK_CHARS)
 @given(
     nodes=node_text(),
     geo=GEO_TEXT,
@@ -276,3 +305,78 @@ def test_scanned_and_per_line_chunks_keep_file_order_and_line_numbers(tmp_path):
         assert topo.nodes["id"][topo.links].tolist() == [[1, 2], [2, 1], [1, 4], [5, 2]]
         assert (topo.report.removed_links, topo.report.dangling_links) == (1, 1)
         assert err.value.lineno == 8
+
+
+@pytest.mark.parametrize("newline", [None, "", "\n", "\r", "\r\n"])
+def test_open_files_split_lines_as_iterating_them_does(newline):
+    """Some newline modes end a line at a lone CR, others keep a newline inside a line: an open file's
+    lines are the ones iterating it gives."""
+    def outcome(parse, links):
+        handle = io.TextIOWrapper(io.BytesIO(links.encode("utf-8")), encoding="utf-8", newline=newline)
+        try:
+            topo = parse(io.StringIO(EXAMPLE_NODES), None, handle)
+        except MalformedLine as exc:
+            return str(exc)
+        return topo.links.tolist(), dataclasses.asdict(topo.report)
+
+    links = "link L1: N1 N2\rlink L2: N1 N3\r\nlink L3: N2 N9\n"
+    texts = (links, links + "link L4 N1\r", "link L1: N1 N2\nlink L2: N1 N3\rgarbage\r", "link L1: N1 N2\ngarbage",
+             "link L1: N1 N2\ngarbage\n", "link L1: N1 N2\n#\rgarbage\n")
+    for text in texts:
+        assert outcome(parse_topology, text) == outcome(topology_reference.parse_topology, text)
+
+
+# The size rule of the id table: it is allocated when the largest declared
+# id is at most 4 times the declared count plus 2**16 - 1.
+SLACK = 2**16 - 1
+
+
+@st.composite
+def id_tables(draw):
+    """Sorted distinct declared ids, a kept flag for each, and ids to look up."""
+    base = draw(st.lists(st.integers(0, 300), unique=True, max_size=40))
+    top = draw(st.sampled_from(["none", "rule", "past_rule", "max_id", "any"]))
+    n = len(base) + 1
+    extra = {"none": [], "rule": [4 * n + SLACK], "past_rule": [4 * n + SLACK + 1], "max_id": [ingest.MAX_ID],
+             "any": [draw(st.integers(0, ingest.MAX_ID))]}[top]
+    declared = np.array(sorted(set(base + extra)), dtype=np.int64)
+    kept = np.array(draw(st.lists(st.booleans(), min_size=len(declared), max_size=len(declared))), dtype=bool)
+    near = [int(v) + d for v in declared for d in (-1, 0, 1) if 0 <= int(v) + d <= ingest.MAX_ID]
+    probe = st.one_of(
+        st.sampled_from(near or [0]), st.sampled_from([0, 1, ingest.MAX_ID, 4 * n + SLACK + 1]),
+        st.integers(-5, -1), st.integers(0, ingest.MAX_ID),
+    )
+    ids = np.array(draw(st.lists(probe, max_size=30)), dtype=np.int64)
+    return declared, kept, ids.reshape(-1, 2) if len(ids) % 2 == 0 and draw(st.booleans()) else ids
+
+
+@settings(max_examples=300, deadline=None)
+@example(tables=(np.array([], dtype=np.int64), np.array([], dtype=bool), np.array([], dtype=np.int64)))
+@example(tables=(np.array([], dtype=np.int64), np.array([], dtype=bool), np.array([0, -1, ingest.MAX_ID])))
+@example(tables=(np.array([0, ingest.MAX_ID]), np.array([True, False]), np.array([[0, ingest.MAX_ID], [-1, 1]])))
+@given(tables=id_tables())
+def test_id_table_matches_find(tables):
+    """Table and sparse lookups against two ``_find`` calls: the kept rows, then the declared ids."""
+    declared, kept, ids = tables
+    table = ingest._IdTable(declared, kept)
+    dense = len(declared) == 0 or int(declared[-1]) <= 4 * len(declared) + SLACK
+    assert (table.sparse_ids is None) == dense
+    assert table.kept_ids.tolist() == declared[kept].tolist()
+    rows, found = ingest._find(ids, declared[kept])
+    expected = np.where(found, rows, np.where(ingest._find(ids, declared)[1], -1, -2))
+    got = table(ids)
+    assert got.shape == ids.shape
+    assert got.tolist() == expected.tolist()
+
+
+def test_sparse_node_ids_parse_without_the_table():
+    """Ids 1 and 2**62: a table over every id up to the largest would take 16 EiB."""
+    nodes = f"node N1: 1.1.1.1\nnode N{2**62}: 2.2.2.2\n"
+    links = f"link L1: N1 N{2**62}\nlink L2: N{2**62} N2\n"
+    table = ingest._parse_nodes(io.StringIO(nodes), ingest.CleaningReport())
+    assert table.sparse_ids.tolist() == [1, 2**62]
+    assert table.codes.tolist() == [0, 1, -2]
+    for strict in (False, True):
+        got = _outcome(parse_topology, "stringio", [nodes, None, links], strict)
+        assert got == _outcome(topology_reference.parse_topology, "stringio", [nodes, None, links], strict)
+    assert parse_topology(io.StringIO(nodes), None, io.StringIO(links)).links.tolist() == [[0, 1]]
