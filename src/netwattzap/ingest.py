@@ -510,7 +510,7 @@ def _opt_float(raw) -> float | None:
 
 def _csv_rows(source, required: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
+        with open(source, "r", encoding="utf-8-sig", newline="") as handle:
             yield from _csv_rows(handle, required)
         return
     reader = csv.DictReader(source)

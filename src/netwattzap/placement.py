@@ -8,9 +8,9 @@ The bundled solver is an exact depth-first branch-and-bound over the
 selection variables with admissible bounds, so every "optimal" verdict
 is certified and ties break to the lexicographically smallest chosen
 id set. It runs on an explicit stack, and every node reads tables that
-``solve`` builds once (``_Search``), so no node scans the candidates
-after it; each bound is summed left to right in ascending order, which
-fixes the search tree and ``nodes_explored`` on every Python.
+``_search`` builds once, so no node scans the candidates after it;
+each bound is summed left to right in ascending order, which fixes the
+search tree and ``nodes_explored`` on every Python.
 
 Objective values are summed in a documented deterministic order:
 demands in their listed order, candidates and candidate pairs in
@@ -30,6 +30,7 @@ import numpy as np
 from .errors import MalformedDocument, UnsatisfiableStructure
 from .geo import GeoPoint, _ordered_sum, haversine_km, pairwise_latency_ms
 from .grid_model import WasgRegistry, _json_list, _json_number, _json_str, _load_document
+from .overlap import _zones_of
 
 OBJECTIVES = (
     "min_weighted_sum_all",
@@ -192,16 +193,13 @@ class PlacementProblem:
         return candidate.zone if candidate.zone is not None else (candidate.id,)
 
 
-def latency_matrix(problem: PlacementProblem) -> list[list[float]]:
-    """Demand-major latency matrix in ms, candidates in ascending id order."""
+def latency_matrix(problem: PlacementProblem) -> np.ndarray:
+    """The (demands, candidates) latency array in ms, candidates in ascending id order."""
     order = sorted(problem.candidates, key=lambda c: c.id)
-    if problem.latency_override is not None:
-        return [
-            [float(problem.latency_override[d.id][c.id]) for c in order]
-            for d in problem.demands
-        ]
-    matrix = pairwise_latency_ms([d.geo for d in problem.demands], [c.geo for c in order])
-    return [[float(v) for v in row] for row in matrix]
+    if problem.latency_override is None:
+        return pairwise_latency_ms([d.geo for d in problem.demands], [c.geo for c in order])
+    rows = [[problem.latency_override[d.id][c.id] for c in order] for d in problem.demands]
+    return np.array(rows, dtype=float).reshape(len(problem.demands), len(order))
 
 
 def distance_matrix(problem: PlacementProblem) -> list[list[float]]:
@@ -214,19 +212,21 @@ def distance_matrix(problem: PlacementProblem) -> list[list[float]]:
 class IlpModel:
     """The solver's tables for one problem, each indexed by position in ``order``.
 
-    ``dump()`` writes the 0-1 program these tables stand for as LP text.
+    ``lat``, ``allowed`` and ``available`` are numpy arrays; ``dump()``
+    writes the 0-1 program these tables stand for as LP text.
     """
 
     problem: PlacementProblem
     order: tuple[str, ...]
     objective_sense: str
-    excluded: frozenset[str]
+    # available[i]: no latency bound excludes candidate i from selection.
+    available: np.ndarray
     zone_of: tuple[str | tuple[str], ...]  # PlacementProblem.zone_key
     lin_coeff: tuple[float, ...]
-    lat: tuple[tuple[float, ...], ...]
-    allowed: tuple[tuple[bool, ...], ...]
+    lat: np.ndarray  # (demands, candidates) float, latency_matrix
+    allowed: np.ndarray  # lat within the demand's bound, (demands, candidates) bool
     dist: tuple[tuple[float, ...], ...]
-    # rule_match[r][i]: candidate i is not excluded and matches location rule r.
+    # rule_match[r][i]: candidate i is available and matches location rule r.
     rule_match: tuple[tuple[bool, ...], ...]
 
     def dump(self) -> str:
@@ -238,7 +238,8 @@ class IlpModel:
         if problem.objective == "min_weighted_nearest":
             # y[demand,candidate]: the demand is served by the candidate.
             aux = [f"y[{d.id},{cid}]" for d in problem.demands for cid in order]
-            objective = zip(aux, (d.weight * v for d, row in zip(problem.demands, self.lat) for v in row))
+            # Python floats: under numpy 2, repr(np.float64(x)) is not repr(x).
+            objective = zip(aux, (d.weight * v for d, row in zip(problem.demands, self.lat.tolist()) for v in row))
         elif problem.objective in PAIRWISE_OBJECTIVES:
             # z[a,b]: both candidates of the pair are selected.
             pairs = list(combinations(range(len(order)), 2))
@@ -274,20 +275,20 @@ class IlpModel:
                 continue
             for a, b in combinations(members, 2):
                 yield f"zone_conflict[{zone}:{order[a]},{order[b]}]", [(x[a], 1), (x[b], 1)], "<=", 1
-        for i, cid in enumerate(order):
-            if cid in self.excluded:
-                yield f"latency_exclude[{cid}]", [(x[i], 1)], "<=", 0
+        for i, free in enumerate(self.available.tolist()):
+            if not free:
+                yield f"latency_exclude[{order[i]}]", [(x[i], 1)], "<=", 0
         for r, (rule, marks) in enumerate(zip(problem.location_rules, self.rule_match)):
             terms = [(v, 1) for v, hit in zip(x, marks) if hit]
             yield f"location[{r}:{rule.describe()}]", terms, ">=", rule.min_count
         if problem.objective == "min_weighted_nearest":
             m = len(order)
-            for j, d in enumerate(problem.demands):
+            for j, (d, allowed) in enumerate(zip(problem.demands, self.allowed.tolist())):
                 y = aux[j * m : (j + 1) * m]
                 yield f"assign[{d.id}]", [(v, 1) for v in y], "==", 1
                 for i, cid in enumerate(order):
                     yield f"link[{d.id},{cid}]", [(y[i], 1), (x[i], -1)], "<=", 0
-                    if not self.allowed[j][i]:
+                    if not allowed[i]:
                         yield f"latency_bound[{d.id},{cid}]", [(y[i], 1)], "==", 0
         for z, (a, b) in zip(aux, pairs):
             pair = f"{order[a]},{order[b]}"
@@ -333,21 +334,17 @@ def build_ilp(problem: PlacementProblem) -> IlpModel:
     n = problem.select_count.n
     nearest = problem.objective == "min_weighted_nearest"
 
-    lat = tuple(tuple(row) for row in latency_matrix(problem))
-    bounds = dict(problem.latency_bounds or {})
-    allowed = tuple(
-        tuple(lat[j][i] <= bounds[d.id] if d.id in bounds else True for i in range(len(cands)))
-        for j, d in enumerate(problem.demands)
-    )
+    lat = latency_matrix(problem)
+    bounds = problem.latency_bounds or {}
+    limit = np.array([bounds.get(d.id, math.inf) for d in problem.demands], dtype=float)
+    allowed = lat <= limit[:, None]
     # A bound excludes violating candidates for the whole problem, except
     # under the nearest objective, where it only forbids assignments.
-    excluded = frozenset(
-        cid for i, cid in enumerate(order) if bounds and not nearest and not all(row[i] for row in allowed)
-    )
+    available = np.ones(len(order), dtype=bool) if nearest else allowed.all(axis=0)
+    avail = available.tolist()
 
     rule_match = tuple(
-        tuple(cid not in excluded and rule.matches(c) for cid, c in zip(order, cands))
-        for rule in problem.location_rules
+        tuple(ok and rule.matches(c) for ok, c in zip(avail, cands)) for rule in problem.location_rules
     )
     for r, (rule, marks) in enumerate(zip(problem.location_rules, rule_match)):
         if sum(marks) < rule.min_count:
@@ -363,8 +360,8 @@ def build_ilp(problem: PlacementProblem) -> IlpModel:
 
     if problem.select_count.mode == "exactly":
         by_zone: dict = {}
-        for cid, zone in zip(order, zone_of):
-            by_zone[zone] = by_zone.get(zone, 0) + (cid not in excluded)
+        for ok, zone in zip(avail, zone_of):
+            by_zone[zone] = by_zone.get(zone, 0) + ok
         capacity = sum(min(problem.zone_cap, free) for free in by_zone.values())
         if capacity < n:
             raise UnsatisfiableStructure(
@@ -373,8 +370,8 @@ def build_ilp(problem: PlacementProblem) -> IlpModel:
             )
 
     if nearest:
-        for j, d in enumerate(problem.demands):
-            if not any(allowed[j]):
+        for d, ok in zip(problem.demands, allowed.any(axis=1).tolist()):
+            if not ok:
                 raise UnsatisfiableStructure(
                     f"demand {d.id!r}: no candidate satisfies its latency bound"
                 )
@@ -382,8 +379,7 @@ def build_ilp(problem: PlacementProblem) -> IlpModel:
     coeff: tuple[float, ...] = ()
     if problem.objective == "min_weighted_sum_all":
         coeff = tuple(
-            _ordered_sum(d.weight * lat[j][i] for j, d in enumerate(problem.demands))
-            for i in range(len(order))
+            _ordered_sum(d.weight * v for d, v in zip(problem.demands, column)) for column in lat.T.tolist()
         )
     elif problem.objective == "min_cost":
         coeff = tuple(float(c.cost) for c in cands)
@@ -392,7 +388,7 @@ def build_ilp(problem: PlacementProblem) -> IlpModel:
         problem=problem,
         order=order,
         objective_sense="max" if problem.objective == "max_pairwise_distance_sum" else "min",
-        excluded=excluded,
+        available=available,
         zone_of=zone_of,
         lin_coeff=coeff,
         lat=lat,
@@ -459,7 +455,7 @@ def objective_value(problem: PlacementProblem, chosen: Sequence[str]) -> float:
             for a in range(len(picked))
             for b in range(a + 1, len(picked))
         )
-    lat = latency_matrix(problem)
+    lat = latency_matrix(problem).tolist()
     if problem.objective == "min_weighted_sum_all":
         return _ordered_sum(
             _ordered_sum(d.weight * lat[j][index[cid]] for j, d in enumerate(problem.demands))
@@ -481,12 +477,13 @@ def objective_value(problem: PlacementProblem, chosen: Sequence[str]) -> float:
     return total
 
 
-class _Search:
+def _search(model: IlpModel, deadline: float) -> tuple[int, float | None, tuple[int, ...] | None, bool]:
     """Depth-first branch-and-bound over the x variables, in one loop on an explicit stack.
 
-    Nodes are visited in the order of the recursion this replaces: at
-    position i, choose i (when it may be chosen), then skip it. ``run``
-    builds its tables once and binds them to locals, so a node calls no
+    Returns (nodes, best value, best chosen positions, timed out); the
+    value is signed to minimize. Nodes are visited in the order of the
+    recursion this replaces: at position i, choose i (when it may be
+    chosen), then skip it. The tables are built once, so a node calls no
     helper and scans no tail: suffix counts of available candidates and
     of rule matches, rule hit counters kept on choose and undo, and per
     objective:
@@ -503,153 +500,132 @@ class _Search:
       pairs of each tail, and each candidate's K best distances to it.
 
     Every bound is the value the scans gave, summed left to right in
-    ascending order, so the tree, ``nodes_explored`` and every tie-break
+    ascending order, so the tree, the node count and every tie-break
     are those of the scans.
     """
+    problem, inf = model.problem, math.inf
+    m, n, cap = len(model.order), problem.select_count.n, problem.zone_cap
+    exactly = problem.select_count.mode == "exactly"
+    nearest = problem.objective == "min_weighted_nearest"
+    pairwise = problem.objective in PAIRWISE_OBJECTIVES
+    available = model.available.tolist()
+    zones = {zone: k for k, zone in enumerate(dict.fromkeys(model.zone_of))}
+    zone_of = [zones[zone] for zone in model.zone_of]
+    zone_used = [0] * len(zones)
+    rules_of = [[r for r, marks in enumerate(model.rule_match) if marks[i]] for i in range(m)]
+    hits = [0] * len(problem.location_rules)
+    # suffix_free[i]: available candidates at positions >= i; short[r][i]: the
+    # hits of rule r below which its available matches at positions >= i fall short.
+    suffix_free = _suffix_sums(available)
+    short = [
+        [rule.min_count - s for s in _suffix_sums(marks)]
+        for rule, marks in zip(problem.location_rules, model.rule_match)
+    ]
+    # cur: the chosen set's best latency per demand (nearest) or its value.
+    if nearest:
+        # cols[:, i]: candidate i's latency per demand under a zero row; cols[:, m]: none.
+        cols = np.full((len(model.lat) + 1, m + 1), np.inf)
+        cols[0] = 0.0
+        cols[1:, :m] = np.where(model.allowed & model.available, model.lat, np.inf)
+        smin = np.minimum.accumulate(cols[:, ::-1], axis=1)[:, ::-1]
+        weights = np.array([0.0] + [d.weight for d in problem.demands])[:, None]
 
-    def __init__(self, model: IlpModel, time_limit: float):
-        self.model = model
-        self.deadline = time.monotonic() + time_limit
-        self.timed_out = False
-        self.nodes = 0
-        self.best_value: float | None = None
-        self.best_chosen: tuple[int, ...] | None = None
+        def bounds(cur, i):
+            """The bounds at positions i..m, read at ``[position - m - 1]``; None prunes outright."""
+            best = np.minimum(cur, smin[:, i:])
+            totals = np.add.accumulate(weights * best)[-1]
+            table = totals.tolist()
+            # A demand no chosen or later candidate may serve makes the total inf or nan.
+            if not sum(table) < inf:
+                table = np.where((totals < inf) | ~np.isinf(best).any(axis=0), totals, None).tolist()
+            return table
 
-    def run(self) -> None:
-        model, problem, inf = self.model, self.model.problem, math.inf
-        m, n, cap = len(model.order), problem.select_count.n, problem.zone_cap
-        exactly = problem.select_count.mode == "exactly"
-        nearest = problem.objective == "min_weighted_nearest"
-        pairwise = problem.objective in PAIRWISE_OBJECTIVES
-        available = [cid not in model.excluded for cid in model.order]
-        zones = {zone: k for k, zone in enumerate(dict.fromkeys(model.zone_of))}
-        zone_of = [zones[zone] for zone in model.zone_of]
-        zone_used = [0] * len(zones)
-        rules_of = [[r for r, marks in enumerate(model.rule_match) if marks[i]] for i in range(m)]
-        hits = [0] * len(problem.location_rules)
-        # suffix_free[i]: available candidates at positions >= i; short[r][i]: the
-        # hits of rule r below which its available matches at positions >= i fall short.
-        suffix_free = _suffix_sums(available)
-        short = [
-            [rule.min_count - s for s in _suffix_sums(marks)]
-            for rule, marks in zip(problem.location_rules, model.rule_match)
-        ]
-        # cur: the chosen set's best latency per demand (nearest) or its value.
+        cur = cols[:, m:]
+    elif pairwise:
+        sign = -1.0 if model.objective_sense == "max" else 1.0
+        dist = model.dist
+        tail_pairs, tail_rows = _pair_tables([[sign * v for v in row] for row in dist], available, n * (n - 1) // 2)
+        cur = sign * 0.0  # the empty set's value, signed as every pair sum is
+    else:
+        coeff, cur = model.lin_coeff, 0.0
+        tail_sums = [list(accumulate(tail, initial=0.0)) for tail in _tail_minima(coeff, available, n)]
+    monotonic = time.monotonic
+    nodes, best_value, best_chosen, table, timed_out = 0, None, None, None, False
+    chosen: list[int] = []
+    saved = []  # (cur, table) before each choice in chosen
+    # A nearest bound meets 0 * inf (a weightless demand that no candidate is
+    # left to serve) and may overflow: it tests its total, not numpy's flags.
+    with np.errstate(invalid="ignore", over="ignore"):
         if nearest:
-            ok = np.array(model.allowed, dtype=bool).reshape(-1, m) & np.array(available)
-            # cols[:, i]: candidate i's latency per demand under a zero row; cols[:, m]: none.
-            cols = np.full((len(ok) + 1, m + 1), np.inf)
-            cols[0] = 0.0
-            cols[1:, :m] = np.where(ok, np.array(model.lat).reshape(-1, m), np.inf)
-            smin = np.minimum.accumulate(cols[:, ::-1], axis=1)[:, ::-1]
-            weights = np.array([0.0] + [d.weight for d in problem.demands])[:, None]
-
-            def bounds(cur, i):
-                """The bounds at positions i..m, read at ``[position - m - 1]``; None prunes outright."""
-                best = np.minimum(cur, smin[:, i:])
-                totals = np.add.accumulate(weights * best)[-1]
-                table = totals.tolist()
-                # A demand no chosen or later candidate may serve makes the total inf or nan.
-                if not sum(table) < inf:
-                    table = np.where((totals < inf) | ~np.isinf(best).any(axis=0), totals, None).tolist()
-                return table
-
-            cur = cols[:, m:]
-        elif pairwise:
-            sign = -1.0 if model.objective_sense == "max" else 1.0
-            dist = model.dist
-            tail_pairs, tail_rows = _pair_tables([[sign * v for v in row] for row in dist], available, n * (n - 1) // 2)
-            cur = sign * 0.0  # the empty set's value, signed as every pair sum is
-        else:
-            coeff, cur = model.lin_coeff, 0.0
-            tail_sums = [list(accumulate(tail, initial=0.0)) for tail in _tail_minima(coeff, available, n)]
-        deadline, monotonic = self.deadline, time.monotonic
-        nodes, best_value, best_chosen, table = 0, None, None, None
-        chosen: list[int] = []
-        saved = []  # (cur, table) before each choice in chosen
-        # A nearest bound meets 0 * inf (a weightless demand that no candidate is
-        # left to serve) and may overflow: it tests its total, not numpy's flags.
-        with np.errstate(invalid="ignore", over="ignore"):
+            table = bounds(cur, 0)
+        stack = [0]  # a position i to visit, or ~i to undo the choice of i
+        while stack:
+            i = stack.pop()
+            if i < 0:
+                i = ~i
+                chosen.pop()
+                zone_used[zone_of[i]] -= 1
+                for r in rules_of[i]:
+                    hits[r] -= 1
+                cur, table = saved.pop()
+                continue
+            nodes += 1
+            if monotonic() > deadline:
+                timed_out = True
+                break
+            k = len(chosen)
+            if exactly and k + suffix_free[i] < n or short and any(h < s[i] for h, s in zip(hits, short)):
+                continue
+            rem = n - k
             if nearest:
-                table = bounds(cur, 0)
-            stack = [0]  # a position i to visit, or ~i to undo the choice of i
-            while stack:
-                i = stack.pop()
-                if i < 0:
-                    i = ~i
-                    chosen.pop()
-                    zone_used[zone_of[i]] -= 1
-                    for r in rules_of[i]:
-                        hits[r] -= 1
-                    cur, table = saved.pop()
-                    continue
-                nodes += 1
-                if monotonic() > deadline:
-                    self.timed_out = True
-                    break
-                k = len(chosen)
-                if exactly and k + suffix_free[i] < n or short and any(h < s[i] for h, s in zip(hits, short)):
-                    continue
-                rem = n - k
+                bound = table[i - m - 1]
+            elif rem <= 0 or not (exactly or pairwise):
+                bound = cur
+            elif pairwise:
+                # The size best tail and chosen-to-tail pairs are among these lists' first.
+                size = rem * (rem - 1) // 2 + rem * k
+                pool = tail_pairs[i][:size]
+                for c in chosen:
+                    pool += tail_rows[c][i - c - 1][:size]
+                pool.sort()
+                total = 0.0
+                for v in pool[:size]:
+                    if exactly or v < 0:
+                        total += v
+                bound = cur + total
+            else:
+                bound = cur + tail_sums[i][rem]
+            # Strictly-worse only: equal-bound subtrees may hold an equal-value
+            # solution that wins the lexicographic tie-break.
+            if bound is None or (best_value is not None and bound > best_value):
+                continue
+            if i == m:
+                # The checks above have seen to the cardinality and the location rules.
+                value, picked = bound if nearest else cur, tuple(chosen)
+                if best_value is None or value < best_value or (value == best_value and picked < best_chosen):
+                    best_value, best_chosen = value, picked
+                continue
+            stack.append(i + 1)
+            if available[i] and rem > 0 and zone_used[zone_of[i]] < cap:
+                stack += (~i, i + 1)
+                saved.append((cur, table))
+                chosen.append(i)
+                zone_used[zone_of[i]] += 1
+                for r in rules_of[i]:
+                    hits[r] += 1
                 if nearest:
-                    bound = table[i - m - 1]
-                elif rem <= 0 or not (exactly or pairwise):
-                    bound = cur
+                    cur = np.minimum(cur, cols[:, i : i + 1])
+                    table = bounds(cur, i + 1)
                 elif pairwise:
-                    # The size best tail and chosen-to-tail pairs are among these lists' first.
-                    size = rem * (rem - 1) // 2 + rem * k
-                    pool = tail_pairs[i][:size]
-                    for c in chosen:
-                        pool += tail_rows[c][i - c - 1][:size]
-                    pool.sort()
+                    # In (a, b) order, signed after the sum, as the reported value is.
                     total = 0.0
-                    for v in pool[:size]:
-                        if exactly or v < 0:
-                            total += v
-                    bound = cur + total
+                    for a, c in enumerate(chosen):
+                        for b in chosen[a + 1 :]:
+                            total += dist[c][b]
+                    cur = sign * total
                 else:
-                    bound = cur + tail_sums[i][rem]
-                # Strictly-worse only: equal-bound subtrees may hold an equal-value
-                # solution that wins the lexicographic tie-break.
-                if bound is None or (best_value is not None and bound > best_value):
-                    continue
-                if i == m:
-                    # The checks above have seen to the cardinality and the location rules.
-                    value, picked = bound if nearest else cur, tuple(chosen)
-                    if best_value is None or value < best_value or (value == best_value and picked < best_chosen):
-                        best_value, best_chosen = value, picked
-                    continue
-                stack.append(i + 1)
-                if available[i] and rem > 0 and zone_used[zone_of[i]] < cap:
-                    stack += (~i, i + 1)
-                    saved.append((cur, table))
-                    chosen.append(i)
-                    zone_used[zone_of[i]] += 1
-                    for r in rules_of[i]:
-                        hits[r] += 1
-                    if nearest:
-                        cur = np.minimum(cur, cols[:, i : i + 1])
-                        table = bounds(cur, i + 1)
-                    elif pairwise:
-                        # In (a, b) order, signed after the sum, as the reported value is.
-                        total = 0.0
-                        for a, c in enumerate(chosen):
-                            for b in chosen[a + 1 :]:
-                                total += dist[c][b]
-                        cur = sign * total
-                    else:
-                        cur += coeff[i]
-        self.nodes, self.best_value, self.best_chosen = nodes, best_value, best_chosen
-
-    def assignment_for(self, chosen: tuple[int, ...]) -> dict[str, str]:
-        model = self.model
-        if model.problem.objective != "min_weighted_nearest":
-            return {}
-        # Each demand's lowest allowed latency, the earliest candidate on a tie.
-        return {
-            d.id: model.order[min((model.lat[j][t], t) for t in chosen if model.allowed[j][t])[1]]
-            for j, d in enumerate(model.problem.demands)
-        }
+                    cur += coeff[i]
+    return nodes, best_value, best_chosen, timed_out
 
 
 def solve(model: IlpModel, time_limit: float = 60.0) -> PlacementSolution:
@@ -663,28 +639,22 @@ def solve(model: IlpModel, time_limit: float = 60.0) -> PlacementSolution:
     if not time_limit >= 0:
         raise ValueError(f"time limit must be >= 0 seconds, got {time_limit!r}")
     started = time.monotonic()
-    search = _Search(model, time_limit)
-    search.run()
+    nodes, value, picked, timed_out = _search(model, started + time_limit)
     elapsed = time.monotonic() - started
-    if search.best_chosen is None:
-        proof = "time_limit" if search.timed_out else "infeasible"
-        return PlacementSolution(
-            chosen=(),
-            objective_value=None,
-            assignment={},
-            proof=proof,
-            nodes_explored=search.nodes,
-            wall_time_s=elapsed,
-        )
-    value = search.best_value
-    if model.objective_sense == "max":
+    if value is not None and model.objective_sense == "max":
         value = -value
+    assignment = {}
+    if picked and model.problem.objective == "min_weighted_nearest":
+        # Each demand's lowest latency, the earliest chosen position on a tie. A solution
+        # has a chosen candidate within each demand's bound, so the nearest one is within it.
+        nearest = model.lat[:, list(picked)].argmin(axis=1).tolist()
+        assignment = {d.id: model.order[picked[k]] for d, k in zip(model.problem.demands, nearest)}
     return PlacementSolution(
-        chosen=tuple(model.order[t] for t in search.best_chosen),
+        chosen=tuple(model.order[t] for t in picked or ()),
         objective_value=value,
-        assignment=search.assignment_for(search.best_chosen),
-        proof="time_limit" if search.timed_out else "optimal",
-        nodes_explored=search.nodes,
+        assignment=assignment,
+        proof="time_limit" if timed_out else "infeasible" if picked is None else "optimal",
+        nodes_explored=nodes,
         wall_time_s=elapsed,
     )
 
@@ -732,7 +702,7 @@ def check_feasible(problem: PlacementProblem, chosen: Sequence[str]) -> tuple[bo
 
     bounds = dict(problem.latency_bounds or {})
     if bounds:
-        lat = latency_matrix(problem)
+        lat = latency_matrix(problem).tolist()
         order = sorted(problem.candidates, key=lambda c: c.id)
         index = {c.id: i for i, c in enumerate(order)}
         if problem.objective == "min_weighted_nearest":
@@ -841,8 +811,6 @@ def load_problem(path) -> PlacementProblem:
 
 def resolve_candidate_zones(problem: PlacementProblem, registry: WasgRegistry) -> PlacementProblem:
     """Fill missing candidate zones by polygon containment against a registry."""
-    from .overlap import _zones_of
-
     zones = iter(_zones_of([c.geo for c in problem.candidates if c.zone is None], registry))
     candidates = tuple(c if c.zone is not None else replace(c, zone=next(zones)) for c in problem.candidates)
     return replace(problem, candidates=candidates)

@@ -4,9 +4,12 @@ This is the search ``netwattzap.placement`` used before its tables and
 its explicit stack. It is kept as written, except that its two bound
 sums are ``_ordered_sum`` instead of the built-in ``sum()``: from Python
 3.12, ``sum()`` of floats is compensated, and the reference must round
-as the library does on every Python. The differential tests hold the
-fast search to it node for node: same chosen set, objective value,
-assignment, proof and ``nodes_explored``.
+as the library does on every Python. It reads the model's latency
+arrays as lists of Python floats, and the availability mask as a list.
+The differential tests hold the fast search to it node for node: same
+chosen set, objective value, assignment, proof and ``nodes_explored``.
+The assignment comes from ``ReferenceSearch.assignment_for``, so the
+library's ``argmin`` is held to the scalar loop too.
 """
 
 from __future__ import annotations
@@ -21,8 +24,10 @@ from netwattzap.placement import PAIRWISE_OBJECTIVES, IlpModel, PlacementSolutio
 class ReferenceSearch:
     """Depth-first branch-and-bound state over the x variables."""
 
-    def __init__(self, model: IlpModel, time_limit: float):
+    def __init__(self, model: IlpModel, deadline: float):
         self.model = model
+        self.lat = model.lat.tolist()
+        self.allowed = model.allowed.tolist()
         self.problem = model.problem
         self.m = len(model.order)
         self.n = self.problem.select_count.n
@@ -30,14 +35,14 @@ class ReferenceSearch:
         self.nearest = self.problem.objective == "min_weighted_nearest"
         self.pairwise = self.problem.objective in PAIRWISE_OBJECTIVES
         self.pair_sign = -1.0 if self.model.objective_sense == "max" else 1.0
-        self.available = [cid not in model.excluded for cid in model.order]
+        self.available = model.available.tolist()
         self.rules = self.problem.location_rules
         self.rule_match = model.rule_match
         # suffix_rule[r][i]: available matches of rule r at positions >= i.
         self.suffix_rule = [
             [sum(marks[i:]) for i in range(self.m + 1)] for marks in self.rule_match
         ]
-        self.deadline = time.monotonic() + time_limit
+        self.deadline = deadline
         self.timed_out = False
         self.nodes = 0
         self.best_value: float | None = None
@@ -48,7 +53,7 @@ class ReferenceSearch:
             for j in range(len(self.problem.demands)):
                 mins = [float("inf")] * (self.m + 1)
                 for i in range(self.m - 1, -1, -1):
-                    v = self.model.lat[j][i] if self.available[i] and self.model.allowed[j][i] else float("inf")
+                    v = self.lat[j][i] if self.available[i] and self.allowed[j][i] else float("inf")
                     mins[i] = min(v, mins[i + 1])
                 self.suffix_min.append(mins)
 
@@ -89,8 +94,8 @@ class ReferenceSearch:
             if self.nearest:
                 saved = demand_best[:]
                 for j in range(len(demand_best)):
-                    if self.model.allowed[j][i] and self.model.lat[j][i] < demand_best[j]:
-                        demand_best[j] = self.model.lat[j][i]
+                    if self.allowed[j][i] and self.lat[j][i] < demand_best[j]:
+                        demand_best[j] = self.lat[j][i]
                 self._visit(i + 1, chosen, zone_used, demand_best)
                 demand_best[:] = saved
             else:
@@ -183,8 +188,8 @@ class ReferenceSearch:
             for j, d in enumerate(self.problem.demands):
                 best = None
                 for t in chosen:
-                    if self.model.allowed[j][t] and (best is None or self.model.lat[j][t] < best):
-                        best = self.model.lat[j][t]
+                    if self.allowed[j][t] and (best is None or self.lat[j][t] < best):
+                        best = self.lat[j][t]
                 if best is None:
                     return None
                 total += d.weight * best
@@ -199,14 +204,25 @@ class ReferenceSearch:
             best = None
             best_t = None
             for t in chosen:
-                if self.model.allowed[j][t] and (best is None or self.model.lat[j][t] < best):
-                    best = self.model.lat[j][t]
+                if self.allowed[j][t] and (best is None or self.lat[j][t] < best):
+                    best = self.lat[j][t]
                     best_t = t
             out[d.id] = self.model.order[best_t]
         return out
 
 
 def solve(model: IlpModel, time_limit: float = 60.0) -> PlacementSolution:
-    """``placement.solve`` with the reference search in place of the library's."""
-    with mock.patch.object(placement, "_Search", ReferenceSearch):
-        return placement.solve(model, time_limit=time_limit)
+    """``placement.solve`` with the reference search and assignment in place of the library's."""
+    search = None
+
+    def run(model: IlpModel, deadline: float):
+        nonlocal search
+        search = ReferenceSearch(model, deadline)
+        search.run()
+        return search.nodes, search.best_value, search.best_chosen, search.timed_out
+
+    with mock.patch.object(placement, "_search", run):
+        solution = placement.solve(model, time_limit=time_limit)
+    if search.best_chosen is not None:
+        solution.assignment = search.assignment_for(search.best_chosen)
+    return solution

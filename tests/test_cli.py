@@ -1212,6 +1212,24 @@ class TestDuplicateComponentId:
         assert json.loads(capsys.readouterr().out)["violations"] == [f"MalformedRow: {path}: {error}"]
 
 
+class TestByteOrderMark:
+    """A CSV that starts with a UTF-8 byte-order mark, as spreadsheet exports do, reads as without it."""
+
+    @pytest.mark.parametrize("marked", ["stats.csv", "ixps.csv"])
+    def test_same_report_bytes(self, workspace, tmp_path, marked):
+        reports = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            files = {name: workspace / name for name in ("stats.csv", "ixps.csv")}
+            files[marked] = tmp_path / f"bom{len(bom)}_{marked}"
+            files[marked].write_bytes(bom + (workspace / marked).read_bytes())
+            out = tmp_path / f"report{len(bom)}.json"
+            argv = ["--wasg", str(workspace / "wasg.geojson"), "--stats", str(files["stats.csv"])]
+            argv += ["--components", f"ixp={files['ixps.csv']}", "--out", str(out)]
+            assert main(["overlap", *argv]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+
 class TestNonFiniteReportNumber:
     """A report number that overflows to infinity is one ValueError line; no report is written."""
 

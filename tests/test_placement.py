@@ -467,7 +467,7 @@ class TestSolveFixtures:
             latency_bounds={"d1": 10.0},
         )
         model = build_ilp(problem)
-        assert "far" in model.excluded
+        assert model.available.tolist() == [False, True, True]  # far, mid, near
         solution = solve(model)
         assert solution.proof == "optimal"
         assert "far" not in solution.chosen
@@ -484,7 +484,7 @@ class TestSolveFixtures:
             latency_bounds={"d1": 10.0},
         )
         model = build_ilp(problem)
-        assert model.excluded == frozenset()
+        assert model.available.all()
         solution = solve(model)
         assert solution.proof == "optimal"
         assert solution.assignment["d1"] == "near"

@@ -144,3 +144,33 @@ def test_demand_left_without_candidates_prunes_before_any_incumbent(weight):
     solution = solve(model)
     assert solution.chosen == ("b",)
     assert report(solution) == report(placement_reference.solve(model))
+
+
+def nearest_problem(mode: str, n: int, override: dict) -> PlacementProblem:
+    """Nearest-objective problem over candidates a and b, one demand per override row."""
+    return PlacementProblem(
+        candidates=tuple(Candidate(id=cid, geo=GeoPoint(0.0, 0.0), zone=cid) for cid in "ab"),
+        demands=tuple(DemandPoint(id=did, geo=GeoPoint(0.0, 0.0), weight=1.0) for did in override),
+        objective="min_weighted_nearest",
+        select_count=SelectCount(mode=mode, n=n),
+        latency_override=override,
+    )
+
+
+@pytest.mark.parametrize(
+    "problem, chosen, assignment",
+    [
+        # No demand: the empty set (at_most) has nothing to assign, nor has a chosen one.
+        (nearest_problem("at_most", 2, {}), (), {}),
+        (nearest_problem("exactly", 1, {}), ("a",), {}),
+        # d1 is as near to a as to b: the earlier chosen position wins the tie.
+        (nearest_problem("exactly", 2, {"d1": {"a": 5.0, "b": 5.0}, "d2": {"a": 7.0, "b": 1.0}}), ("a", "b"),
+         {"d1": "a", "d2": "b"}),
+    ],
+    ids=["no_demands_at_most", "no_demands_exactly", "tie_at_equal_latency"],
+)
+def test_nearest_assignment_matches_reference(problem, chosen, assignment):
+    model = build_ilp(problem)
+    solution = solve(model)
+    assert (solution.chosen, solution.assignment) == (chosen, assignment)
+    assert report(solution) == report(placement_reference.solve(model))
