@@ -81,16 +81,12 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
 
-def latency_ms(a: GeoPoint, b: GeoPoint, fiber_km_per_sec: float = FIBER_KM_PER_SEC) -> float:
+def latency_ms(a: GeoPoint, b: GeoPoint) -> float:
     """One-way propagation delay in milliseconds along a straight fiber path."""
-    return haversine_km(a, b) / fiber_km_per_sec * 1000.0
+    return haversine_km(a, b) / FIBER_KM_PER_SEC * 1000.0
 
 
-def pairwise_latency_ms(
-    rows: Sequence[GeoPoint],
-    cols: Sequence[GeoPoint],
-    fiber_km_per_sec: float = FIBER_KM_PER_SEC,
-) -> np.ndarray:
+def pairwise_latency_ms(rows: Sequence[GeoPoint], cols: Sequence[GeoPoint]) -> np.ndarray:
     """len(rows) x len(cols) matrix of one-way latencies in milliseconds."""
     if not rows or not cols:
         return np.zeros((len(rows), len(cols)))
@@ -100,7 +96,7 @@ def pairwise_latency_ms(
     clon = np.radians([p.lon for p in cols])[None, :]
     h = np.sin((clat - rlat) / 2.0) ** 2 + np.cos(rlat) * np.cos(clat) * np.sin((clon - rlon) / 2.0) ** 2
     km = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
-    return km / fiber_km_per_sec * 1000.0
+    return km / FIBER_KM_PER_SEC * 1000.0
 
 
 def _on_segment(x: float, y: float, x1: float, y1: float, x2: float, y2: float) -> bool:

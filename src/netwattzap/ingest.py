@@ -8,14 +8,14 @@ every removal is counted so input totals reconcile exactly.
 
 Node, geo and CSV parsers stream their input line by line. The node
 pass ends in ``_IdTable``, the one place that maps node ids to codes: a
-kept node's row, or the fate of any other id. Link files given as a path
-or a text file are read in chunks of about 16 KiB of lines, one regular
-expression turning each plain link line into its two ends; a
-chunk with any other line (ids of 19 or more digits, non-ASCII text,
+kept node's row, or the fate of any other id. A link file given as a
+path is read in blocks of about 16 KiB completed to the end of a line,
+one regular expression turning each plain link line into its two ends;
+a block with any other line (ids of 19 or more digits, non-ASCII text,
 malformed lines) goes through the per-line link parser, which only
-parses too. ``_LinkSorter._sort_rows`` alone sorts the links into kept,
-removed, self and dangling, so every count and error is the same either
-way. An interface that is a dotted quad is classified by its first
+parses too, as do open files and lists of lines. ``_LinkSorter._sort_rows``
+alone sorts the links into kept, removed, self and dangling, so every
+count and error is the same either way. An interface that is a dotted quad is classified by its first
 octet; any other interface token must be an IPv6 address.
 Kept nodes and links are data, not objects: ``ParsedTopology.nodes``
 holds node id, latitude and longitude (NaN without geolocation), 24
@@ -26,7 +26,6 @@ rows of each link's ends in ``nodes``, 16 bytes a link.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 import math
@@ -66,18 +65,18 @@ _NODE_REF_RE = re.compile(r"N(\d+)(?::\S+)?")
 _OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
 _DOTTED_QUAD_RE = re.compile(rf"({_OCTET})(?:\.{_OCTET}){{3}}")
 
-# Characters of link text read per chunk. About 16 KiB amortises the
-# per-chunk numpy work while keeping peak memory flat.
+# Characters of link text read per block, before the rest of its last line.
+# About 16 KiB amortises the per-block numpy work while keeping peak memory flat.
 _CHUNK_CHARS = 16384
-# A link line the chunk scan takes as is. Everything it matches is
+# A link line the block scan takes as is. Everything it matches is
 # ASCII; ids have at most 18 digits, so they fit int64 and stay below
 # MAX_ID; its two groups are the first two node references that
 # _NODE_REF_RE finds in the same line.
 _LINK_SCAN_RE = re.compile(
     r"^[ \t]*link L[0-9]{1,18}:[ \t]*N([0-9]{1,18})(?::[!-~]+)?[ \t]+N([0-9]{1,18})(?!\d).*$", re.M
 )
-# A blank or comment line of a chunk; (?!\Z) skips the empty "line"
-# after the chunk's final newline.
+# A blank or comment line of a block; (?!\Z) skips the empty "line"
+# after the block's final newline.
 _SKIP_SCAN_RE = re.compile(r"^(?!\Z)[ \t]*(?:#.*)?$", re.M)
 
 
@@ -204,11 +203,7 @@ def parse_topology(nodes_source, geo_source=None, links_source=None, *, strict: 
     if isinstance(links_source, (str, Path)):
         with open(links_source, "r", encoding="utf-8") as handle:
             sorter.scan(handle)
-    elif isinstance(links_source, io.TextIOBase):
-        sorter.scan(links_source)
     elif links_source is not None:
-        # Other iterables may hold items with embedded or missing newlines,
-        # which joining into chunks would split into lines differently.
         sorter.parse_lines(_lines(links_source))
     return ParsedTopology(nodes=nodes, links=np.frombuffer(sorter.flat, dtype=np.int64).reshape(-1, 2), report=report)
 
@@ -334,24 +329,22 @@ class _LinkSorter:
         self.huge: dict[int, int] = {}  # node references above MAX_ID, each to its negative code
 
     def scan(self, handle) -> None:
-        """Read ``handle`` in chunks of lines and sort each chunk's links at once.
+        """Sort the links of a file opened with universal newlines, one block ended by a newline at a time.
 
-        A chunk is taken whole, as the ends of each link, only when each line ends in its one newline and is a
-        link line that ``_LINK_SCAN_RE`` matches or a blank or comment line. Any other chunk goes through
+        A block is taken whole, as the ends of each link, only when it ends in a newline and each of its lines is a
+        link line that ``_LINK_SCAN_RE`` matches or a blank or comment line. Any other block goes through
         ``parse_lines``, with its line numbers, and so does one where strict mode meets a dangling link.
         """
         lineno = 1
-        while lines := handle.readlines(_CHUNK_CHARS):
-            text, n = "".join(lines), len(lines)
+        while text := handle.read(_CHUNK_CHARS) + handle.readline():
+            n = text.count("\n")
             ends = _LINK_SCAN_RE.findall(text)
-            # A newline mode that ends lines at "\r" splits them where the expressions do not.
-            whole = "\r" not in text and text.count("\n") == n and text[-1] == "\n" and (
-                len(ends) == n or len(ends) + len(_SKIP_SCAN_RE.findall(text)) == n
-            )
+            whole = text[-1] == "\n" and (len(ends) == n or len(ends) + len(_SKIP_SCAN_RE.findall(text)) == n)
             if not whole or ends and not self._sort_rows(
                 np.fromstring(" ".join(chain.from_iterable(ends)), dtype=np.int64, sep=" ").reshape(-1, 2)
             ):
-                self.parse_lines(_lines(lines, lineno))
+                # Split at newlines alone, as reading the file does; str.splitlines also splits at form feeds.
+                self.parse_lines(_lines(text.split("\n"), lineno))
             lineno += n
 
     def _sort_rows(self, ends: np.ndarray, link_ids: array | None = None) -> bool:

@@ -32,6 +32,8 @@ logger = logging.getLogger(__name__)
 LINK_CATEGORIES = ("both_mapped", "one_mapped", "none_mapped")
 # Region pairs named in the one warning about points inside several regions.
 AMBIGUOUS_LISTED = 3
+# A pair of regions inside both of which more than this share of the samples lies is warned about.
+OVERLAP_WARN_FRACTION = 0.001
 
 
 class RegionIndex:
@@ -327,16 +329,11 @@ class PolygonOverlapSample:
     warnings: list[str]
 
 
-def sample_polygon_overlap(
-    registry: WasgRegistry,
-    samples: int = 20000,
-    seed: int = 0,
-    warn_fraction: float = 0.001,
-) -> PolygonOverlapSample:
+def sample_polygon_overlap(registry: WasgRegistry, samples: int = 20000, seed: int = 0) -> PolygonOverlapSample:
     """Sample random points in the combined bounding box and count double hits.
 
     Region polygons should be disjoint; any pair containing more than
-    ``warn_fraction`` of the samples is reported as a warning.
+    ``OVERLAP_WARN_FRACTION`` of the samples is reported as a warning.
     """
     index = RegionIndex(registry)
     if not index.regions:
@@ -362,6 +359,6 @@ def sample_polygon_overlap(
     warnings = [
         f"regions {a!r} and {b!r} overlap on {hits}/{samples} sampled points"
         for (a, b), hits in sorted(pair_hits.items())
-        if hits / samples > warn_fraction
+        if hits / samples > OVERLAP_WARN_FRACTION
     ]
     return PolygonOverlapSample(samples=samples, pair_hits=pair_hits, warnings=warnings)

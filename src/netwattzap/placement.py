@@ -635,6 +635,7 @@ def solve(model: IlpModel, time_limit: float = 60.0) -> PlacementSolution:
     only when the search ran to completion), or "time_limit" with the
     best incumbent found. Ties break to the lexicographically smallest
     chosen id set. ``time_limit`` is in seconds: 0 or more, ``inf`` for none.
+    A best value past the float range, which JSON cannot carry, raises ValueError.
     """
     if not time_limit >= 0:
         raise ValueError(f"time limit must be >= 0 seconds, got {time_limit!r}")
@@ -643,6 +644,9 @@ def solve(model: IlpModel, time_limit: float = 60.0) -> PlacementSolution:
     elapsed = time.monotonic() - started
     if value is not None and model.objective_sense == "max":
         value = -value
+    if value is not None and not math.isfinite(value):
+        # Only a minimized value overflows; an optimal one means that every feasible set's value does.
+        raise ValueError(f"objective {model.problem.objective}: best value {value!r} is past the float range")
     assignment = {}
     if picked and model.problem.objective == "min_weighted_nearest":
         # Each demand's lowest latency, the earliest chosen position on a tie. A solution

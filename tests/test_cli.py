@@ -64,7 +64,7 @@ class TestValidate:
         ],
     )
     def test_non_finite_registry_number_is_one_error_line(self, workspace, tmp_path, capsys, path, value):
-        doc = json.loads((workspace / "wasg.geojson").read_text())
+        doc = json.loads((workspace / "wasg.geojson").read_text(encoding="utf-8"))
         target = doc["features"][0]
         for key in path[:-1]:
             target = target[key]
@@ -79,7 +79,7 @@ class TestValidate:
 
     def test_ring_outside_coordinate_range_exits_two(self, workspace, tmp_path, capsys):
         # A ring reaching lat 95 used to load and validate as "clean".
-        doc = json.loads((workspace / "wasg.geojson").read_text())
+        doc = json.loads((workspace / "wasg.geojson").read_text(encoding="utf-8"))
         region = doc["features"][0]["properties"]["id"]
         doc["features"][0]["geometry"] = {
             "type": "Polygon",
@@ -100,7 +100,7 @@ class TestValidate:
     )
     def test_polygon_without_ring_is_a_violation(self, workspace, tmp_path, capsys, geometry):
         # It used to load, and the overlap sampler then aborted validate with a ValueError.
-        doc = json.loads((workspace / "wasg.geojson").read_text())
+        doc = json.loads((workspace / "wasg.geojson").read_text(encoding="utf-8"))
         region = doc["features"][0]["properties"]["id"]
         doc["features"][0]["geometry"] = geometry
         bad = tmp_path / "wasg_ringless.geojson"
@@ -134,7 +134,9 @@ class TestValidate:
 
     def test_skipped_row_and_dangling_link_warnings_exit_one(self, workspace, tmp_path, capsys):
         components = tmp_path / "c.csv"
-        components.write_text("id,kind,lat,lon,weight,attrs_json\nix1,ixp,9.0,-146.0,,\nix2,ixp,,,,\n")
+        components.write_text(
+            "id,kind,lat,lon,weight,attrs_json\nix1,ixp,9.0,-146.0,,\nix2,ixp,,,,\n", encoding="utf-8"
+        )
         (tmp_path / "n").write_text("node N1: 10.0.0.1\nnode N2: 10.0.0.2\n", encoding="utf-8")
         (tmp_path / "l").write_text("link L1: N1 N2\nlink L2: N2 N9\n", encoding="utf-8")
         code = main(
@@ -209,7 +211,7 @@ class TestOverlap:
         )
         assert code == 0
         assert sorted(resolved) == [3, 3]
-        report = json.loads(out.read_text())
+        report = json.loads(out.read_text(encoding="utf-8"))
         assert report["coverage"]["router"] == {"zoned": 3, "total": 3}
         assert report["link_categories"]["both_mapped"] == 3
 
@@ -224,7 +226,7 @@ class TestOverlap:
             ]
         )
         assert code == 0
-        report = json.loads(out.read_text())
+        report = json.loads(out.read_text(encoding="utf-8"))
         assert report["coverage"]["ixp"] == {"zoned": 2, "total": 3}
         assert report["per_wasg"]["W00"]["ixp"] == 1
         assert report["uncovered"]["ixp"] == 1
@@ -304,7 +306,7 @@ class TestOverlap:
             ]
         )
         assert code == 0
-        text = out.read_text()
+        text = out.read_text(encoding="utf-8")
         assert text.startswith("table,a,b,value\n")
         assert "pair_counts,W00,W01,2" in text
 
@@ -356,7 +358,7 @@ class TestOverlap:
         ["registry_array", "features_number", "feature_string", "geometry_array", "properties_bool"],
     )
     def test_wrong_shaped_registry_is_one_error_line(self, workspace, tmp_path, capsys, shape):
-        doc = json.loads((workspace / "wasg.geojson").read_text())
+        doc = json.loads((workspace / "wasg.geojson").read_text(encoding="utf-8"))
         if shape == "registry_array":
             doc = [doc]
         elif shape == "features_number":
@@ -395,7 +397,7 @@ class TestFailureCommand:
             ]
         )
         assert code == 0
-        report = json.loads(out.read_text())
+        report = json.loads(out.read_text(encoding="utf-8"))
         assert report["failed_wasgs"] == ["A"]
         assert all(f == 1.0 for f in report["fractions"].values())
 
@@ -411,7 +413,7 @@ class TestFailureCommand:
             ]
         )
         assert code == 0
-        report = json.loads(out.read_text())
+        report = json.loads(out.read_text(encoding="utf-8"))
         assert report["failed_wasgs"] == ["W06", "W07", "W08", "W09"]
 
     def test_geojson_output_lists_failed_polygons(self, workspace, tmp_path):
@@ -426,7 +428,7 @@ class TestFailureCommand:
             ]
         )
         assert code == 0
-        doc = json.loads(out.read_text())
+        doc = json.loads(out.read_text(encoding="utf-8"))
         assert [f["properties"]["id"] for f in doc["features"]] == ["W01"]
 
     def test_geojson_output_keeps_a_failed_multipolygon(self, tmp_path):
@@ -436,7 +438,9 @@ class TestFailureCommand:
         islands = [[[lon + 0.5, lat + 20.0] for lon, lat in ring]]
         feature["geometry"] = {"type": "MultiPolygon", "coordinates": [[ring], islands]}
         (tmp_path / "wasg.geojson").write_text(json.dumps(doc), encoding="utf-8")
-        (tmp_path / "s.json").write_text(json.dumps({"name": "x", "mode": "regional", "failed": ["W01"]}))
+        (tmp_path / "s.json").write_text(
+            json.dumps({"name": "x", "mode": "regional", "failed": ["W01"]}), encoding="utf-8"
+        )
         out = tmp_path / "failed.geojson"
         code = main(
             [
@@ -448,11 +452,11 @@ class TestFailureCommand:
             ]
         )
         assert code == 0
-        assert json.loads(out.read_text()) == {"type": "FeatureCollection", "features": [feature]}
+        assert json.loads(out.read_text(encoding="utf-8")) == {"type": "FeatureCollection", "features": [feature]}
 
     def test_unknown_wasg_in_scenario(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"name": "x", "mode": "regional", "failed": ["ZZ"]}))
+        bad.write_text(json.dumps({"name": "x", "mode": "regional", "failed": ["ZZ"]}), encoding="utf-8")
         code = main(
             [
                 "failure",
@@ -479,7 +483,7 @@ class TestConnectivity:
             ]
         )
         assert code == 0
-        report = json.loads(out.read_text())
+        report = json.loads(out.read_text(encoding="utf-8"))
         assert report["scenario"] == "fail W01"
         assert report["mean_reduction"] == 1.0
         assert report["pairs"] == [
@@ -501,7 +505,7 @@ class TestConnectivity:
             ]
         )
         assert code == 0
-        assert out.read_text() == "u,v,flow_before,flow_after,reduction\nW00,W02,1,0,1.0\n"
+        assert out.read_text(encoding="utf-8") == "u,v,flow_before,flow_after,reduction\nW00,W02,1,0,1.0\n"
 
     @pytest.mark.parametrize(
         "fmt, expected",
@@ -516,9 +520,13 @@ class TestConnectivity:
         registry = WasgRegistry([square_region("A", "A", 0.0, 0.0), square_region("B", "B", 20.0, 0.0)])
         (tmp_path / "wasg.geojson").write_text(json.dumps(registry_to_geojson(registry)), encoding="utf-8")
         (tmp_path / "n").write_text("node N1: 10.0.0.1\nnode N2: 10.0.0.2\nnode N3: 10.0.0.3\n", encoding="utf-8")
-        (tmp_path / "g").write_text("node.geo N1: XX YY ZZ City 4.0 4.0\nnode.geo N2: XX YY ZZ City 5.0 5.0\n")
+        (tmp_path / "g").write_text(
+            "node.geo N1: XX YY ZZ City 4.0 4.0\nnode.geo N2: XX YY ZZ City 5.0 5.0\n", encoding="utf-8"
+        )
         (tmp_path / "l").write_text("link L1: N1 N2\nlink L2: N2 N3\n", encoding="utf-8")
-        (tmp_path / "s.json").write_text(json.dumps({"name": "fail B", "mode": "regional", "failed": ["B"]}))
+        (tmp_path / "s.json").write_text(
+            json.dumps({"name": "fail B", "mode": "regional", "failed": ["B"]}), encoding="utf-8"
+        )
         code = main(
             [
                 "connectivity",
@@ -552,7 +560,7 @@ class TestPlace:
         ["demand_weight", "candidate_cost", "latency_bounds", "latency_override"],
     )
     def test_non_finite_number_is_one_error_line(self, workspace, tmp_path, capsys, field, bad):
-        doc = json.loads((workspace / "problem.json").read_text())
+        doc = json.loads((workspace / "problem.json").read_text(encoding="utf-8"))
         if field == "demand_weight":
             doc["demands"][0]["weight"] = bad
         elif field == "candidate_cost":
@@ -571,7 +579,7 @@ class TestPlace:
         assert captured.err.count("\n") == 1
 
     def test_negative_latency_override_is_one_error_line(self, workspace, tmp_path, capsys):
-        doc = json.loads((workspace / "problem.json").read_text())
+        doc = json.loads((workspace / "problem.json").read_text(encoding="utf-8"))
         doc["latency_override"]["d1"]["c2"] = -10.0
         path = tmp_path / "problem_negative.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -594,7 +602,7 @@ class TestPlace:
         ],
     )
     def test_wrong_shaped_problem_is_one_error_line(self, workspace, tmp_path, capsys, shape):
-        doc = json.loads((workspace / "problem.json").read_text())
+        doc = json.loads((workspace / "problem.json").read_text(encoding="utf-8"))
         if shape == "select_count":
             doc["select_count"] = [2]
         elif shape == "latency_bounds":
@@ -616,11 +624,25 @@ class TestPlace:
         assert captured.err.startswith("error: MalformedDocument: ")
         assert captured.err.count("\n") == 1
 
+    def test_objective_overflowing_off_the_optimum_solves(self, tmp_path):
+        problem = {
+            "candidates": [
+                {"id": c, "lat": 0.0, "lon": 0.0, "cost": cost} for c, cost in (("a", 1), ("b", 1e308), ("c", 1e308))
+            ],
+            "select_count": {"mode": "exactly", "n": 2},
+            "objective": "min_cost",
+        }
+        path, out = tmp_path / "problem.json", tmp_path / "solution.json"
+        path.write_text(json.dumps(problem), encoding="utf-8")
+        assert main(["place", "--problem", str(path), "--out", str(out)]) == 0
+        solution = json.loads(out.read_text(encoding="utf-8"))
+        assert (solution["chosen"], solution["objective_value"], solution["proof"]) == (["a", "b"], 1e308, "optimal")
+
     def test_eq_fixture(self, workspace, tmp_path):
         out = tmp_path / "solution.json"
         code = main(["place", "--problem", str(workspace / "problem.json"), "--out", str(out)])
         assert code == 0
-        solution = json.loads(out.read_text())
+        solution = json.loads(out.read_text(encoding="utf-8"))
         assert solution["chosen"] == ["c1", "c3"]
         assert solution["objective_value"] == 40.0
         assert solution["proof"] == "optimal"
@@ -650,7 +672,7 @@ class TestPlace:
             ]
         )
         assert code == 0
-        solution = json.loads(out.read_text())
+        solution = json.loads(out.read_text(encoding="utf-8"))
         # a and b share W00 once zones are resolved, so the pair must split.
         assert solution["chosen"] == ["a", "c"]
 
@@ -665,7 +687,7 @@ class TestPlace:
             ]
         )
         assert code == 0
-        doc = json.loads(out.read_text())
+        doc = json.loads(out.read_text(encoding="utf-8"))
         assert [f["properties"]["id"] for f in doc["features"]] == ["c1", "c3"]
 
     def test_infeasible_reported_not_crash(self, workspace, tmp_path):
@@ -715,7 +737,7 @@ class TestNonStringWhereStringExpected:
         wasg = workspace / "wasg.geojson"
         bad = tmp_path / f"{where}.json"
         if where.startswith("registry"):
-            doc = json.loads(wasg.read_text())
+            doc = json.loads(wasg.read_text(encoding="utf-8"))
             props = doc["features"][0]["properties"]
             if where == "registry_id":
                 props["id"] = value
@@ -727,7 +749,7 @@ class TestNonStringWhereStringExpected:
             bad.write_text(json.dumps({"name": "x", "mode": "regional", "failed": [value]}), encoding="utf-8")
             argv = ["failure", "--wasg", str(wasg), "--scenario", str(bad)]
         else:
-            doc = json.loads((workspace / "problem.json").read_text())
+            doc = json.loads((workspace / "problem.json").read_text(encoding="utf-8"))
             if where == "candidate_id":
                 doc["candidates"][0]["id"] = value
             else:
@@ -754,12 +776,12 @@ class TestStringWhereListExpected:
             bad.write_text(json.dumps({"name": "x", "mode": "regional", "failed": "W01"}), encoding="utf-8")
             argv = ["failure", "--wasg", str(wasg), "--scenario", str(bad)]
         elif where == "registry_members":
-            doc = json.loads(wasg.read_text())
+            doc = json.loads(wasg.read_text(encoding="utf-8"))
             doc["features"][0]["properties"]["members"] = "MX"
             bad.write_text(json.dumps(doc), encoding="utf-8")
             argv = ["overlap", "--wasg", str(bad), "--components", f"ixp={workspace / 'ixps.csv'}"]
         else:
-            doc = json.loads((workspace / "problem.json").read_text())
+            doc = json.loads((workspace / "problem.json").read_text(encoding="utf-8"))
             value = "US" if where == "country_codes" else "1234"
             doc["location_rules"] = [{"predicate": {where: value}, "min_count": 1}]
             bad.write_text(json.dumps(doc), encoding="utf-8")
@@ -794,12 +816,12 @@ class TestWrongNumberType:
             bad.write_text(json.dumps({"name": "x", "mode": "latitude_band", "threshold_deg": value}), encoding="utf-8")
             argv = ["failure", "--wasg", str(wasg), "--scenario", str(bad)]
         elif where == "ring_point":
-            doc = json.loads(wasg.read_text())
+            doc = json.loads(wasg.read_text(encoding="utf-8"))
             doc["features"][0]["geometry"]["coordinates"][0][1] = value
             bad.write_text(json.dumps(doc), encoding="utf-8")
             argv = ["overlap", "--wasg", str(bad), "--components", f"ixp={workspace / 'ixps.csv'}"]
         else:
-            doc = json.loads((workspace / "problem.json").read_text())
+            doc = json.loads((workspace / "problem.json").read_text(encoding="utf-8"))
             if where == "lat":
                 doc["candidates"][0]["lat"] = value
             elif where == "n":
@@ -947,13 +969,15 @@ print(json.dumps(results))
 
 
 def test_error_texts_name_the_smallest_code_under_any_hash_seed(workspace, tmp_path):
-    doc = json.loads((workspace / "wasg.geojson").read_text())
+    doc = json.loads((workspace / "wasg.geojson").read_text(encoding="utf-8"))
     for f in doc["features"][:2]:
         f["properties"]["members"] = ["X3", "X1", "X4", "X2"]
     dup = tmp_path / "wasg_dup.geojson"
     dup.write_text(json.dumps(doc), encoding="utf-8")
     scenario = tmp_path / "scenario_unknown.json"
-    scenario.write_text(json.dumps({"name": "s", "mode": "regional", "failed": ["NOPE3", "NOPE1", "NOPE4", "NOPE2"]}))
+    scenario.write_text(
+        json.dumps({"name": "s", "mode": "regional", "failed": ["NOPE3", "NOPE1", "NOPE4", "NOPE2"]}), encoding="utf-8"
+    )
     wasg = str(workspace / "wasg.geojson")
     runs = [
         ["validate", "--wasg", str(dup)],
@@ -967,6 +991,7 @@ def test_error_texts_name_the_smallest_code_under_any_hash_seed(workspace, tmp_p
         result = subprocess.run(
             [sys.executable, "-c", _HASH_PROBE, json.dumps(runs), wasg],
             capture_output=True, text=True, env=env, check=True,
+            encoding="utf-8",
         )
         outputs.add(result.stdout)
     assert len(outputs) == 1
@@ -1001,11 +1026,17 @@ def _path_topology_files(root, ids) -> list[str]:
         }
         for i, rid in enumerate(ids)
     ]
-    (root / "wasg.geojson").write_text(json.dumps({"type": "FeatureCollection", "features": features}))
-    (root / "n").write_text("node N1: 10.0.0.1\nnode N2: 10.0.0.2\nnode N3: 10.0.0.3\n")
-    (root / "g").write_text("".join(f"node.geo N{i + 1}: XX YY ZZ City 4.0 {20.0 * i + 4.0}\n" for i in range(3)))
-    (root / "l").write_text("link L1: N1 N2\nlink L2: N2 N3\n")
-    (root / "s.json").write_text(json.dumps({"name": "fail the third", "mode": "regional", "failed": [ids[2]]}))
+    (root / "wasg.geojson").write_text(
+        json.dumps({"type": "FeatureCollection", "features": features}), encoding="utf-8"
+    )
+    (root / "n").write_text("node N1: 10.0.0.1\nnode N2: 10.0.0.2\nnode N3: 10.0.0.3\n", encoding="utf-8")
+    (root / "g").write_text(
+        "".join(f"node.geo N{i + 1}: XX YY ZZ City 4.0 {20.0 * i + 4.0}\n" for i in range(3)), encoding="utf-8"
+    )
+    (root / "l").write_text("link L1: N1 N2\nlink L2: N2 N3\n", encoding="utf-8")
+    (root / "s.json").write_text(
+        json.dumps({"name": "fail the third", "mode": "regional", "failed": [ids[2]]}), encoding="utf-8"
+    )
     files = {"wasg": "wasg.geojson", "nodes": "n", "geo": "g", "links": "l"}
     return [arg for flag, name in files.items() for arg in (f"--{flag}", str(root / name))]
 
@@ -1048,9 +1079,9 @@ class TestGeometryErrorsNameTheirFeature:
     def test_one_error_line_and_one_violation(self, tmp_path, capsys, geometry, message):
         files = _path_topology_files(tmp_path, ["A", "B", "C"])
         wasg = tmp_path / "wasg.geojson"
-        doc = json.loads(wasg.read_text())
+        doc = json.loads(wasg.read_text(encoding="utf-8"))
         doc["features"][0]["geometry"] = geometry
-        wasg.write_text(json.dumps(doc))
+        wasg.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["overlap", *files]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1257,8 +1288,23 @@ class TestNonFiniteReportNumber:
 
     @pytest.mark.parametrize("to_file", [False, True])
     def test_place_objective(self, workspace, tmp_path, capsys, to_file):
-        doc = json.loads((workspace / "problem.json").read_text())
+        doc = json.loads((workspace / "problem.json").read_text(encoding="utf-8"))
         doc["demands"][0]["weight"] = 1e308
         path = tmp_path / "heavy.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        self.run(["place", "--problem", str(path)], tmp_path / "r.json" if to_file else None, capsys)
+        prefix = "error: ValueError: objective min_weighted_sum_all: best value inf is past the float range"
+        self.run(["place", "--problem", str(path)], tmp_path / "r.json" if to_file else None, capsys, prefix)
+
+    @pytest.mark.parametrize("objective", ["min_weighted_sum_all", "min_weighted_nearest", "min_cost"])
+    def test_place_objective_of_every_set_past_the_float_range(self, tmp_path, capsys, objective):
+        # Every feasible set's value overflows to inf, which used to be certified optimal.
+        problem = {
+            "candidates": [{"id": c, "lat": 40.0, "lon": lon, "cost": 1e308} for c, lon in (("a", 0.0), ("b", 20.0))],
+            "demands": [{"id": d, "lat": -40.0, "lon": lon, "weight": 1e308} for d, lon in (("d1", 0.0), ("d2", 20.0))],
+            "select_count": {"mode": "exactly", "n": 2 if objective == "min_cost" else 1},
+            "objective": objective,
+        }
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem), encoding="utf-8")
+        prefix = f"error: ValueError: objective {objective}: best value inf is past the float range\n"
+        self.run(["place", "--problem", str(path)], tmp_path / "r.json", capsys, prefix)

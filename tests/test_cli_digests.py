@@ -118,7 +118,7 @@ def digests(root: Path) -> dict[str, str]:
 
 
 def test_cli_reports_match_recorded_digests(tmp_path):
-    expected = json.loads(DIGESTS.read_text())
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
     assert len(expected) == 19
     got = digests(tmp_path)
     assert sorted(got) == sorted(expected)
@@ -129,4 +129,4 @@ def test_cli_reports_match_recorded_digests(tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         recorded = digests(Path(tmp))
-    DIGESTS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+    DIGESTS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -108,6 +108,7 @@ def test_module_entry_point_refuses_a_foreign_flag(workspace):
         capture_output=True,
         text=True,
         env=env,
+        encoding="utf-8",
     )
     assert result.returncode == 2
     assert result.stdout == ""

@@ -126,13 +126,20 @@ class TestBuildGraph:
         g = graph_from_edges([("A", "B", 1), ("B", "C", 1), ("A", "C", 1)])
         assert g.average_degree() == 2.0
 
-    def test_invalid_edges_rejected(self):
-        with pytest.raises(ValueError):
-            WasgGraph(nodes=frozenset({"A"}), edges={("A", "A"): 1})
-        with pytest.raises(ValueError):
-            WasgGraph(nodes=frozenset({"A", "B"}), edges={("B", "A"): 1})
-        with pytest.raises(ValueError):
-            WasgGraph(nodes=frozenset({"A", "B"}), edges={("A", "B"): 0})
+    @pytest.mark.parametrize(
+        "nodes, edges, message",
+        [
+            ({"A"}, {("A", "A"): 1}, "self-loop on 'A'"),
+            ({"A", "B"}, {("B", "A"): 1}, "edge key ('B', 'A') not in sorted order"),
+            ({"A"}, {("A", "B"): 1}, "edge ('A', 'B') references unknown node"),
+            ({"A", "B"}, {("A", "B"): 0}, "edge ('A', 'B') capacity 0 not a positive integer"),
+        ],
+        ids=["self_loop", "unsorted", "unknown_node", "capacity"],
+    )
+    def test_invalid_edge_is_refused(self, nodes, edges, message):
+        with pytest.raises(ValueError) as err:
+            WasgGraph(nodes=frozenset(nodes), edges=edges)
+        assert str(err.value) == message
 
 
 class TestMaxFlow:
@@ -372,9 +379,9 @@ def sweep_inputs(out: Path):
     from netwattzap.grid_model import load_registry
 
     gen.gen_resilience_sweep(1, out)
-    pairs = json.loads((out / "pairs.json").read_text())
+    pairs = json.loads((out / "pairs.json").read_text(encoding="utf-8"))
     registry = load_registry(out / "wasg.geojson")
-    scenarios = json.loads((out / "scenarios.json").read_text())
+    scenarios = json.loads((out / "scenarios.json").read_text(encoding="utf-8"))
     return (
         {(a, b): c for a, b, c in pairs},
         [resolve_scenario(scenario_from_dict(doc), registry) for doc in scenarios],

@@ -21,6 +21,7 @@ def test_demos_found():
 def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, encoding="utf-8",
+        timeout=120,
     )
     assert result.returncode == 0, result.stderr

@@ -13,6 +13,7 @@ from netwattzap.errors import NoBoundary
 from netwattzap.geo import (
     EARTH_RADIUS_KM,
     GeoPoint,
+    RegionEdges,
     band_overlap,
     haversine_km,
     latency_ms,
@@ -127,10 +128,6 @@ class TestLatency:
         a, b = GeoPoint(12, 7), GeoPoint(-33, 151)
         assert latency_ms(a, b) == pytest.approx(haversine_km(a, b) / 200.0, rel=1e-12)
 
-    def test_custom_fiber_speed(self):
-        a, b = GeoPoint(0, 0), GeoPoint(0, 10)
-        assert latency_ms(a, b, fiber_km_per_sec=100_000.0) == pytest.approx(2 * latency_ms(a, b))
-
     def test_pairwise_matrix_matches_scalar(self):
         rng = random.Random(5)
         rows = [GeoPoint(rng.uniform(-80, 80), rng.uniform(-170, 170)) for _ in range(4)]
@@ -180,15 +177,25 @@ class TestPointInRegion:
         assert point_in_region(GeoPoint(1.0, 1.0), region)
         assert not point_in_region(GeoPoint(5.0, 5.0), region)
 
-    def test_no_boundary_raises(self):
+    @staticmethod
+    def bare_region():
         from netwattzap.grid_model import WasgRegion
 
-        bare = WasgRegion(
+        return WasgRegion(
             id="X", name="x", abbrev="X", members=frozenset(),
             boundary=(), population=0, internet_users=0, area_km2=0.0,
         )
-        with pytest.raises(NoBoundary):
-            point_in_region(GeoPoint(0, 0), bare)
+
+    def test_no_boundary_raises(self):
+        with pytest.raises(NoBoundary) as err:
+            point_in_region(GeoPoint(0, 0), self.bare_region())
+        assert str(err.value) == "region 'X' has no boundary polygons"
+
+    @pytest.mark.parametrize("use", [RegionEdges, lambda region: band_overlap(region, 40.0)], ids=["edges", "band"])
+    def test_edges_and_band_raise_no_boundary(self, use):
+        with pytest.raises(NoBoundary) as err:
+            use(self.bare_region())
+        assert str(err.value) == "region 'X' has no boundary polygons"
 
     def test_agrees_with_raycast_oracle(self):
         from netwattzap.grid_model import WasgRegion

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import io
 import json
 import pickle
 import random
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netwattzap import grid_model
-from netwattzap.errors import DuplicateAbbrev, DuplicateMember, MalformedDocument, MissingStats, OpenRing
+from netwattzap.errors import DuplicateAbbrev, DuplicateMember, MalformedDocument, MalformedRow, MissingStats, OpenRing
 from netwattzap.grid_model import (
     AdminStatRecord,
     WasgRegion,
@@ -29,6 +30,7 @@ from netwattzap.grid_model import (
     load_registry,
     registry_to_geojson,
 )
+from netwattzap.ingest import parse_stats
 
 from conftest import build_registry, build_stats, square_region, square_ring
 
@@ -255,7 +257,9 @@ class TestRingFormat:
 
     def test_ring_loaded_from_a_path_is_the_decoders_array(self, tmp_path):
         path = tmp_path / "wasg.geojson"
-        path.write_text(json.dumps(collection(feature("A", "A", ["US"]), feature("B", "B", ["MX"], lon0=20.0))))
+        path.write_text(
+            json.dumps(collection(feature("A", "A", ["US"]), feature("B", "B", ["MX"], lon0=20.0))), encoding="utf-8"
+        )
         decoded, coerce_ring = [], grid_model._coerce_ring
 
         def coerce(raw):
@@ -524,6 +528,40 @@ class TestAdminStatRecord:
     def test_effective_users(self):
         assert AdminStatRecord(code="X", population=80, internet_users=60).effective_internet_users() == 60
         assert AdminStatRecord(code="X", population=60, penetration=0.5).effective_internet_users() == 30
+
+
+def _feature_with(**properties):
+    doc = feature("A", "A", ["US"])
+    doc["properties"].update(properties)
+    return collection(doc)
+
+
+@pytest.mark.parametrize(
+    "load, error, message",
+    [
+        (
+            lambda: load_registry(_feature_with(population=-1)),
+            MalformedDocument,
+            "feature 0 ('A'): region 'A': negative population figures",
+        ),
+        (
+            lambda: load_registry(_feature_with(area_km2=0)),
+            MalformedDocument,
+            "feature 0 ('A'): region 'A': area_km2 must be positive when a boundary is present",
+        ),
+        (
+            lambda: parse_stats(io.StringIO("code,population,internet_users,penetration,area_km2\nUS,10,-1,,\n")),
+            MalformedRow,
+            "row 2: stat 'US': negative internet_users",
+        ),
+        (lambda: load_registry(io.StringIO("{}")), MalformedDocument, "unsupported document source type StringIO"),
+    ],
+    ids=["negative_population", "zero_area", "negative_users", "open_file"],
+)
+def test_refused_input_names_its_cause(load, error, message):
+    with pytest.raises(error) as err:
+        load()
+    assert str(err.value) == message
 
 
 class TestAggregateStats:

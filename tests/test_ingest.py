@@ -326,7 +326,7 @@ def test_text_parsers_return_or_raise_their_error(text, role, strict):
             elif role == "stats":
                 parse_stats(path)
             else:
-                # The links file goes through the chunk scan, which only paths and text files take.
+                # The links file goes through the block scan, which only paths take.
                 sources = {"nodes": (path, None, None), "geo": (nodes, path, None), "links": (nodes, None, path)}
                 parse_topology(*sources[role], strict=strict)
         except NetWattZapError:

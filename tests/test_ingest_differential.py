@@ -1,7 +1,7 @@
 """``parse_topology`` against ``topology_reference``, the per-line parser.
 
-Link files given as a path or a text file are scanned in chunks, and
-node interfaces that are dotted quads skip ``ipaddress``. On random ITDK
+Link files given as a path are scanned in blocks ended by a newline,
+and node interfaces that are dotted quads skip ``ipaddress``. On random ITDK
 text both parsers must give the same node and link array bytes, dtypes
 and shapes, the same cleaning report, and the same exception type and
 message. The text mixes lines the chunk scan takes (plain links,
@@ -197,7 +197,7 @@ EXAMPLE_NODES = "node N1: 1.1.1.1\nnode N2: 2.2.2.2\nnode N3: 3.3.3.3\n"
          form="path", chunk=1)
 # Strict mode names the first dangling link of a chunk, and its a end before b.
 @example(nodes=EXAMPLE_NODES, geo=None, links="link L1: N1 N2\nlink L2: N6 N99\nlink L3: N1 N98\n", strict=True,
-         form="stringio", chunk=ingest._CHUNK_CHARS)
+         form="path", chunk=ingest._CHUNK_CHARS)
 # Ids with more digits than int() converts: a node id, a second link
 # endpoint, a node id that is 1 after 4,999 zeros, and a geo line's id.
 @example(nodes=EXAMPLE_NODES + "node N" + "9" * 5000 + ": 1.2.3.4\n", geo=None, links=None, strict=False,
@@ -234,7 +234,14 @@ EXAMPLE_NODES = "node N1: 1.1.1.1\nnode N2: 2.2.2.2\nnode N3: 3.3.3.3\n"
 # strict-mode first dangling link of a scanned chunk, named by its link
 # id; node ids too sparse for the id table, with a geo line and a removed
 # node; a form feed, a file separator and a line separator, which end
-# lines for str.splitlines but not for a file, before a malformed line.
+# lines for str.splitlines but not for a file, before a malformed line;
+# CRLF line ends read a character at a time, so that a block may end
+# between CR and LF; a block of 15 characters that ends on its newline,
+# so that reading to the end of its line takes the next line whole.
+@example(nodes=EXAMPLE_NODES, geo=None, links="link L1: N1 N2\r\nlink L2: N2 N9\r\n# c\r\nlink L3 N1\r\n",
+         strict=False, form="path", chunk=1)
+@example(nodes=EXAMPLE_NODES, geo=None, links="link L1: N1 N2\nlink L2: N2 N3\nlink L3: N3 N9\ngarbage\n",
+         strict=False, form="path", chunk=15)
 @example(nodes=EXAMPLE_NODES, geo=None, links="link L1: N1 N2\r\n# c\r\nlink L2: N2 N3\r\nlink L3 N1\r\n", strict=False,
          form="path", chunk=ingest._CHUNK_CHARS)
 @example(nodes=EXAMPLE_NODES, geo=None, links="link L1: N1 N2\rlink L2: N2 N9\r\rlink L3 N1\r", strict=False,
@@ -288,14 +295,16 @@ def test_dotted_quad_octets_classify_as_ipaddress_does():
 
 def test_scanned_and_per_line_chunks_keep_file_order_and_line_numbers(tmp_path):
     nodes = tmp_path / "nodes"
-    nodes.write_text("node N1: 1.1.1.1\nnode N2: 2.2.2.2\nnode N3: 224.0.0.1\nnode N4: 4.4.4.4\nnode N5: 5.5.5.5\n")
+    nodes.write_text(
+        "node N1: 1.1.1.1\nnode N2: 2.2.2.2\nnode N3: 224.0.0.1\nnode N4: 4.4.4.4\nnode N5: 5.5.5.5\n", encoding="utf-8"
+    )
     # Each kept link has its own pair of ends, so its rows show its place in the file.
     lines = ["link L1: N1 N2", f"link L{2**63 - 1}: N2 N1", "link L3: N1 N3", "link L4: N1:x N4 N3",
              "link L5: N5\u00a0N2", "# end", "link L6: N2 N9"]
     good = tmp_path / "good"
-    good.write_text("\n".join(lines) + "\n")
+    good.write_text("\n".join(lines) + "\n", encoding="utf-8")
     bad = tmp_path / "bad"
-    bad.write_text("\n".join(lines + ["link L8 N1 N2"]) + "\n")
+    bad.write_text("\n".join(lines + ["link L8 N1 N2"]) + "\n", encoding="utf-8")
     for chunk in (1, 16, 64, ingest._CHUNK_CHARS):
         with mock.patch.object(ingest, "_CHUNK_CHARS", chunk):
             topo = parse_topology(nodes, None, good)

@@ -32,6 +32,7 @@ from netwattzap.grid_model import (
 from netwattzap import geo, overlap
 from netwattzap.ingest import NODE_DTYPE, CleaningReport, InfraComponent, ParsedTopology, parse_topology
 from netwattzap.overlap import (
+    PolygonOverlapSample,
     RegionIndex,
     TopologyTally,
     az_collapse,
@@ -426,6 +427,20 @@ class TestPolygonOverlapSampler:
         a = sample_polygon_overlap(synthetic_registry, samples=500, seed=42)
         b = sample_polygon_overlap(synthetic_registry, samples=500, seed=42)
         assert a.pair_hits == b.pair_hits
+
+    @pytest.mark.parametrize(
+        "regions",
+        [
+            [],
+            [WasgRegion(id="X", name="x", abbrev="X", members=frozenset(), boundary=(), population=0,
+                        internet_users=0, area_km2=0.0)],
+        ],
+        ids=["empty", "no_boundary"],
+    )
+    def test_registry_without_polygons_draws_no_sample(self, regions):
+        assert sample_polygon_overlap(WasgRegistry(regions), samples=500) == PolygonOverlapSample(
+            samples=0, pair_hits={}, warnings=[]
+        )
 
 
 # Lattice coordinates make vertices, edges, horizontal and vertical edges,

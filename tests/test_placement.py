@@ -647,6 +647,59 @@ class TestProblemIo:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"select_count": {"mode": "all", "n": 2}}, "select_count mode 'all' not 'exactly' or 'at_most'"),
+            ({"select_count": {"mode": "exactly", "n": 0}}, "select_count n must be positive"),
+            (
+                {"location_rules": [{"predicate": {"hemisphere": "northern"}, "min_count": 0}]},
+                "location rule min_count must be positive",
+            ),
+            (
+                {"location_rules": [{"predicate": {"bbox": [10, 0, 0, 10]}, "min_count": 1}]},
+                "bbox (10.0, 0.0, 0.0, 10.0) not (west, south, east, north)",
+            ),
+            (
+                {"location_rules": [{"predicate": {"hemisphere": "eastern"}, "min_count": 1}]},
+                "hemisphere 'eastern' not in ('northern', 'southern')",
+            ),
+            ({"objective": "max_cost"}, "unknown objective 'max_cost'"),
+            (
+                {"demands": [{"id": "d1", "lat": 0.0, "lon": 0.0}, {"id": "d1", "lat": 1.0, "lon": 1.0}]},
+                "demand ids must be unique",
+            ),
+            ({"select_count": {"mode": "exactly", "n": 4}}, "select_count n=4 exceeds candidate count 3"),
+            ({"zone_cap": 0}, "zone_cap must be positive"),
+            (
+                {"objective": "min_cost"},
+                "objective min_cost needs a cost on every candidate; missing: ['c1', 'c2', 'c3']",
+            ),
+            (
+                {"objective": "min_pairwise_distance_sum", "select_count": {"mode": "at_most", "n": 1}},
+                "pairwise objectives need select_count n >= 2",
+            ),
+            ({"latency_bounds": {"d9": 5.0}}, "latency_bounds reference unknown demands: ['d9']"),
+            ({"latency_override": {"d1": {"c1": 1.0, "c3": 3.0}}}, "latency_override missing entry ('d1', 'c2')"),
+        ],
+    )
+    def test_refused_document_names_its_rule(self, change, message):
+        from netwattzap.errors import MalformedDocument
+
+        doc = {
+            "candidates": [
+                {"id": "c1", "lat": 10.0, "lon": 10.0, "zone": "Z1"},
+                {"id": "c2", "lat": 20.0, "lon": 20.0, "zone": "Z1"},
+                {"id": "c3", "lat": 30.0, "lon": 30.0, "zone": "Z2"},
+            ],
+            "demands": [{"id": "d1", "lat": 0.0, "lon": 0.0}],
+            "select_count": {"mode": "exactly", "n": 2},
+            "objective": "min_weighted_sum_all",
+        }
+        with pytest.raises(MalformedDocument) as err:
+            problem_from_dict({**doc, **change})
+        assert str(err.value) == f"bad placement problem: {message}"
+
     def test_solution_serialization_hides_wall_time(self):
         solution = solve_problem(eq_fixture())
         doc = solution_to_dict(solution)

@@ -82,7 +82,7 @@ def problems(tmp_path_factory):
 
 
 def test_dump_matches_recorded_digests(problems):
-    expected = json.loads(DIGESTS.read_text())
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
     assert len(expected) == 129
     assert sorted(problems) == sorted(expected)
     for name, problem in problems.items():
@@ -117,4 +117,4 @@ def test_every_dumped_variable_is_declared(problems):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         recorded = {name: outcome(p) for name, p in sorted(all_problems(Path(tmp)).items())}
-    DIGESTS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+    DIGESTS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n", encoding="utf-8")
