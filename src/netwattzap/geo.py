@@ -1,15 +1,17 @@
 """Geodesic and planar geometry primitives.
 
-Distances are haversine great circles on a sphere of mean radius
-6371.0088 km; one-way latency divides by the signal speed in fiber
-(200,000 km/s, roughly 2c/3, overridable). Zone membership is planar
-even-odd point-in-polygon on lon/lat degrees with the boundary counting
-as inside; polygons crossing the antimeridian must be pre-split in the
-source data. ``point_in_region`` tests one point in pure Python and is
-the reference for ``RegionEdges.contains``, which tests many points at
-once in numpy with the same float expressions, so both agree bit for
-bit. It tests each point only against the edges whose closed latitude
-span holds it, the one-dimensional half of a cell grid.
+Every distance and latency comes from ``haversine_km``, a great circle
+on a sphere of mean radius 6371.0088 km computed with ``math``, never
+with numpy's trigonometry, whose last bits follow the SIMD code it
+dispatches. One-way latency divides it by the signal speed in fiber,
+``FIBER_KM_PER_SEC`` (200,000 km/s, roughly 2c/3). Zone membership is
+planar even-odd point-in-polygon on lon/lat degrees with the boundary
+counting as inside; polygons crossing the antimeridian must be pre-split
+in the source data. ``point_in_region`` tests one point in pure Python
+and is the reference for ``RegionEdges.contains``, which tests many
+points at once in numpy with the same float expressions, so both agree
+bit for bit. It tests each point only against the edges whose closed
+latitude span holds it, the one-dimensional half of a cell grid.
 """
 
 from __future__ import annotations
@@ -87,16 +89,9 @@ def latency_ms(a: GeoPoint, b: GeoPoint) -> float:
 
 
 def pairwise_latency_ms(rows: Sequence[GeoPoint], cols: Sequence[GeoPoint]) -> np.ndarray:
-    """len(rows) x len(cols) matrix of one-way latencies in milliseconds."""
-    if not rows or not cols:
-        return np.zeros((len(rows), len(cols)))
-    rlat = np.radians([p.lat for p in rows])[:, None]
-    rlon = np.radians([p.lon for p in rows])[:, None]
-    clat = np.radians([p.lat for p in cols])[None, :]
-    clon = np.radians([p.lon for p in cols])[None, :]
-    h = np.sin((clat - rlat) / 2.0) ** 2 + np.cos(rlat) * np.cos(clat) * np.sin((clon - rlon) / 2.0) ** 2
-    km = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
-    return km / FIBER_KM_PER_SEC * 1000.0
+    """len(rows) x len(cols) matrix of one-way latencies in ms, each equal to ``latency_ms`` bit for bit."""
+    km = np.array([[haversine_km(a, b) for b in cols] for a in rows], dtype=float)
+    return km.reshape(len(rows), len(cols)) / FIBER_KM_PER_SEC * 1000.0
 
 
 def _on_segment(x: float, y: float, x1: float, y1: float, x2: float, y2: float) -> bool:

@@ -26,6 +26,32 @@ settings.register_profile("repo", print_blob=True)
 settings.load_profile("repo")
 
 
+def numpy_cpu_tables():
+    """numpy's ``(__cpu_baseline__, __cpu_dispatch__, __cpu_features__)``, or None if it has no dispatch list."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    if not hasattr(umath, "__cpu_dispatch__"):
+        return None
+    return umath.__cpu_baseline__, umath.__cpu_dispatch__, umath.__cpu_features__
+
+
+def numpy_simd() -> str:
+    """numpy's version, its baseline and the dispatched SIMD features this CPU runs."""
+    tables = numpy_cpu_tables()
+    if tables is None:
+        return f"numpy {np.__version__}: no CPU dispatch list"
+    baseline, dispatch, features = tables
+    running = [f for f in dispatch if features.get(f)]
+    return f"numpy {np.__version__}: baseline {' '.join(baseline) or 'none'}; dispatched {' '.join(running) or 'none'}"
+
+
+def pytest_report_header(config):
+    # Float digests can follow numpy's SIMD code, so a log names the level.
+    return numpy_simd()
+
+
 def square_ring(lon0: float, lat0: float, size: float):
     return (
         (lon0, lat0),

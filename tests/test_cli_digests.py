@@ -26,7 +26,7 @@ from pathlib import Path
 from netwattzap.cli import main
 from netwattzap.grid_model import WasgRegistry, registry_to_geojson
 
-from conftest import SQUARES, build_cli_workspace, build_registry, square_region
+from conftest import SQUARES, build_cli_workspace, build_registry, numpy_simd, square_region
 
 DIGESTS = Path(__file__).with_name("cli_digests.json")
 
@@ -123,7 +123,7 @@ def test_cli_reports_match_recorded_digests(tmp_path):
     got = digests(tmp_path)
     assert sorted(got) == sorted(expected)
     for name in expected:
-        assert got[name] == expected[name], name
+        assert got[name] == expected[name], (name, numpy_simd())
 
 
 if __name__ == "__main__":

@@ -132,10 +132,15 @@ class TestLatency:
         rng = random.Random(5)
         rows = [GeoPoint(rng.uniform(-80, 80), rng.uniform(-170, 170)) for _ in range(4)]
         cols = [GeoPoint(rng.uniform(-80, 80), rng.uniform(-170, 170)) for _ in range(6)]
+        # One point twice: lon -180 and 180 on one latitude, and a point with itself.
+        rows += [GeoPoint(10.0, -180.0), GeoPoint(-42.5, 7.25)]
+        cols += [GeoPoint(10.0, 180.0), GeoPoint(-42.5, 7.25)]
         matrix = pairwise_latency_ms(rows, cols)
+        assert matrix.shape == (6, 8)
         for i, a in enumerate(rows):
             for j, b in enumerate(cols):
-                assert matrix[i][j] == pytest.approx(latency_ms(a, b), rel=1e-9)
+                assert matrix[i, j] == latency_ms(a, b)
+        assert matrix[4, 6] == matrix[5, 7] == 0.0
 
 
 def random_star_polygon(rng: random.Random, cx: float, cy: float, n_verts: int, radius: float):

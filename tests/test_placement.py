@@ -489,6 +489,19 @@ class TestSolveFixtures:
         assert solution.proof == "optimal"
         assert solution.assignment["d1"] == "near"
 
+    def test_zero_latency_bound_across_the_antimeridian(self):
+        # Lon -180 and 180 are one meridian: c serves d at exactly 0 ms.
+        problem = PlacementProblem(
+            candidates=(cand("c", 10.0, 180.0),),
+            demands=(demand("d", 10.0, -180.0),),
+            objective="min_weighted_nearest",
+            select_count=SelectCount(mode="exactly", n=1),
+            latency_bounds={"d": 0.0},
+        )
+        solution = solve_problem(problem)
+        assert (solution.chosen, solution.objective_value, solution.proof) == (("c",), 0.0, "optimal")
+        assert check_feasible(problem, ("c",)) == (True, [])
+
     def test_deeper_than_the_recursion_limit(self):
         # A recursive search raised RecursionError here.
         solution = solve_problem(problem_from_dict(deep_min_cost_doc()))

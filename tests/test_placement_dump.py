@@ -29,6 +29,7 @@ import pytest
 from netwattzap import placement
 from netwattzap.errors import UnsatisfiableStructure
 
+from conftest import numpy_simd
 from test_placement import random_problem
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,7 +87,7 @@ def test_dump_matches_recorded_digests(problems):
     assert len(expected) == 129
     assert sorted(problems) == sorted(expected)
     for name, problem in problems.items():
-        assert outcome(problem) == expected[name], name
+        assert outcome(problem) == expected[name], (name, numpy_simd())
 
 
 DECLARED = re.compile(r"^ 0 <= (\S+) <= 1$")

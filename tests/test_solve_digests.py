@@ -26,6 +26,7 @@ import pytest
 from netwattzap import placement
 from netwattzap.errors import UnsatisfiableStructure
 
+from conftest import numpy_simd
 from test_placement_dump import all_problems
 
 DIGESTS = Path(__file__).with_name("solve_digests.json")
@@ -50,7 +51,7 @@ def test_solve_matches_recorded_digests(problems):
     assert len(expected) == 129
     assert sorted(problems) == sorted(expected)
     for name, problem in problems.items():
-        assert outcome(problem) == expected[name], name
+        assert outcome(problem) == expected[name], (name, numpy_simd())
 
 
 if __name__ == "__main__":
