@@ -51,15 +51,6 @@ _FLAGS = {
 # (flag, flag it needs): the first is read only together with the second.
 _NEEDS = (("geo", "nodes"), ("links", "nodes"), ("metric", "cumulative"), ("cumulative", "metric"))
 
-# Plural spellings accepted for --metric.
-_METRIC_ALIASES = {
-    "ixps": "ixp",
-    "routers": "router",
-    "dns_roots": "dns_root",
-    "datacenters": "datacenter",
-    "demand_points": "demand_point",
-}
-
 
 class Command(NamedTuple):
     handler: Callable[[argparse.Namespace], int]
@@ -200,53 +191,20 @@ def cmd_validate(args) -> int:
     return 2 if violations else (1 if warnings else 0)
 
 
-def _overlap_report_dict(report) -> dict:
-    coverage = {}
-    for kind in list(COMPONENT_KINDS) + ["components"]:
-        zoned = sum(metrics.get(kind, 0) for metrics in report.per_wasg.values())
-        total = zoned + report.uncovered.get(kind, 0)
-        if total:
-            coverage[kind] = {"zoned": zoned, "total": total}
-    return {
-        "per_wasg": report.per_wasg,
-        "uncovered": report.uncovered,
-        "coverage": coverage,
-        "link_categories": report.link_categories,
-        "pair_counts": {f"{a}|{b}": count for (a, b), count in sorted(report.pair_counts.items())},
-        "one_end_counts": dict(sorted(report.one_end_counts.items())),
-        "rankings": {
-            metric: [
-                {"wasg": e.wasg_id, "value": e.value, "cumulative_fraction": e.cumulative_fraction}
-                for e in entries
-            ]
-            for metric, entries in report.rankings.items()
-        },
-    }
-
-
-def _overlap_report_rows(report) -> list[tuple]:
-    rows = [("table", "a", "b", "value")]
-    rows += [("link_categories", category, "", count) for category, count in sorted(report.link_categories.items())]
-    rows += [("pair_counts", a, b, count) for (a, b), count in sorted(report.pair_counts.items())]
-    rows += [("one_end_counts", wasg, "", count) for wasg, count in sorted(report.one_end_counts.items())]
-    for wasg in sorted(report.per_wasg):
-        rows += [("per_wasg", wasg, metric, value) for metric, value in sorted(report.per_wasg[wasg].items())]
-    return rows
-
-
 def cmd_overlap(args) -> int:
     registry = load_registry(args.wasg)
     components, tally, stats = _load_inputs(args, registry)
     report = overlap_mod.distribution_report(components, registry, stats=stats, tally=tally)
     if args.cumulative is not None:  # checked before any output is written
-        metric = _METRIC_ALIASES.get(args.metric, args.metric)
+        aliases = {name: column for column, name in overlap_mod.METRIC_NAMES.items()}
+        metric = aliases.get(args.metric, args.metric)
         if metric not in report.rankings:
             raise ValueError(f"unknown metric {args.metric!r}; have {sorted(report.rankings)}")
         k = overlap_mod.smallest_k(report, metric, args.cumulative)
     if args.format == "csv":
-        _emit_csv(_overlap_report_rows(report), args.out)
+        _emit_csv(report.to_rows(), args.out)
     else:
-        _emit_json(_overlap_report_dict(report), args.out)
+        _emit_json(report.to_dict(), args.out)
     if args.cumulative is not None:
         print(f"smallest k with cumulative {args.metric} >= {args.cumulative}: {k}")
     return 0

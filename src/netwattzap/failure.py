@@ -20,7 +20,7 @@ from .errors import MalformedDocument, UnknownWasg
 from .geo import band_overlap
 from .grid_model import AggregateResult, WasgRegistry, _json_list, _json_number, _json_str, _load_document
 from .ingest import InfraComponent
-from .overlap import TopologyTally, _grid_table, az_collapse
+from .overlap import METRIC_NAMES, TopologyTally, _column_totals, _grid_table, az_collapse
 
 MODES = ("regional", "latitude_band")
 
@@ -136,9 +136,10 @@ def unavailability(
 ) -> UnavailabilityReport:
     """Evaluate a scenario over resolved components, a topology tally, and stats.
 
-    The ixps, dns_roots, routers and internet_users metrics sum a column of the
-    per-grid table ``overlap`` ranks: over the failed grids (unavailable), over
-    every grid (zoned total), and with the remainder outside every grid (total).
+    The ixp, dns_root, router and internet_users metrics, named as in
+    ``overlap.METRIC_NAMES``, sum a column of the per-grid table ``overlap``
+    ranks: over the failed grids (unavailable), over every grid (zoned total),
+    and with the remainder outside every grid (total).
     Metrics appear only for the inputs supplied: a component kind needs a
     component of that kind (routers also count from the ``tally``), datacenter
     zones need a datacenter, the links metric needs a ``tally`` that counted at
@@ -149,14 +150,13 @@ def unavailability(
     per_wasg, uncovered, tally = _grid_table(components, registry, stats, tally)
     details: dict[str, MetricDetail] = {}
 
-    for column, metric in (("ixp", "ixps"), ("dns_root", "dns_roots"), ("router", "routers"),
-                           ("internet_users", "internet_users")):
+    for column in ("ixp", "dns_root", "router", "internet_users"):
         if column not in uncovered:  # statistics not given
             continue
-        zoned_total = sum(metrics[column] for metrics in per_wasg.values())
-        total = zoned_total + uncovered[column]
+        zoned_total, total = _column_totals(per_wasg, uncovered, column)
         if total or column == "internet_users":
             unavailable = sum(per_wasg[wasg_id][column] for wasg_id in failed)
+            metric = METRIC_NAMES.get(column, column)
             details[metric] = MetricDetail(unavailable=unavailable, total=total, zoned_total=zoned_total)
 
     datacenters = [c for c in components if c.kind == "datacenter"]

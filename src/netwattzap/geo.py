@@ -70,9 +70,9 @@ def check_coordinates(lat: float, lon: float) -> None:
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance between two points in kilometers.
 
-    Exactly 0 for identical points, with lon -180 and 180 identified.
+    Exactly 0 for identical points: lon -180 and 180 are one meridian, and a pole is one point at every lon.
     """
-    if a.lat == b.lat and (a.lon == b.lon or abs(a.lon - b.lon) == 360.0):
+    if a.lat == b.lat and (a.lon == b.lon or abs(a.lon - b.lon) == 360.0 or abs(a.lat) == 90.0):
         return 0.0
     phi1 = math.radians(a.lat)
     phi2 = math.radians(b.lat)

@@ -6,8 +6,9 @@ region's bounding box with ``geo.RegionEdges.contains``. Overlapping
 polygons are data defects and resolve deterministically to the
 smallest-area region, with one warning per call. Routers stay columns,
 counted with numpy; link ends are node rows, zoned by row with no id
-lookup. All counting here is purely additive, so each reported figure
-can be re-derived by a brute-force recount.
+lookup. Code ``len(zone_ids)`` is "outside every grid" from resolution
+through the counts. All counting here is purely additive, so each
+reported figure can be re-derived by a brute-force recount.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import itertools
 import logging
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +31,10 @@ from .ingest import COMPONENT_KINDS, InfraComponent, ParsedTopology
 logger = logging.getLogger(__name__)
 
 LINK_CATEGORIES = ("both_mapped", "one_mapped", "none_mapped")
+STAT_METRICS = tuple(f.name for f in fields(StatTotals))
+# Each component column's plural metric name, which --metric also accepts and unavailability reports.
+METRIC_NAMES = {"ixp": "ixps", "router": "routers", "dns_root": "dns_roots", "datacenter": "datacenters",
+                "demand_point": "demand_points"}
 # Region pairs named in the one warning about points inside several regions.
 AMBIGUOUS_LISTED = 3
 # A pair of regions inside both of which more than this share of the samples lies is warned about.
@@ -41,7 +46,8 @@ class RegionIndex:
 
     Built per call from the registry: one ``RegionEdges`` per region with
     a boundary, ordered by (area_km2, id) so the first hit wins. A zone
-    code is a position in ``zone_ids``, the sorted ids of those regions.
+    code is a position in ``zone_ids``, the sorted ids of those regions,
+    or ``len(zone_ids)`` for none of them.
     """
 
     def __init__(self, registry: WasgRegistry):
@@ -62,18 +68,19 @@ class RegionIndex:
         return out
 
     def resolve(self, lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
-        """Zone code per (lon, lat) point, -1 outside every region; each distinct point is tested once.
+        """Zone code per (lon, lat) point, ``len(zone_ids)`` outside every region; each distinct point tested once.
 
         One warning covers all points inside several regions, counted and
         listed as if each point had been tested on its own.
         """
         # As complex numbers, points sort by lon, then lat, in one native sort.
         distinct, inverse = np.unique(lons + 1j * lats, return_inverse=True)
-        zone = np.full(len(distinct), -1)
+        outside = len(self.zone_ids)
+        zone = np.full(len(distinct), outside)
         ambiguous = np.zeros(len(distinct), dtype=bool)
         pairs: list[str] = []
         for code, region, idx in zip(self.codes, self.regions, self.hits(distinct.real, distinct.imag)):
-            first = zone[idx] < 0
+            first = zone[idx] == outside
             taken = idx[~first]
             if len(taken):
                 ambiguous[taken] = True
@@ -97,7 +104,8 @@ def _zones_of(points: Sequence[GeoPoint], registry: WasgRegistry) -> list[str | 
     index = RegionIndex(registry)
     lons = np.fromiter((p.lon for p in points), dtype=float, count=len(points))
     lats = np.fromiter((p.lat for p in points), dtype=float, count=len(points))
-    return [index.zone_ids[k] if k >= 0 else None for k in index.resolve(lons, lats).tolist()]
+    names = [*index.zone_ids, None]
+    return [names[k] for k in index.resolve(lons, lats).tolist()]
 
 
 def resolve_components(
@@ -138,36 +146,38 @@ def tally_topology(topo: ParsedTopology, registry: WasgRegistry) -> TopologyTall
         UnknownNode: if a link end is not a row of ``topo.nodes``.
     """
     index = RegionIndex(registry)
+    g = len(index.zone_ids)
     nodes = topo.nodes
     located = ~np.isnan(nodes["lat"])
-    codes = np.full(len(nodes), -1, dtype=np.int64)
+    codes = np.full(len(nodes), g, dtype=np.int64)
     codes[located] = index.resolve(nodes["lon"][located], nodes["lat"][located])
     tally = _tally_links(topo.links, codes, index.zone_ids)
-    # Shifted by one: bin 0 holds the routers outside every grid.
-    per_zone = np.bincount(codes[located] + 1, minlength=len(index.zone_ids) + 1).tolist()
-    tally.routers = {zone: n for zone, n in zip(index.zone_ids, per_zone[1:]) if n}
-    tally.routers_unzoned = per_zone[0]
+    per_zone = np.bincount(codes[located], minlength=g + 1).tolist()
+    tally.routers = {zone: n for zone, n in zip(index.zone_ids, per_zone) if n}
+    tally.routers_unzoned = per_zone[g]
     return tally
 
 
 def _tally_links(links: np.ndarray, codes: np.ndarray, zone_ids: Sequence[str]) -> TopologyTally:
-    """Tally ``(k, 2)`` links of node rows by their mapped ends; ``codes`` is each row's zone code, -1 for none."""
+    """Tally ``(k, 2)`` links of node rows by their mapped ends.
+
+    ``codes`` is each row's zone code, ``len(zone_ids)`` outside every grid, as ``RegionIndex.resolve`` gives it.
+    """
     if len(links) and (links.min() < 0 or links.max() >= len(codes)):
         row, col = divmod(int(np.argmax((links < 0) | (links >= len(codes)))), 2)
         raise UnknownNode(f"link {row} names node row {links[row, col]}, outside the {len(codes)} nodes")
-    # Count each ordered pair of end codes, with G (one past the last code) for "no zone". Codes
-    # follow sorted zone ids, so the matrix folded onto its upper triangle counts sorted pairs.
+    # Count each ordered pair of end codes. Codes follow sorted zone ids, so the
+    # matrix folded onto its upper triangle counts sorted pairs.
     g = len(zone_ids)
-    zoned = np.where(codes < 0, g, codes)
-    key = (zoned * (g + 1))[links[:, 0]]
-    key += zoned[links[:, 1]]
+    key = (codes * (g + 1))[links[:, 0]]
+    key += codes[links[:, 1]]
     ordered = np.bincount(key, minlength=(g + 1) ** 2).reshape(g + 1, g + 1)
     matrix = np.triu(ordered) + np.tril(ordered, -1).T
     lo, hi = np.nonzero(matrix[:g, :g])
     pairs = {(zone_ids[a], zone_ids[b]): n for a, b, n in zip(lo.tolist(), hi.tolist(), matrix[lo, hi].tolist())}
     one = matrix[:g, g].tolist()
     one_end = {zone_ids[code]: n for code, n in enumerate(one) if n}
-    counts = {"both_mapped": sum(pairs.values()), "one_mapped": sum(one), "none_mapped": int(matrix[g, g])}
+    counts = dict(zip(LINK_CATEGORIES, (sum(pairs.values()), sum(one), int(matrix[g, g]))))
     return TopologyTally(counts=counts, pairs=pairs, one_end=one_end)
 
 
@@ -200,9 +210,6 @@ def az_collapse(datacenters: Sequence[InfraComponent]) -> AzCollapse:
     return AzCollapse(zone_count=len(groups) + len(unzoned), groups=groups, unzoned=unzoned)
 
 
-STAT_METRICS = ("population", "internet_users", "area_km2")
-
-
 @dataclass
 class RankEntry:
     wasg_id: str
@@ -225,6 +232,47 @@ class OverlapReport:
     pair_counts: dict[tuple[str, str], int]
     one_end_counts: dict[str, int]
     rankings: dict[str, list[RankEntry]]
+
+    def to_dict(self) -> dict:
+        """JSON layout: the tables, pairs as ``a|b`` keys, and each column's zoned and total count."""
+        coverage = {}
+        for kind in (*COMPONENT_KINDS, "components"):
+            zoned, total = _column_totals(self.per_wasg, self.uncovered, kind)
+            if total:
+                coverage[kind] = {"zoned": zoned, "total": total}
+        return {
+            "per_wasg": self.per_wasg,
+            "uncovered": self.uncovered,
+            "coverage": coverage,
+            "link_categories": self.link_categories,
+            "pair_counts": {f"{a}|{b}": count for (a, b), count in sorted(self.pair_counts.items())},
+            "one_end_counts": dict(sorted(self.one_end_counts.items())),
+            "rankings": {
+                metric: [
+                    {"wasg": e.wasg_id, "value": e.value, "cumulative_fraction": e.cumulative_fraction}
+                    for e in entries
+                ]
+                for metric, entries in self.rankings.items()
+            },
+        }
+
+    def to_rows(self) -> list[tuple]:
+        """CSV layout: a header, then (table, a, b, value) rows of the link and per-grid tables."""
+        rows = [("table", "a", "b", "value")]
+        rows += [("link_categories", category, "", count) for category, count in sorted(self.link_categories.items())]
+        rows += [("pair_counts", a, b, count) for (a, b), count in sorted(self.pair_counts.items())]
+        rows += [("one_end_counts", wasg, "", count) for wasg, count in sorted(self.one_end_counts.items())]
+        for wasg in sorted(self.per_wasg):
+            rows += [("per_wasg", wasg, metric, value) for metric, value in sorted(self.per_wasg[wasg].items())]
+        return rows
+
+
+def _column_totals(
+    per_wasg: dict[str, dict[str, float]], uncovered: dict[str, float], column: str
+) -> tuple[float, float]:
+    """(zoned, total): the column summed over every grid, then with the remainder outside every grid."""
+    zoned = sum(metrics.get(column, 0) for metrics in per_wasg.values())
+    return zoned, zoned + uncovered.get(column, 0)
 
 
 def _rank(per_wasg: dict[str, dict[str, float]], uncovered_total: float, metric: str) -> list[RankEntry]:
@@ -289,13 +337,8 @@ def distribution_report(
 ) -> OverlapReport:
     """Aggregate resolved components, a topology tally's routers and links, and statistics per grid."""
     per_wasg, uncovered, tally = _grid_table(components, registry, stats, tally)
-    metrics_present = list(COMPONENT_KINDS) + ["components"]
-    if stats is not None:
-        metrics_present += list(STAT_METRICS)
-    rankings = {
-        metric: _rank(per_wasg, uncovered.get(metric, 0), metric) for metric in metrics_present
-    }
-
+    # Each column of the table is ranked: the component kinds, the statistics when given, and the total.
+    rankings = {metric: _rank(per_wasg, total, metric) for metric, total in uncovered.items()}
     return OverlapReport(
         per_wasg=per_wasg,
         uncovered=uncovered,

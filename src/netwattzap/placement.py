@@ -218,7 +218,6 @@ class IlpModel:
 
     problem: PlacementProblem
     order: tuple[str, ...]
-    objective_sense: str
     # available[i]: no latency bound excludes candidate i from selection.
     available: np.ndarray
     zone_of: tuple[str | tuple[str], ...]  # PlacementProblem.zone_key
@@ -248,7 +247,7 @@ class IlpModel:
         else:
             objective = zip(x, self.lin_coeff)
         lines = [f"\\ placement model: objective={problem.objective}"]
-        lines.append("Maximize" if self.objective_sense == "max" else "Minimize")
+        lines.append("Maximize" if problem.objective == "max_pairwise_distance_sum" else "Minimize")
         lines.append(" obj: " + _poly(list(objective)))
         lines.append("Subject To")
         lines.extend(f" {tag}: {_poly(terms)} {sense} {rhs}" for tag, terms, sense, rhs in self._rows(x, aux, pairs))
@@ -387,7 +386,6 @@ def build_ilp(problem: PlacementProblem) -> IlpModel:
     return IlpModel(
         problem=problem,
         order=order,
-        objective_sense="max" if problem.objective == "max_pairwise_distance_sum" else "min",
         available=available,
         zone_of=zone_of,
         lin_coeff=coeff,
@@ -542,7 +540,7 @@ def _search(model: IlpModel, deadline: float) -> tuple[int, float | None, tuple[
 
         cur = cols[:, m:]
     elif pairwise:
-        sign = -1.0 if model.objective_sense == "max" else 1.0
+        sign = -1.0 if problem.objective == "max_pairwise_distance_sum" else 1.0
         dist = model.dist
         tail_pairs, tail_rows = _pair_tables([[sign * v for v in row] for row in dist], available, n * (n - 1) // 2)
         cur = sign * 0.0  # the empty set's value, signed as every pair sum is
@@ -642,7 +640,7 @@ def solve(model: IlpModel, time_limit: float = 60.0) -> PlacementSolution:
     started = time.monotonic()
     nodes, value, picked, timed_out = _search(model, started + time_limit)
     elapsed = time.monotonic() - started
-    if value is not None and model.objective_sense == "max":
+    if value is not None and model.problem.objective == "max_pairwise_distance_sum":
         value = -value
     if value is not None and not math.isfinite(value):
         # Only a minimized value overflows; an optimal one means that every feasible set's value does.

@@ -34,7 +34,7 @@ class ReferenceSearch:
         self.exactly = self.problem.select_count.mode == "exactly"
         self.nearest = self.problem.objective == "min_weighted_nearest"
         self.pairwise = self.problem.objective in PAIRWISE_OBJECTIVES
-        self.pair_sign = -1.0 if self.model.objective_sense == "max" else 1.0
+        self.pair_sign = -1.0 if self.problem.objective == "max_pairwise_distance_sum" else 1.0
         self.available = model.available.tolist()
         self.rules = self.problem.location_rules
         self.rule_match = model.rule_match

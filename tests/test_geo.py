@@ -132,15 +132,18 @@ class TestLatency:
         rng = random.Random(5)
         rows = [GeoPoint(rng.uniform(-80, 80), rng.uniform(-170, 170)) for _ in range(4)]
         cols = [GeoPoint(rng.uniform(-80, 80), rng.uniform(-170, 170)) for _ in range(6)]
-        # One point twice: lon -180 and 180 on one latitude, and a point with itself.
-        rows += [GeoPoint(10.0, -180.0), GeoPoint(-42.5, 7.25)]
-        cols += [GeoPoint(10.0, 180.0), GeoPoint(-42.5, 7.25)]
+        # One point twice: lon -180 and 180 on one latitude, a point with itself, and each
+        # pole at two longitudes.
+        rows += [GeoPoint(10.0, -180.0), GeoPoint(-42.5, 7.25), GeoPoint(90.0, 10.0), GeoPoint(-90.0, -180.0)]
+        cols += [GeoPoint(10.0, 180.0), GeoPoint(-42.5, 7.25), GeoPoint(90.0, -170.0), GeoPoint(-90.0, 33.5)]
         matrix = pairwise_latency_ms(rows, cols)
-        assert matrix.shape == (6, 8)
+        assert matrix.shape == (8, 10)
         for i, a in enumerate(rows):
             for j, b in enumerate(cols):
                 assert matrix[i, j] == latency_ms(a, b)
-        assert matrix[4, 6] == matrix[5, 7] == 0.0
+        assert matrix[4, 6] == matrix[5, 7] == matrix[6, 8] == matrix[7, 9] == 0.0
+        # The two poles are half a circumference apart, not one point.
+        assert matrix[6, 9] == latency_ms(GeoPoint(90.0, 0.0), GeoPoint(-90.0, 0.0)) > 0.0
 
 
 def random_star_polygon(rng: random.Random, cx: float, cy: float, n_verts: int, radius: float):

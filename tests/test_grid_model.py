@@ -682,6 +682,13 @@ class TestRegistryContainer:
         with pytest.raises(UnknownWasg):
             registry.by_abbrev("nope")
 
+    def test_registry_equality_is_by_content(self):
+        assert build_registry() == build_registry()
+        # Against anything else __eq__ returns NotImplemented, so == falls back to identity.
+        registry = build_registry()
+        assert registry.__eq__(registry_to_geojson(registry)) is NotImplemented
+        assert registry != registry_to_geojson(registry)
+
     def test_registry_rejects_duplicate_ids(self):
         region = build_registry().get("W00")
         other = copy.deepcopy(region)

@@ -58,7 +58,7 @@ def resolve_points(points, registry) -> list[str | None]:
     """``RegionIndex.resolve`` of GeoPoints, as zone ids."""
     index = RegionIndex(registry)
     codes = index.resolve(np.array([p.lon for p in points]), np.array([p.lat for p in points]))
-    return [index.zone_ids[k] if k >= 0 else None for k in codes.tolist()]
+    return [index.zone_ids[k] if k < len(index.zone_ids) else None for k in codes.tolist()]
 
 
 def topology(nodes, links) -> ParsedTopology:
@@ -150,7 +150,7 @@ def categorize(links, node_zones, zone_ids=None):
     if zone_ids is None:
         zone_ids = sorted({zone for zone in node_zones.values() if zone is not None})
     node_ids = np.array(sorted(node_zones), dtype=np.int64)
-    codes = [-1 if node_zones[n] is None else zone_ids.index(node_zones[n]) for n in node_ids.tolist()]
+    codes = [len(zone_ids) if node_zones[n] is None else zone_ids.index(node_zones[n]) for n in node_ids.tolist()]
     return overlap._tally_links(link_rows(node_ids, links), np.array(codes, dtype=np.int64), zone_ids)
 
 
@@ -245,7 +245,7 @@ class TestCategorizeLinks:
         # temporaries may not outgrow the links array itself.
         rng = np.random.default_rng(0)
         zone_ids = [f"Z{i:02d}" for i in range(43)]
-        codes = rng.integers(-1, len(zone_ids), 1000)
+        codes = rng.integers(0, len(zone_ids) + 1, 1000)
         links = rng.integers(0, len(codes), (200_000, 2))
         tracemalloc.start()
         try:

@@ -319,6 +319,18 @@ class TestBuildIlp:
         assert dump_section(model, "Bounds") == ["0 <= y[d1,a] <= 1", "0 <= y[d1,b] <= 1"]
         assert dump_section(model, "Binaries") == ["x[a] x[b]"]
 
+    def test_nearest_model_without_demands_has_zero_objective(self):
+        problem = PlacementProblem(
+            candidates=(cand("a", 10.0, 10.0), cand("b", 40.0, 40.0)),
+            demands=(),
+            objective="min_weighted_nearest",
+            select_count=SelectCount(mode="exactly", n=1),
+        )
+        model = build_ilp(problem)
+        assert model.dump().splitlines()[1:3] == ["Minimize", " obj: 0"]
+        assert dump_section(model, "Subject To") == ["select_count: x[a] + x[b] == 1"]
+        assert "Bounds" not in model.dump()
+
     @pytest.mark.parametrize("objective, sense", [(PAIRWISE[0], "Minimize"), (PAIRWISE[1], "Maximize")])
     def test_pairwise_model_has_pair_vars(self, objective, sense):
         a, b, c = cand("a", 0.0, 0.0, zone="Z1"), cand("b", 0.0, 10.0, zone="Z2"), cand("c", 5.0, 5.0, zone="Z2")
@@ -494,6 +506,20 @@ class TestSolveFixtures:
         problem = PlacementProblem(
             candidates=(cand("c", 10.0, 180.0),),
             demands=(demand("d", 10.0, -180.0),),
+            objective="min_weighted_nearest",
+            select_count=SelectCount(mode="exactly", n=1),
+            latency_bounds={"d": 0.0},
+        )
+        solution = solve_problem(problem)
+        assert (solution.chosen, solution.objective_value, solution.proof) == (("c",), 0.0, "optimal")
+        assert check_feasible(problem, ("c",)) == (True, [])
+
+    @pytest.mark.parametrize("lat", [90.0, -90.0])
+    def test_zero_latency_bound_at_a_pole(self, lat):
+        # A pole is one point at every longitude: c serves d at exactly 0 ms.
+        problem = PlacementProblem(
+            candidates=(cand("c", lat, 135.0),),
+            demands=(demand("d", lat, -20.0),),
             objective="min_weighted_nearest",
             select_count=SelectCount(mode="exactly", n=1),
             latency_bounds={"d": 0.0},
@@ -694,6 +720,15 @@ class TestProblemIo:
             ),
             ({"latency_bounds": {"d9": 5.0}}, "latency_bounds reference unknown demands: ['d9']"),
             ({"latency_override": {"d1": {"c1": 1.0, "c3": 3.0}}}, "latency_override missing entry ('d1', 'c2')"),
+            ({"latency_override": {"d9": {"c1": 1.0}}}, "latency_override missing demand 'd1'"),
+            (
+                {"location_rules": [{"predicate": {"country_codes": []}, "min_count": 1}]},
+                "country_codes predicate needs at least one code",
+            ),
+            (
+                {"location_rules": [{"predicate": {"continent": "EU"}, "min_count": 1}]},
+                "unknown predicate kind 'continent'",
+            ),
         ],
     )
     def test_refused_document_names_its_rule(self, change, message):
