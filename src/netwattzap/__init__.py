@@ -49,7 +49,6 @@ from .placement import (
     PlacementSolution,
     SelectCount,
     build_ilp,
-    check_feasible,
     solve,
     solve_problem,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "band_overlap",
     "build_graph",
     "build_ilp",
-    "check_feasible",
     "distribution_report",
     "flow_reduction",
     "gomory_hu",

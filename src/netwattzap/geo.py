@@ -6,8 +6,9 @@ with numpy's trigonometry, whose last bits follow the SIMD code it
 dispatches. One-way latency divides it by the signal speed in fiber,
 ``FIBER_KM_PER_SEC`` (200,000 km/s, roughly 2c/3). Zone membership is
 planar even-odd point-in-polygon on lon/lat degrees with the boundary
-counting as inside; polygons crossing the antimeridian must be pre-split
-in the source data. ``point_in_region`` tests one point in pure Python
+counting as inside; a polygon crossing the antimeridian must be split
+at lon +-180, and ``grid_model`` refuses a ring edge that spans more than
+180 degrees of longitude without ending on it. ``point_in_region`` tests one point in pure Python
 and is the reference for ``RegionEdges.contains``, which tests many
 points at once in numpy with the same float expressions, so both agree
 bit for bit. It tests each point only against the edges whose closed

@@ -74,9 +74,12 @@ class WasgRegion:
             raise ValueError(f"region {self.id!r}: area_km2 must be positive when a boundary is present")
         if any(len(polygon) == 0 for polygon in self.boundary):
             raise ValueError(f"region {self.id!r}: polygon with no ring")
-        object.__setattr__(self, "boundary", tuple(tuple(map(self._ring, polygon)) for polygon in self.boundary))
+        boundary = tuple(
+            tuple(self._ring(ring, p, r) for r, ring in enumerate(polygon)) for p, polygon in enumerate(self.boundary)
+        )
+        object.__setattr__(self, "boundary", boundary)
 
-    def _ring(self, vertices) -> Ring:
+    def _ring(self, vertices, p: int, r: int) -> Ring:
         # A caller's vertices are copied, so the region never shares their memory.
         ring = vertices.view(np.ndarray) if type(vertices) is _Decoded else np.array(vertices, dtype=np.float64)
         if len(ring) < 4:
@@ -87,6 +90,15 @@ class WasgRegion:
         if not (np.abs(ring) <= (180.0, 90.0)).all():
             raise ValueError(
                 f"region {self.id!r}: non-finite ring coordinate or one outside lon [-180, 180], lat [-90, 90]"
+            )
+        # The planar test reads an edge spanning over 180 degrees as going the other way round the
+        # globe. One that ends on lon +-180 is the side of a strip round every longitude, and stays.
+        lon = ring[:, 0]
+        wide = np.abs(np.diff(lon)) > 180.0
+        if wide.any() and (wide & (np.abs(lon[1:]) < 180.0) & (np.abs(lon[:-1]) < 180.0)).any():
+            raise ValueError(
+                f"region {self.id!r}: polygon {p} ring {r} has an edge spanning more than 180 degrees of longitude;"
+                " split rings that cross the antimeridian at lon +-180"
             )
         if (ring[0] != ring[-1]).any():
             raise OpenRing(f"region {self.id!r}: ring not closed (first vertex != last)")

@@ -10,15 +10,28 @@ The differential tests hold the fast search to it node for node: same
 chosen set, objective value, assignment, proof and ``nodes_explored``.
 The assignment comes from ``ReferenceSearch.assignment_for``, so the
 library's ``argmin`` is held to the scalar loop too.
+
+``objective_value`` and ``check_feasible`` recompute a chosen set's
+value and check its constraints from the problem alone, without the
+solver's model.
 """
 
 from __future__ import annotations
 
 import time
+from typing import Sequence
 from unittest import mock
 
 from netwattzap import placement
-from netwattzap.placement import PAIRWISE_OBJECTIVES, IlpModel, PlacementSolution, _ordered_sum
+from netwattzap.placement import (
+    PAIRWISE_OBJECTIVES,
+    IlpModel,
+    PlacementProblem,
+    PlacementSolution,
+    _ordered_sum,
+    distance_matrix,
+    latency_matrix,
+)
 
 
 class ReferenceSearch:
@@ -226,3 +239,102 @@ def solve(model: IlpModel, time_limit: float = 60.0) -> PlacementSolution:
     if search.best_chosen is not None:
         solution.assignment = search.assignment_for(search.best_chosen)
     return solution
+
+
+def objective_value(problem: PlacementProblem, chosen: Sequence[str]) -> float:
+    """Recompute the objective for a chosen id set, in the documented order."""
+    order = sorted(problem.candidates, key=lambda c: c.id)
+    index = {c.id: i for i, c in enumerate(order)}
+    picked = sorted(chosen, key=lambda cid: index[cid])
+    if problem.objective == "min_cost":
+        return _ordered_sum(order[index[cid]].cost for cid in picked)
+    if problem.objective in PAIRWISE_OBJECTIVES:
+        dist = distance_matrix(problem)
+        return _ordered_sum(
+            dist[index[picked[a]]][index[picked[b]]]
+            for a in range(len(picked))
+            for b in range(a + 1, len(picked))
+        )
+    lat = latency_matrix(problem).tolist()
+    if problem.objective == "min_weighted_sum_all":
+        return _ordered_sum(
+            _ordered_sum(d.weight * lat[j][index[cid]] for j, d in enumerate(problem.demands))
+            for cid in picked
+        )
+    total = 0.0
+    bounds = dict(problem.latency_bounds or {})
+    for j, d in enumerate(problem.demands):
+        best = None
+        for cid in picked:
+            i = index[cid]
+            if d.id in bounds and lat[j][i] > bounds[d.id]:
+                continue
+            if best is None or lat[j][i] < best:
+                best = lat[j][i]
+        if best is None:
+            raise ValueError(f"demand {d.id!r} has no assignable chosen candidate")
+        total += d.weight * best
+    return total
+
+
+
+
+def check_feasible(problem: PlacementProblem, chosen: Sequence[str]) -> tuple[bool, list[str]]:
+    """Independent constraint check for a chosen set; never consults the solver.
+
+    Returns (ok, violations). Checks cardinality, zone caps, location
+    rules, and latency-bound semantics for the problem's objective.
+    """
+    violations: list[str] = []
+    by_id = {c.id: c for c in problem.candidates}
+    unknown = sorted(set(chosen) - set(by_id))
+    if unknown:
+        return False, [f"unknown candidate ids: {unknown}"]
+    picked = [by_id[cid] for cid in sorted(set(chosen))]
+    if len(set(chosen)) != len(list(chosen)):
+        violations.append("duplicate ids in chosen set")
+
+    n = problem.select_count.n
+    if problem.select_count.mode == "exactly" and len(picked) != n:
+        violations.append(f"cardinality: {len(picked)} chosen, exactly {n} required")
+    if problem.select_count.mode == "at_most" and len(picked) > n:
+        violations.append(f"cardinality: {len(picked)} chosen, at most {n} allowed")
+
+    per_zone: dict[str, int] = {}
+    for c in picked:
+        key = problem.zone_key(c)
+        per_zone[key] = per_zone.get(key, 0) + 1
+    # Singleton keys count one pick, never over cap: the rest are grid ids.
+    for zone, used in sorted((z, used) for z, used in per_zone.items() if used > problem.zone_cap):
+        violations.append(f"zone cap: {used} chosen in zone {zone!r}, cap {problem.zone_cap}")
+
+    for r, rule in enumerate(problem.location_rules):
+        matched = sum(1 for c in picked if rule.matches(c))
+        if matched < rule.min_count:
+            violations.append(
+                f"location rule {r} ({rule.describe()}): {matched} matched, {rule.min_count} required"
+            )
+
+    bounds = dict(problem.latency_bounds or {})
+    if bounds:
+        lat = latency_matrix(problem).tolist()
+        order = sorted(problem.candidates, key=lambda c: c.id)
+        index = {c.id: i for i, c in enumerate(order)}
+        if problem.objective == "min_weighted_nearest":
+            for j, d in enumerate(problem.demands):
+                if d.id not in bounds:
+                    continue
+                if not any(lat[j][index[c.id]] <= bounds[d.id] for c in picked):
+                    violations.append(f"latency: demand {d.id!r} has no chosen candidate within its bound")
+        else:
+            for j, d in enumerate(problem.demands):
+                if d.id not in bounds:
+                    continue
+                for c in picked:
+                    if lat[j][index[c.id]] > bounds[d.id]:
+                        violations.append(
+                            f"latency: candidate {c.id!r} violates demand {d.id!r} bound"
+                        )
+    if problem.objective == "min_weighted_nearest" and problem.demands and not picked:
+        violations.append("nearest objective requires at least one chosen candidate")
+    return (not violations, violations)

@@ -1090,6 +1090,34 @@ class TestGeometryErrorsNameTheirFeature:
         assert json.loads(capsys.readouterr().out)["violations"] == [f"MalformedDocument: feature 0 ('A'): {message}"]
 
 
+class TestRingAcrossTheAntimeridian:
+    """A grid whose ring runs from lon 178 to -178 unsplit: one IXP near Suva, one in the Atlantic."""
+
+    ERROR = (
+        "MalformedDocument: feature 0 ('FJ'): region 'FJ': polygon 0 ring 0 has an edge spanning more than"
+        " 180 degrees of longitude; split rings that cross the antimeridian at lon +-180"
+    )
+
+    def test_one_error_line_and_one_violation(self, tmp_path, capsys):
+        ring = [[178.0, -18.0], [-178.0, -18.0], [-178.0, -16.0], [178.0, -16.0], [178.0, -18.0]]
+        feature = {
+            "type": "Feature",
+            "geometry": {"type": "Polygon", "coordinates": [ring]},
+            "properties": {"id": "FJ", "name": "Fiji", "abbrev": "FJ", "members": ["FJ"], "area_km2": 18274.0},
+        }
+        wasg = tmp_path / "wasg.geojson"
+        wasg.write_text(json.dumps({"type": "FeatureCollection", "features": [feature]}), encoding="utf-8")
+        ixps = tmp_path / "ixps.csv"
+        ixps.write_text(
+            "id,kind,lat,lon,weight,attrs_json\nsuva,ixp,-17.0,179.0,,\natlantic,ixp,-17.0,0.0,,\n", encoding="utf-8"
+        )
+        assert main(["overlap", "--wasg", str(wasg), "--components", f"ixp={ixps}"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {self.ERROR}\n")
+        assert main(["validate", "--wasg", str(wasg)]) == 2
+        assert json.loads(capsys.readouterr().out)["violations"] == [self.ERROR]
+
+
 class TestExitContract:
     @pytest.mark.parametrize("error", [MemoryError(), MemoryError("no room for 10^9 links")])
     def test_memory_error_is_one_error_line(self, workspace, monkeypatch, capsys, error):

@@ -94,6 +94,27 @@ def graphs(draw, max_nodes: int = 9) -> WasgGraph:
     return WasgGraph(nodes=frozenset(names), edges=caps)
 
 
+@st.composite
+def dense_graphs(draw) -> WasgGraph:
+    """Graphs of 3-14 nodes in which each pair is an edge with probability >= 0.5.
+
+    Most pairs are adjacent, so the greedy start of every cut meets the
+    direct arc, two- and three-arc paths that share arcs, and pushes over
+    arcs that earlier pushes reversed. Capacities are small or heavy-tailed
+    up to 10**6.
+    """
+    n = draw(st.integers(3, 14))
+    names = [f"n{i:02d}" for i in range(n)]
+    percent = draw(st.integers(50, 100), label="edge percent")
+    capacity = st.integers(1, 4) | st.integers(0, 6).flatmap(lambda k: st.integers(1, 10**k))
+    caps = {
+        (a, b): draw(capacity)
+        for a, b in itertools.combinations(names, 2)
+        if draw(st.integers(0, 99)) < percent
+    }
+    return WasgGraph(nodes=frozenset(names), edges=caps)
+
+
 class TestBuildGraph:
     def test_drops_same_grid_pairs(self):
         g = build_graph({("A", "B"): 3, ("A", "A"): 5})
@@ -352,6 +373,23 @@ class TestDinicAgainstEdmondsKarp:
     @given(g=graphs(max_nodes=11))
     def test_gomory_hu_edges_match_gusfield(self, g):
         assert gomory_hu(g).edges == edmonds_karp.gomory_hu(g).edges
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=dense_graphs())
+    def test_min_cut_on_dense_graphs(self, g):
+        for s, t in itertools.permutations(sorted(g.nodes), 2):
+            assert min_cut(g, s, t) == edmonds_karp.min_cut(g, s, t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=dense_graphs())
+    def test_gomory_hu_on_dense_graphs(self, g):
+        assert gomory_hu(g).edges == edmonds_karp.gomory_hu(g).edges
+
+    def test_gomory_hu_of_the_sweep_graph_and_its_failure_subgraphs(self, tmp_path):
+        pair_counts, failure_sets = sweep_inputs(tmp_path)
+        g = build_graph(pair_counts)
+        for h in [g, *(subgraph(g, g.nodes - failed) for failed in failure_sets)]:
+            assert gomory_hu(h).edges == edmonds_karp.gomory_hu(h).edges
 
     @settings(max_examples=100, deadline=None)
     @given(g=graphs(), data=st.data())

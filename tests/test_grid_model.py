@@ -31,6 +31,7 @@ from netwattzap.grid_model import (
     registry_to_geojson,
 )
 from netwattzap.ingest import parse_stats
+from netwattzap.overlap import RegionIndex
 
 from conftest import build_registry, build_stats, square_region, square_ring
 
@@ -125,6 +126,14 @@ class TestLoadRegistry:
     def test_ring_on_range_limits_loads(self):
         registry = load_registry(collection(feature("A", "A", ["US"], lon0=165.0, lat0=75.0, size=15.0)))
         assert max(lat for _, lat in registry.get("A").boundary[0][0]) == 90.0
+
+    def test_strip_round_every_longitude_loads(self):
+        doc = collection(feature("A", "A", ["US"]))
+        strip = [[-180.0, 10.0], [180.0, 10.0], [180.0, 20.0], [-180.0, 20.0], [-180.0, 10.0]]
+        doc["features"][0]["geometry"]["coordinates"] = [strip]
+        index = RegionIndex(load_registry(doc))
+        lons, lats = np.array([-179.0, 0.0, 179.0, 0.0]), np.array([15.0, 15.0, 15.0, 25.0])
+        assert index.resolve(lons, lats).tolist() == [0, 0, 0, 1]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_area_rejected(self, bad):
@@ -496,10 +505,12 @@ class TestLoadDocumentCollector:
 
 def test_registry_decode_peak_memory_is_bounded_by_the_file(tmp_path):
     # 43 grids of 1,000 distinct vertices each: more than 1 MiB of ring text.
+    # Each grid keeps to one hemisphere of longitude, so no edge crosses the antimeridian.
     rng = random.Random(7)
     features = []
     for i in range(43):
-        ring = [[round(rng.uniform(-170, 170), 6), round(rng.uniform(-80, 80), 6)] for _ in range(1000)]
+        side = 1 if i % 2 else -1
+        ring = [[round(side * rng.uniform(5, 175), 6), round(rng.uniform(-80, 80), 6)] for _ in range(1000)]
         features.append(feature(f"G{i:02d}", f"G{i:02d}", [f"M{i}"]))
         features[-1]["geometry"]["coordinates"] = [ring + ring[:1]]
     path = tmp_path / "wasg.geojson"
@@ -514,6 +525,57 @@ def test_registry_decode_peak_memory_is_bounded_by_the_file(tmp_path):
         tracemalloc.stop()
     assert len(registry) == 43
     assert peak <= 3 * size, f"peak {peak} B for a {size} B file"
+
+
+@st.composite
+def antimeridian_boxes(draw):
+    """(west, east, south, north): a box that runs east from lon west > 0 across 180 to lon east < 0."""
+    west = draw(st.floats(1.0, 179.5))
+    east = draw(st.floats(-179.5, west - 180.5))
+    south = draw(st.floats(-85.0, 80.0))
+    return west, east, south, south + draw(st.floats(0.5, 5.0))
+
+
+def box_ring(lon0, lon1, south, north, reverse):
+    ring = [[lon0, south], [lon1, south], [lon1, north], [lon0, north], [lon0, south]]
+    return ring[::-1] if reverse else ring
+
+
+class TestAntimeridian:
+    """A ring edge across the antimeridian is refused; the same ring split at +-180 loads."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(box=antimeridian_boxes(), reverse=st.booleans())
+    def test_unsplit_ring_is_refused(self, box, reverse):
+        west, east, south, north = box
+        doc = collection(feature("A", "A", ["US"]), feature("FJ", "FJ", ["FJ"], lon0=30.0))
+        doc["features"][1]["geometry"] = {
+            "type": "MultiPolygon",
+            "coordinates": [[SQUARE], [box_ring(west, east, south, north, reverse)]],
+        }
+        with pytest.raises(MalformedDocument) as refused:
+            load_registry(doc)
+        assert str(refused.value) == (
+            "feature 1 ('FJ'): region 'FJ': polygon 1 ring 0 has an edge spanning more than 180 degrees"
+            " of longitude; split rings that cross the antimeridian at lon +-180"
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(box=antimeridian_boxes(), reverse=st.booleans())
+    def test_ring_split_at_the_antimeridian_loads_and_resolves(self, box, reverse):
+        west, east, south, north = box
+        doc = collection(feature("FJ", "FJ", ["FJ"]))
+        doc["features"][0]["geometry"] = {
+            "type": "MultiPolygon",
+            "coordinates": [
+                [box_ring(west, 180.0, south, north, reverse)],
+                [box_ring(-180.0, east, south, north, reverse)],
+            ],
+        }
+        index = RegionIndex(load_registry(doc))
+        lat = (south + north) / 2
+        lons = np.array([(west + 180.0) / 2, (east - 180.0) / 2, 0.0, (west + east) / 2])
+        assert index.resolve(lons, np.full(4, lat)).tolist() == [0, 0, 1, 1]
 
 
 class TestAdminStatRecord:

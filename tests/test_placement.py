@@ -24,15 +24,15 @@ from netwattzap.placement import (
     PlacementProblem,
     SelectCount,
     build_ilp,
-    check_feasible,
     latency_matrix,
     load_problem,
-    objective_value,
     problem_from_dict,
     solution_to_dict,
     solve,
     solve_problem,
 )
+
+from placement_reference import check_feasible, objective_value
 
 PAIRWISE = ("min_pairwise_distance_sum", "max_pairwise_distance_sum")
 
