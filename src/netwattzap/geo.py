@@ -7,12 +7,14 @@ dispatches. One-way latency divides it by the signal speed in fiber,
 ``FIBER_KM_PER_SEC`` (200,000 km/s, roughly 2c/3). Zone membership is
 planar even-odd point-in-polygon on lon/lat degrees with the boundary
 counting as inside; a polygon crossing the antimeridian must be split
-at lon +-180, and ``grid_model`` refuses a ring edge that spans more than
-180 degrees of longitude without ending on it. ``point_in_region`` tests one point in pure Python
-and is the reference for ``RegionEdges.contains``, which tests many
-points at once in numpy with the same float expressions, so both agree
-bit for bit. It tests each point only against the edges whose closed
-latitude span holds it, the one-dimensional half of a cell grid.
+at lon +-180, and ``grid_model`` refuses a ring edge that spans more
+than 180 degrees of longitude unless both its ends lie on it.
+``RegionEdges.contains`` is the one point-in-polygon test. It tests
+many points at once in numpy, each only against the edges whose closed
+latitude span holds it, the one-dimensional half of a cell grid;
+``point_in_region`` asks it about one point. Its scalar reference,
+``tests/geo_reference.py``, uses the same float expressions, so both
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -95,38 +97,16 @@ def pairwise_latency_ms(rows: Sequence[GeoPoint], cols: Sequence[GeoPoint]) -> n
     return km.reshape(len(rows), len(cols)) / FIBER_KM_PER_SEC * 1000.0
 
 
-def _on_segment(x: float, y: float, x1: float, y1: float, x2: float, y2: float) -> bool:
-    cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
-    if cross != 0.0:
-        return False
-    return min(x1, x2) <= x <= max(x1, x2) and min(y1, y2) <= y <= max(y1, y2)
-
-
-def _point_in_polygon(x: float, y: float, polygon) -> bool:
-    """Even-odd containment across all rings (lists of vertices); boundary points count as inside."""
-    for ring in polygon:
-        for (x1, y1), (x2, y2) in zip(ring, ring[1:]):
-            if _on_segment(x, y, x1, y1, x2, y2):
-                return True
-    inside = False
-    for ring in polygon:
-        for (x1, y1), (x2, y2) in zip(ring, ring[1:]):
-            if (y1 > y) != (y2 > y):
-                xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-                if xi > x:
-                    inside = not inside
-    return inside
-
-
 def point_in_region(p: GeoPoint, region: "WasgRegion") -> bool:
     """True iff the point lies inside or on the boundary of any region polygon.
+
+    ``RegionEdges.contains`` asked about one point.
 
     Raises:
         NoBoundary: if the region carries no polygons.
     """
-    if not region.boundary:
-        raise NoBoundary(f"region {region.id!r} has no boundary polygons")
-    return any(_point_in_polygon(p.lon, p.lat, [ring.tolist() for ring in polygon]) for polygon in region.boundary)
+    lons, lats = np.array([p.lon], dtype=np.float64), np.array([p.lat], dtype=np.float64)
+    return bool(RegionEdges(region).contains(lons, lats)[0])
 
 
 class RegionEdges:
@@ -155,7 +135,7 @@ class RegionEdges:
         self.bbox = (float(lons.min()), float(lats.min()), float(lons.max()), float(lats.max()))
 
     def contains(self, lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
-        """Boolean mask: ``point_in_region`` for each (lon, lat), in blocks of points x edges.
+        """Boolean mask: whether each (lon, lat) lies inside or on the region's boundary, in blocks of points x edges.
 
         Each point meets only the edges whose closed latitude span holds
         it. Any other edge has both ends above or both below the point, so
@@ -177,9 +157,9 @@ class RegionEdges:
                 x, y = lons[s + i], lats[s + i]
                 x1, y1, x2, y2, dx, dy = edges[:, j]
                 rel_y = y - y1
-                # The same expressions, in the same operand order, as _on_segment and
-                # _point_in_polygon, so every float matches the scalar test; the
-                # pairing is already the on-segment latitude test.
+                # The same expressions, in the same operand order, as the scalar reference
+                # in tests/geo_reference.py, so every float matches it; the pairing is
+                # already the on-segment latitude test.
                 on = (dx * rel_y - dy * (x - x1) == 0.0) & (np.minimum(x1, x2) <= x) & (x <= np.maximum(x1, x2))
                 inside[s + i[on]] = True
                 crossing = ((y1 > y) != (y2 > y)) & (x1 + rel_y * dx / dy > x)

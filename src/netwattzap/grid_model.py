@@ -92,10 +92,10 @@ class WasgRegion:
                 f"region {self.id!r}: non-finite ring coordinate or one outside lon [-180, 180], lat [-90, 90]"
             )
         # The planar test reads an edge spanning over 180 degrees as going the other way round the
-        # globe. One that ends on lon +-180 is the side of a strip round every longitude, and stays.
+        # globe. One with both ends on lon +-180 is the side of a strip round every longitude, and stays.
         lon = ring[:, 0]
         wide = np.abs(np.diff(lon)) > 180.0
-        if wide.any() and (wide & (np.abs(lon[1:]) < 180.0) & (np.abs(lon[:-1]) < 180.0)).any():
+        if wide.any() and (wide & ((np.abs(lon[1:]) < 180.0) | (np.abs(lon[:-1]) < 180.0))).any():
             raise ValueError(
                 f"region {self.id!r}: polygon {p} ring {r} has an edge spanning more than 180 degrees of longitude;"
                 " split rings that cross the antimeridian at lon +-180"

@@ -48,6 +48,7 @@ from conftest import (
     link_rows,
     node_geo,
 )
+import geo_reference
 
 
 def _criterion(num: int, name: str, budget_s: float, fn) -> None:
@@ -418,7 +419,7 @@ def test_criterion_06_geometry():
 
 
 def _brute_zone(point: GeoPoint, registry):
-    hits = [r for r in registry if r.boundary and point_in_region(point, r)]
+    hits = [r for r in registry if r.boundary and geo_reference.point_in_region(point, r)]
     if not hits:
         return None
     return min(hits, key=lambda r: (r.area_km2, r.id)).id

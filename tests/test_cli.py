@@ -590,6 +590,18 @@ class TestPlace:
         assert captured.err.startswith("error: MalformedDocument: ") and "non-negative" in captured.err
         assert captured.err.count("\n") == 1
 
+    def test_no_candidates_is_one_error_line_and_one_violation(self, workspace, tmp_path, capsys):
+        doc = json.loads((workspace / "problem.json").read_text(encoding="utf-8"))
+        doc["candidates"] = []
+        path = tmp_path / "problem_no_candidates.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        message = "MalformedDocument: bad placement problem: need at least one candidate"
+        assert main(["place", "--problem", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert main(["validate", "--problem", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["violations"] == [message]
+
     @pytest.mark.parametrize(
         "shape",
         [
@@ -1098,8 +1110,7 @@ class TestRingAcrossTheAntimeridian:
         " 180 degrees of longitude; split rings that cross the antimeridian at lon +-180"
     )
 
-    def test_one_error_line_and_one_violation(self, tmp_path, capsys):
-        ring = [[178.0, -18.0], [-178.0, -18.0], [-178.0, -16.0], [178.0, -16.0], [178.0, -18.0]]
+    def assert_refused(self, tmp_path, capsys, ring):
         feature = {
             "type": "Feature",
             "geometry": {"type": "Polygon", "coordinates": [ring]},
@@ -1116,6 +1127,15 @@ class TestRingAcrossTheAntimeridian:
         assert (captured.out, captured.err) == ("", f"error: {self.ERROR}\n")
         assert main(["validate", "--wasg", str(wasg)]) == 2
         assert json.loads(capsys.readouterr().out)["violations"] == [self.ERROR]
+
+    def test_one_error_line_and_one_violation(self, tmp_path, capsys):
+        ring = [[178.0, -18.0], [-178.0, -18.0], [-178.0, -16.0], [178.0, -16.0], [178.0, -18.0]]
+        self.assert_refused(tmp_path, capsys, ring)
+
+    def test_ring_with_one_side_on_lon_180_is_refused(self, tmp_path, capsys):
+        # It used to load, put the Atlantic IXP in FJ and the one at lon 179 in no grid.
+        ring = [[180.0, -18.0], [-178.0, -18.0], [-178.0, -16.0], [180.0, -16.0], [180.0, -18.0]]
+        self.assert_refused(tmp_path, capsys, ring)
 
 
 class TestExitContract:

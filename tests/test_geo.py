@@ -22,6 +22,10 @@ from netwattzap.geo import (
 )
 
 from conftest import square_region
+import geo_reference
+
+# The public test, which asks RegionEdges, and its scalar reference answer alike.
+POINT_IN_REGION = (point_in_region, geo_reference.point_in_region)
 
 
 def great_circle_oracle_km(a: GeoPoint, b: GeoPoint) -> float:
@@ -161,16 +165,20 @@ class TestPointInRegion:
     square = square_region("S", "S", lon0=10.0, lat0=20.0, size=4.0)
 
     def test_centroid_inside(self):
-        assert point_in_region(GeoPoint(22.0, 12.0), self.square)
+        for contains in POINT_IN_REGION:
+            assert contains(GeoPoint(22.0, 12.0), self.square)
 
     def test_far_outside(self):
-        assert not point_in_region(GeoPoint(40.0, 60.0), self.square)
+        for contains in POINT_IN_REGION:
+            assert not contains(GeoPoint(40.0, 60.0), self.square)
 
     def test_edge_counts_as_inside(self):
-        assert point_in_region(GeoPoint(20.0, 12.0), self.square)
+        for contains in POINT_IN_REGION:
+            assert contains(GeoPoint(20.0, 12.0), self.square)
 
     def test_vertex_counts_as_inside(self):
-        assert point_in_region(GeoPoint(20.0, 10.0), self.square)
+        for contains in POINT_IN_REGION:
+            assert contains(GeoPoint(20.0, 10.0), self.square)
 
     def test_hole_excluded_by_even_odd(self):
         from netwattzap.grid_model import WasgRegion
@@ -182,8 +190,9 @@ class TestPointInRegion:
             boundary=((outer, inner),),
             population=0, internet_users=0, area_km2=1.0,
         )
-        assert point_in_region(GeoPoint(1.0, 1.0), region)
-        assert not point_in_region(GeoPoint(5.0, 5.0), region)
+        for contains in POINT_IN_REGION:
+            assert contains(GeoPoint(1.0, 1.0), region)
+            assert not contains(GeoPoint(5.0, 5.0), region)
 
     @staticmethod
     def bare_region():
@@ -195,9 +204,10 @@ class TestPointInRegion:
         )
 
     def test_no_boundary_raises(self):
-        with pytest.raises(NoBoundary) as err:
-            point_in_region(GeoPoint(0, 0), self.bare_region())
-        assert str(err.value) == "region 'X' has no boundary polygons"
+        for contains in POINT_IN_REGION:
+            with pytest.raises(NoBoundary) as err:
+                contains(GeoPoint(0, 0), self.bare_region())
+            assert str(err.value) == "region 'X' has no boundary polygons"
 
     @pytest.mark.parametrize("use", [RegionEdges, lambda region: band_overlap(region, 40.0)], ids=["edges", "band"])
     def test_edges_and_band_raise_no_boundary(self, use):

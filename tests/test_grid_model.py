@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from netwattzap import grid_model
@@ -529,9 +529,14 @@ def test_registry_decode_peak_memory_is_bounded_by_the_file(tmp_path):
 
 @st.composite
 def antimeridian_boxes(draw):
-    """(west, east, south, north): a box that runs east from lon west > 0 across 180 to lon east < 0."""
-    west = draw(st.floats(1.0, 179.5))
-    east = draw(st.floats(-179.5, west - 180.5))
+    """(west, east, south, north): a box that runs east from lon west > 0 across 180 to lon east < 0.
+
+    One of west and east may lie on the antimeridian itself, but not both: a box from 180 to -180 is a
+    strip round every longitude.
+    """
+    west = draw(st.floats(1.0, 179.5) | st.just(180.0))
+    east = draw(st.floats(-179.5, west - 180.5) | st.just(-180.0))
+    assume(west < 180.0 or east > -180.0)
     south = draw(st.floats(-85.0, 80.0))
     return west, east, south, south + draw(st.floats(0.5, 5.0))
 
@@ -546,6 +551,9 @@ class TestAntimeridian:
 
     @settings(max_examples=60, deadline=None)
     @given(box=antimeridian_boxes(), reverse=st.booleans())
+    # One vertex on the antimeridian: such a ring used to load and resolve lon 0 inside.
+    @example(box=(180.0, -178.0, -18.0, -16.0), reverse=False)
+    @example(box=(178.0, -180.0, -18.0, -16.0), reverse=True)
     def test_unsplit_ring_is_refused(self, box, reverse):
         west, east, south, north = box
         doc = collection(feature("A", "A", ["US"]), feature("FJ", "FJ", ["FJ"], lon0=30.0))

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from netwattzap.errors import UnknownNode, UnknownWasg
 from netwattzap.failure import FailureScenario, unavailability
-from netwattzap.geo import GeoPoint, RegionEdges, band_overlap, point_in_region
+from netwattzap.geo import GeoPoint, RegionEdges, band_overlap
 from netwattzap.grid_model import (
     AggregateResult,
     StatTotals,
@@ -44,6 +44,7 @@ from netwattzap.overlap import (
 )
 
 from conftest import build_registry, link_rows, node_geo, square_region
+from geo_reference import point_in_region
 
 
 def brute_force_zone(point: GeoPoint | None, registry) -> str | None:
@@ -518,6 +519,44 @@ def _assert_batch_matches_scalar(registry, points):
     assert resolve_points(points, registry) == [brute_force_zone(p, registry) for p in points]
 
 
+def _box(west, east, south, north):
+    return ((west, south), (east, south), (east, north), (west, north), (west, south))
+
+
+# Rings at the edges of the map: (id, area, polygons), each polygon one ring.
+MAP_EDGE_REGISTRIES = {
+    "box_split_at_180": [("FJ", 1.0, [_box(170.0, 180.0, -20.0, -10.0), _box(-180.0, -170.0, -20.0, -10.0)])],
+    "strip_round_every_longitude": [("ST", 1.0, [_box(-180.0, 180.0, 10.0, 20.0)])],
+    "polar_caps": [
+        ("NC", 2.0, [_box(-180.0, 180.0, 80.0, 90.0)]),
+        ("SC", 2.0, [_box(180.0, -180.0, -90.0, -75.0)]),
+        # A triangle with its apex on the pole, overlapping the north cap.
+        ("AP", 1.0, [((-60.0, 70.0), (60.0, 70.0), (0.0, 90.0), (-60.0, 70.0))]),
+    ],
+}
+
+
+def _map_edge_registry(name):
+    return WasgRegistry(
+        WasgRegion(id=rid, name=rid, abbrev=rid, members=frozenset(), boundary=tuple((ring,) for ring in polygons),
+                   population=0, internet_users=0, area_km2=area)
+        for rid, area, polygons in MAP_EDGE_REGISTRIES[name]
+    )
+
+
+def _map_edge_points(registry):
+    """Every vertex and edge point, each coordinate also one float step either side, on lon +-180 and lat +-90 too."""
+    rings = [ring for region in registry for polygon in region.boundary for ring in polygon]
+    edges = [(a, b) for ring in rings for a, b in zip(ring, ring[1:])]
+    on_edges = [a + f * (b - a) for a, b in edges for f in (0.0, 1.0 / 3.0, 0.5, 0.7)]
+    lons = {-180.0, 0.0, 180.0} | {float(x) for x, _ in on_edges}
+    lats = {-90.0, 0.0, 90.0} | {float(y) for _, y in on_edges}
+    lons |= {float(np.nextafter(x, d)) for x in lons for d in (-np.inf, np.inf) if abs(x) < 180.0}
+    lats |= {float(np.nextafter(y, d)) for y in lats for d in (-np.inf, np.inf) if abs(y) < 90.0}
+    points = [GeoPoint(lat=float(y), lon=float(x)) for x, y in on_edges]
+    return points + [GeoPoint(lat=y, lon=x) for x in sorted(lons) for y in sorted(lats)]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestBatchResolutionDifferential:
     @settings(max_examples=200, deadline=None)
@@ -536,6 +575,11 @@ class TestBatchResolutionDifferential:
         points = data.draw(st.lists(strategy, min_size=1, max_size=25))
         with mock.patch.object(geo, "BLOCK_ELEMENTS", block):
             _assert_batch_matches_scalar(registry, points)
+
+    @pytest.mark.parametrize("name", sorted(MAP_EDGE_REGISTRIES))
+    def test_rings_at_the_edges_of_the_map(self, name):
+        registry = _map_edge_registry(name)
+        _assert_batch_matches_scalar(registry, _map_edge_points(registry))
 
     @pytest.mark.parametrize("source", ["tuples", "json"])
     def test_edges_are_views_of_the_region_rings(self, source):
