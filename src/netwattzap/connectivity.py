@@ -56,9 +56,9 @@ class WasgGraph:
         return gomory_hu(self)
 
     @cached_property
-    def _flows_before(self) -> tuple[tuple[str, str, int], ...]:
-        """The tree's pairs (u, v, flow) of positive flow, in ``all_pairs`` order, read once and kept."""
-        return tuple(pair for pair in self.gomory_hu_tree.all_pairs() if pair[2])
+    def _flows_before(self) -> dict[tuple[str, str], int]:
+        """The tree's positive flows by pair (u, v), u < v, read once and kept."""
+        return {(u, v): flow for u, v, flow in self.gomory_hu_tree.all_pairs() if flow}
 
     def average_degree(self) -> float:
         return 2 * len(self.edges) / len(self.nodes) if self.nodes else 0.0
@@ -302,12 +302,12 @@ def flow_reduction(g: WasgGraph, failed: Iterable[str]) -> FlowReductionReport:
     surviving = sorted(g.nodes - failed_set)
     if g.nodes and not surviving:
         raise AllNodesFailed("failure scenario removes every connectivity-graph node")
-    after_flows = {(u, v): flow for u, v, flow in gomory_hu(subgraph(g, surviving)).all_pairs()}
     pairs: list[PairReduction] = []
-    for u, v, before in g._flows_before:
-        if u in failed_set or v in failed_set:
+    # The after tree's pairs are exactly the surviving ones, in the sorted order of the before tree's.
+    for u, v, after in gomory_hu(subgraph(g, surviving)).all_pairs():
+        before = g._flows_before.get((u, v))
+        if not before:
             continue
-        after = after_flows[(u, v)]
         reduction = min(1.0, max(0.0, (before - after) / before))
         pairs.append(PairReduction(u=u, v=v, flow_before=before, flow_after=after, reduction=reduction))
     mean = _ordered_sum(p.reduction for p in pairs) / len(pairs) if pairs else 0.0

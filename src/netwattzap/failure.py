@@ -3,12 +3,12 @@
 A scenario fails whole grids: either an explicit set (regional outages
 from weather or targeted attacks) or every grid reaching poleward of a
 latitude threshold (solar-storm model). Components in no grid are never
-failed - their grid exposure is unknown. The metrics read the per-grid
-table of ``overlap``, which counts components, the routers of a topology
-tally and statistics once. A link is unavailable as soon as either mapped
-endpoint sits in a failed grid, so the unavailable links are the tally's
-grid pairs and one-end counts touching a failed grid; links with both
-ends unmapped survive every scenario.
+failed - their grid exposure is unknown. Every metric, data-center zones
+included, reads the per-grid table of ``overlap`` (components, a tally's
+routers and statistics, each counted once) or the tally. A link is
+unavailable as soon as either mapped endpoint sits in a failed grid, so
+the unavailable links are the tally's grid pairs and one-end counts
+touching a failed grid; links with both ends unmapped survive every scenario.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import MalformedDocument, UnknownWasg
 from .geo import band_overlap
 from .grid_model import AggregateResult, WasgRegistry, _json_list, _json_number, _json_str, _load_document
 from .ingest import InfraComponent
-from .overlap import METRIC_NAMES, TopologyTally, _column_totals, _grid_table, az_collapse
+from .overlap import METRIC_NAMES, TopologyTally, _column_totals, _grid_table
 
 MODES = ("regional", "latitude_band")
 
@@ -139,7 +139,9 @@ def unavailability(
     The ixp, dns_root, router and internet_users metrics, named as in
     ``overlap.METRIC_NAMES``, sum a column of the per-grid table ``overlap``
     ranks: over the failed grids (unavailable), over every grid (zoned total),
-    and with the remainder outside every grid (total).
+    and with the remainder outside every grid (total). datacenter_zones
+    counts zones off the datacenter column as ``overlap.az_collapse`` does:
+    one per grid with a data center, one per data center in no grid.
     Metrics appear only for the inputs supplied: a component kind needs a
     component of that kind (routers also count from the ``tally``), datacenter
     zones need a datacenter, the links metric needs a ``tally`` that counted at
@@ -159,13 +161,10 @@ def unavailability(
             metric = METRIC_NAMES.get(column, column)
             details[metric] = MetricDetail(unavailable=unavailable, total=total, zoned_total=zoned_total)
 
-    datacenters = [c for c in components if c.kind == "datacenter"]
-    if datacenters:
-        collapse = az_collapse(datacenters)
+    zones = {wasg_id for wasg_id, metrics in per_wasg.items() if metrics["datacenter"]}
+    if zones or uncovered["datacenter"]:
         details["datacenter_zones"] = MetricDetail(
-            unavailable=sum(1 for zone in collapse.groups if zone in failed),
-            total=collapse.zone_count,
-            zoned_total=len(collapse.groups),
+            unavailable=len(zones & failed), total=len(zones) + uncovered["datacenter"], zoned_total=len(zones)
         )
 
     links_total = sum(tally.counts.values())

@@ -57,7 +57,7 @@ GEO_LON_COL = 5
 COMPONENT_KINDS = ("router", "ixp", "dns_root", "datacenter", "demand_point", "custom")
 
 _NODE_RE = re.compile(r"^node\s+N(\d+):\s*(.*)$")
-_GEO_RE = re.compile(r"^node\.geo\s+N(\d+):\s*(.*)$")
+_GEO_RE = re.compile(r"^node\.geo\s+N(\d+):\s?(.*)$")
 _LINK_RE = re.compile(r"^link\s+L(\d+):\s*(.*)$")
 _NODE_REF_RE = re.compile(r"N(\d+)(?::\S+)?")
 # An IPv4 dotted quad exactly as ``IPv4Address`` accepts it: decimal
@@ -288,7 +288,7 @@ def _geolocate(source, table: _IdTable, report: CleaningReport) -> np.ndarray:
                 raise MalformedLine(lineno, f"expected 'node.geo N<id>: ...', got {line!r}")
             node_id = _int(m.group(1), lineno, "node id")
             rest = m.group(2)
-            fields = rest.split("\t") if "\t" in rest else rest.split()
+            fields = rest.split("\t") if "\t" in rest else rest.split()  # _GEO_RE took one separator: cells may be empty
             try:
                 lat, lon = float(fields[GEO_LAT_COL]), float(fields[GEO_LON_COL])
             except (IndexError, ValueError):

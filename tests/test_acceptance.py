@@ -13,11 +13,13 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import os
 import random
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -26,9 +28,9 @@ from netwattzap.connectivity import WasgGraph, flow_reduction, gomory_hu, max_fl
 from netwattzap.errors import UnsatisfiableStructure
 from netwattzap.failure import FailureScenario, resolve_scenario, unavailability
 from netwattzap.geo import EARTH_RADIUS_KM, GeoPoint, haversine_km, point_in_region
-from netwattzap.grid_model import WasgRegion, aggregate_stats
-from netwattzap.ingest import CleaningReport, ParsedTopology
-from netwattzap.overlap import distribution_report, resolve_components, tally_topology
+from netwattzap.grid_model import WasgRegion, WasgRegistry, aggregate_stats, load_registry, registry_to_geojson
+from netwattzap.ingest import CleaningReport, ParsedTopology, parse_components, parse_topology
+from netwattzap.overlap import az_collapse, distribution_report, resolve_components, tally_topology
 from netwattzap.placement import (
     Candidate,
     DemandPoint,
@@ -47,6 +49,7 @@ from conftest import (
     build_topology,
     link_rows,
     node_geo,
+    square_region,
 )
 import geo_reference
 
@@ -556,6 +559,42 @@ def test_criterion_09_cli_determinism(tmp_path):
 DATASET_ENV = "NETWATTZAP_DATASET_DIR"
 
 
+class DatasetFigures(NamedTuple):
+    counts: dict[str, int]
+    na_e: str
+    eu: str
+    top_pair: tuple[str, str]
+    top_count: int
+    zone_count: int
+    at_40: frozenset[str]
+    at_50: frozenset[str]
+
+
+def dataset_figures(base: Path) -> DatasetFigures:
+    """Criterion 10's recipe over wasg.geojson, itdk.nodes, itdk.geo, itdk.links and aws_regions.csv in ``base``."""
+    registry = load_registry(base / "wasg.geojson")
+    topo = parse_topology(base / "itdk.nodes", base / "itdk.geo", base / "itdk.links")
+    categorized = tally_topology(topo, registry)
+    cross = {k: v for k, v in categorized.pairs.items() if k[0] != k[1]}
+    top_pair, top_count = max(cross.items(), key=lambda item: item[1])
+    aws = parse_components(base / "aws_regions.csv", kind="datacenter")
+    dcs = resolve_components(aws.components, registry)
+    at_40, at_50 = (
+        resolve_scenario(FailureScenario(name=f"ss{t}", mode="latitude_band", threshold_deg=t), registry)
+        for t in (40.0, 50.0)
+    )
+    return DatasetFigures(
+        counts=categorized.counts,
+        na_e=registry.by_abbrev("NA-E").id,
+        eu=registry.by_abbrev("EU").id,
+        top_pair=top_pair,
+        top_count=top_count,
+        zone_count=az_collapse(dcs).zone_count,
+        at_40=at_40,
+        at_50=at_50,
+    )
+
+
 @pytest.mark.skipif(
     DATASET_ENV not in os.environ,
     reason="real datasets not supplied; see the README reproduction recipe",
@@ -568,41 +607,108 @@ def test_criterion_10_dataset_reproduction():
     """
 
     def run():
-        from netwattzap.grid_model import load_registry
-        from netwattzap.ingest import parse_components, parse_topology
-        from netwattzap.overlap import az_collapse
-
-        base = Path(os.environ[DATASET_ENV])
-        registry = load_registry(base / "wasg.geojson")
-        topo = parse_topology(base / "itdk.nodes", base / "itdk.geo", base / "itdk.links")
-        categorized = tally_topology(topo, registry)
+        figures = dataset_figures(Path(os.environ[DATASET_ENV]))
 
         # Table of link categories: 10.69 M / 19.71 M / 1.3 M.
-        assert round(categorized.counts["both_mapped"] / 1e6, 2) == 10.69
-        assert round(categorized.counts["one_mapped"] / 1e6, 2) == 19.71
-        assert round(categorized.counts["none_mapped"] / 1e6, 1) == 1.3
+        assert round(figures.counts["both_mapped"] / 1e6, 2) == 10.69
+        assert round(figures.counts["one_mapped"] / 1e6, 2) == 19.71
+        assert round(figures.counts["none_mapped"] / 1e6, 1) == 1.3
 
         # Top both-mapped pair: (NA-E, EU) at 1661 K.
-        na_e = registry.by_abbrev("NA-E").id
-        eu = registry.by_abbrev("EU").id
-        cross = {k: v for k, v in categorized.pairs.items() if k[0] != k[1]}
-        top_pair, top_count = max(cross.items(), key=lambda item: item[1])
-        assert set(top_pair) == {na_e, eu}
-        assert round(top_count / 1e3) == 1661
+        assert set(figures.top_pair) == {figures.na_e, figures.eu}
+        assert round(figures.top_count / 1e3) == 1661
 
         # AWS regions collapse to 19 grid-disjoint zones.
-        aws = parse_components(base / "aws_regions.csv", kind="datacenter")
-        dcs = resolve_components(aws.components, registry)
-        assert az_collapse(dcs).zone_count == 19
+        assert figures.zone_count == 19
 
         # Solar-storm thresholds: 20 grids at 40 degrees, 10 at 50.
-        at_40 = resolve_scenario(
-            FailureScenario(name="ss40", mode="latitude_band", threshold_deg=40.0), registry
-        )
-        at_50 = resolve_scenario(
-            FailureScenario(name="ss50", mode="latitude_band", threshold_deg=50.0), registry
-        )
-        assert len(at_40) == 20
-        assert len(at_50) == 10
+        assert len(figures.at_40) == 20
+        assert len(figures.at_50) == 10
 
     _criterion(10, "Real-dataset reproduction figures", 3600.0, run)
+
+
+# (abbrev, lon0, lat0, size) of the planted grids: disjoint squares whose
+# reach from the equator runs from 5 to 60 degrees.
+PLANTED_GRIDS = [
+    ("NA-E", -80.0, 32.0, 10.0),
+    ("EU", 0.0, 44.0, 10.0),
+    ("NA-W", -125.0, 25.0, 10.0),
+    ("AS", 100.0, 10.0, 10.0),
+    ("SA", -60.0, -5.0, 8.0),
+    ("RU", 60.0, 48.0, 12.0),
+]
+
+
+def write_planted_dataset(base: Path, seed: int = 10, n_links: int = 500) -> dict:
+    """Criterion 10's five files in ``base``, with the figures planted in them.
+
+    Link categories follow the paper's 34 / 62 / 4 % shape, and most
+    both-mapped links join NA-E to EU. Unmapped ends are nodes south of
+    every grid or with no geo line. Every returned figure is counted from
+    the writer's own arrays, not by the code under test.
+    """
+    rng = random.Random(seed)
+    registry = WasgRegistry(
+        [square_region(f"W{i}", abbrev, lon0, lat0, size) for i, (abbrev, lon0, lat0, size) in enumerate(PLANTED_GRIDS)]
+    )
+    (base / "wasg.geojson").write_text(json.dumps(registry_to_geojson(registry)), encoding="utf-8")
+
+    def inside(grid: int) -> tuple[float, float]:
+        _, lon0, lat0, size = PLANTED_GRIDS[grid]
+        return lat0 + rng.uniform(0.5, size - 0.5), lon0 + rng.uniform(0.5, size - 0.5)
+
+    def nowhere() -> tuple[float, float]:
+        return rng.uniform(-50.0, -30.0), rng.uniform(-150.0, -100.0)
+
+    grid_of: list[int | None] = [g for g in range(len(PLANTED_GRIDS)) for _ in range(20)] + [None] * 50
+    rng.shuffle(grid_of)
+    nodes, geo = [], []
+    for node, grid in enumerate(grid_of, start=1):
+        nodes.append(f"node N{node}: 10.0.{node // 256}.{node % 256}")
+        if grid is not None or node % 2:  # half of the unmapped nodes have no geo line
+            lat, lon = inside(grid) if grid is not None else nowhere()
+            # Both geo forms: spaced, and tabbed with an empty region cell.
+            geo.append(f"node.geo N{node}: NA US XX City {lat!r} {lon!r}" if node % 3 else
+                       f"node.geo N{node}:\tNA\tUS\t\tNew City\t{lat!r}\t{lon!r}")
+    zoned = {g: [n for n, grid in enumerate(grid_of, start=1) if grid == g] for g in range(len(PLANTED_GRIDS))}
+    mapped = [n for n, grid in enumerate(grid_of, start=1) if grid is not None]
+    unmapped = [n for n, grid in enumerate(grid_of, start=1) if grid is None]
+    both, one = round(0.34 * n_links), round(0.62 * n_links)
+    none = n_links - both - one
+    # Two thirds of the both-mapped links join NA-E (grid 0) to EU (grid 1); a one-mapped link's mapped end is
+    # either one.
+    ends = [(rng.choice(zoned[0]), rng.choice(zoned[1])) for _ in range(both * 2 // 3)]
+    ends += [tuple(rng.sample(mapped, 2)) for _ in range(both - len(ends))]
+    ends += [(rng.choice(mapped), rng.choice(unmapped))[:: rng.choice((1, -1))] for _ in range(one)]
+    ends += [tuple(rng.sample(unmapped, 2)) for _ in range(none)]
+    rng.shuffle(ends)
+    links = [f"link L{k}: N{a} N{b}" for k, (a, b) in enumerate(ends, start=1)]
+    for name, lines in (("itdk.nodes", nodes), ("itdk.geo", geo), ("itdk.links", links)):
+        (base / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    dc_grids = [rng.randrange(4) for _ in range(9)] + [None] * 3
+    rows = ["id,kind,lat,lon,weight,attrs_json"]
+    for i, grid in enumerate(dc_grids):
+        lat, lon = inside(grid) if grid is not None else nowhere()
+        rows.append(f"aws{i},datacenter,{lat!r},{lon!r},,")
+    (base / "aws_regions.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+    reach = [max(abs(lat0), abs(lat0 + size)) for _, _, lat0, size in PLANTED_GRIDS]
+    return {
+        "counts": {"both_mapped": both, "one_mapped": one, "none_mapped": none},
+        "top_count": sum({grid_of[a - 1], grid_of[b - 1]} == {0, 1} for a, b in ends),
+        "zone_count": len(set(dc_grids) - {None}) + dc_grids.count(None),
+        "past_40": sum(r >= 40.0 for r in reach),
+        "past_50": sum(r >= 50.0 for r in reach),
+    }
+
+
+def test_criterion_10_recipe_on_planted_data(tmp_path):
+    planted = write_planted_dataset(tmp_path)
+    figures = dataset_figures(tmp_path)
+    assert figures.counts == planted["counts"]
+    assert set(figures.top_pair) == {figures.na_e, figures.eu}
+    assert figures.top_count == planted["top_count"]
+    assert figures.zone_count == planted["zone_count"]
+    assert (len(figures.at_40), len(figures.at_50)) == (planted["past_40"], planted["past_50"])

@@ -311,6 +311,7 @@ class TestFlowReduction:
                 expected[(s, t)] = (before, after)
             got = {(p.u, p.v): (p.flow_before, p.flow_after) for p in report.pairs}
             assert got == expected
+            assert [(p.u, p.v) for p in report.pairs] == sorted(expected)
             if expected:
                 mean = sum((b - a) / b for b, a in expected.values()) / len(expected)
                 assert report.mean_reduction == pytest.approx(mean)

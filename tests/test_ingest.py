@@ -19,6 +19,8 @@ from netwattzap.ingest import (
     parse_topology,
 )
 
+import topology_reference
+
 NODES = """\
 # comment line
 node N1:  1.2.3.4 5.6.7.8
@@ -154,6 +156,14 @@ class TestParseTopology:
         geo = "node.geo N1:\tNA\tUS\tNY\tNew York\t40.71\t-74.00\textra"
         topo = parse_topology(io.StringIO("node N1: 1.2.3.4"), io.StringIO(geo), None)
         assert topo.nodes.tolist() == [(1, 40.71, -74.0)]
+
+    @pytest.mark.parametrize("cells", ["\tUS\tNY\tNew York", "\t\tNY\tNew York"], ids=["continent", "country"])
+    def test_tab_separated_geo_with_empty_leading_cells(self, cells):
+        # One tab follows the colon; each later tab starts a cell, empty or not.
+        geo = f"node.geo N2:\t{cells}\t40.7\t-74.0\t0"
+        for parse in (parse_topology, topology_reference.parse_topology):
+            topo = parse(io.StringIO("node N2: 1.2.3.4"), io.StringIO(geo), None)
+            assert topo.nodes.tolist() == [(2, 40.7, -74.0)], parse.__module__
 
 
 COMPONENTS_CSV = """\

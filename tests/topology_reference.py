@@ -33,7 +33,7 @@ MULTICAST_LO = IPv4Address("224.0.0.0")
 MULTICAST_HI = IPv4Address("239.255.255.255")
 
 _NODE_RE = re.compile(r"^node\s+N(\d+):\s*(.*)$")
-_GEO_RE = re.compile(r"^node\.geo\s+N(\d+):\s*(.*)$")
+_GEO_RE = re.compile(r"^node\.geo\s+N(\d+):\s?(.*)$")
 _LINK_RE = re.compile(r"^link\s+L(\d+):\s*(.*)$")
 _NODE_REF_RE = re.compile(r"N(\d+)(?::\S+)?")
 
