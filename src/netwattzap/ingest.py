@@ -6,16 +6,18 @@ multicast-range (224.0.0.0-239.255.255.255) interfaces, drops nodes
 left without interfaces, and drops links whose endpoints disappeared;
 every removal is counted so input totals reconcile exactly.
 
-Node, geo and CSV parsers stream their input line by line. The node
-pass ends in ``_IdTable``, the one place that maps node ids to codes: a
-kept node's row, or the fate of any other id. A link file given as a
-path is read in blocks of about 16 KiB completed to the end of a line,
-one regular expression turning each plain link line into its two ends;
-a block with any other line (ids of 19 or more digits, non-ASCII text,
-malformed lines) goes through the per-line link parser, which only
-parses too, as do open files and lists of lines. ``_LinkSorter._sort_rows``
-alone sorts the links into kept, removed, self and dangling, so every
-count and error is the same either way. An interface that is a dotted quad is classified by its first
+Every parser streams its input. A node, geo or link file given as a path
+is read in blocks of about 16 KiB ended by a newline, each scanned by
+one regular expression that takes its common lines: unicast IPv4 nodes,
+tab-form geo lines with plain decimal coordinates, plain links. The
+other lines of a node or geo block, or every line of a geo block with a
+coordinate out of range or of a link block with any other line, go
+through the per-line parser with their line numbers, as open files and
+lists of lines do. The node pass ends in ``_IdTable``, the one place
+that maps node ids to codes: a kept node's row, or the fate of any
+other id. ``_LinkSorter._sort_rows`` alone sorts the links into kept,
+removed, self and dangling, so every count and error is the same either
+way. An interface that is a dotted quad is classified by its first
 octet; any other interface token must be an IPv6 address.
 Kept nodes and links are data, not objects: ``ParsedTopology.nodes``
 holds node id, latitude and longitude (NaN without geolocation), 24
@@ -65,7 +67,7 @@ _NODE_REF_RE = re.compile(r"N(\d+)(?::\S+)?")
 _OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
 _DOTTED_QUAD_RE = re.compile(rf"({_OCTET})(?:\.{_OCTET}){{3}}")
 
-# Characters of link text read per block, before the rest of its last line.
+# Characters of text read per block, before the rest of its last line.
 # About 16 KiB amortises the per-block numpy work while keeping peak memory flat.
 _CHUNK_CHARS = 16384
 # A link line the block scan takes as is. Everything it matches is
@@ -74,6 +76,24 @@ _CHUNK_CHARS = 16384
 # _NODE_REF_RE finds in the same line.
 _LINK_SCAN_RE = re.compile(
     r"^[ \t]*link L[0-9]{1,18}:[ \t]*N([0-9]{1,18})(?::[!-~]+)?[ \t]+N([0-9]{1,18})(?!\d).*$", re.M
+)
+# The node and geo scans yield one entry per line of a block, empty for a
+# line they do not take; (?!\Z) skips the empty "line" after the final
+# newline. A node line is taken when it holds 1 to 16 dotted quads with
+# a first octet of 0-223, all kept (re keeps about 1 KB of backtracking
+# state per repetition of a group). A geo line is taken in the tab form,
+# one tab after the colon and one before each cell, when cells
+# GEO_LAT_COL and GEO_LON_COL hold plain decimals.
+_NODE_SCAN_RE = re.compile(
+    rf"^(?!\Z)(?:[ \t]*node[ \t]+N([0-9]{{1,18}}):"
+    rf"(?:[ \t]+(?:22[0-3]|2[01][0-9]|1[0-9][0-9]|[1-9]?[0-9])(?:\.{_OCTET}){{3}}){{1,16}}[ \t]*$|.*)",
+    re.M,
+)
+_COORD = r"(-?[0-9]{1,3}(?:\.[0-9]{1,17})?)"
+_GEO_SCAN_RE = re.compile(
+    rf"^(?!\Z)(?:[ \t]*node\.geo[ \t]+N([0-9]{{1,18}}):"
+    rf"\t(?:[^\t\n]*\t){{{GEO_LAT_COL}}}{_COORD}\t{_COORD}(?:\t.*)?$|.*)",
+    re.M,
 )
 # A blank or comment line of a block; (?!\Z) skips the empty "line"
 # after the block's final newline.
@@ -160,6 +180,34 @@ def _lines(source, start: int = 1) -> Iterator[tuple[int, str]]:
         yield lineno, line
 
 
+def _blocks(path) -> Iterator[tuple[int, str, int]]:
+    """A UTF-8 file's text in blocks of about ``_CHUNK_CHARS`` characters ended by a newline (or the file's end),
+    each with the number of its first line and its count of newlines. The rest of a block's last line is read in
+    pieces joined once, so a line longer than a block is not held twice, as a ``readline()`` result and in the block."""
+    lineno = 1
+    with open(path, "r", encoding="utf-8") as handle:
+        while text := handle.read(_CHUNK_CHARS):
+            pieces = [text]
+            while pieces[-1][-1] != "\n" and (piece := handle.readline(_CHUNK_CHARS)):
+                pieces.append(piece)
+            text = "".join(pieces)
+            del pieces
+            n = text.count("\n")
+            yield lineno, text, n
+            lineno += n
+
+
+def _unscanned(text: str, start: int, taken: np.ndarray) -> Iterator[tuple[int, str]]:
+    """Yield (lineno, stripped line) for the lines of a block that ``taken`` does not flag, but comments and blanks."""
+    if taken.all():
+        return
+    lines = text.split("\n")  # at newlines alone, as reading the file does; str.splitlines also splits at form feeds
+    for i in np.flatnonzero(~taken).tolist():
+        line = lines[i].strip()
+        if line and not line.startswith("#"):
+            yield start + i, line
+
+
 def _classify_interface(token: str, lineno: int) -> str:
     """Return 'keep', 'multicast', or 'ipv6'; raise MalformedLine otherwise."""
     quad = _DOTTED_QUAD_RE.fullmatch(token)
@@ -201,18 +249,21 @@ def parse_topology(nodes_source, geo_source=None, links_source=None, *, strict: 
 
     sorter = _LinkSorter(report, table, strict)
     if isinstance(links_source, (str, Path)):
-        with open(links_source, "r", encoding="utf-8") as handle:
-            sorter.scan(handle)
+        sorter.scan(links_source)
     elif links_source is not None:
         sorter.parse_lines(_lines(links_source))
     return ParsedTopology(nodes=nodes, links=np.frombuffer(sorter.flat, dtype=np.int64).reshape(-1, 2), report=report)
 
 
 def _parse_nodes(source, report: CleaningReport) -> _IdTable:
-    """The id table of the declared nodes, the kept ones being those left with an interface."""
+    """The id table of the declared nodes, the kept ones being those left with an interface.
+
+    A path is scanned in blocks, and only the lines that ``_NODE_SCAN_RE`` does not take are parsed one by one.
+    """
     ids, linenos, kept = array("q"), array("q"), array("b")
-    try:
-        for lineno, line in _lines(source):
+
+    def parse_lines(numbered: Iterator[tuple[int, str]]) -> None:
+        for lineno, line in numbered:
             m = _NODE_RE.match(line)
             if not m:
                 raise MalformedLine(lineno, f"expected 'node N<id>: ...', got {line!r}")
@@ -231,8 +282,22 @@ def _parse_nodes(source, report: CleaningReport) -> _IdTable:
                     if fate == "ipv6":
                         report.ipv6_interfaces += 1
             kept.append(node_kept)
-    except Exception:
-        _sort_ids(ids, linenos)  # a repeated id before the failing line, or on it, is the first error
+
+    try:
+        if isinstance(source, (str, Path)):
+            for start, text, _ in _blocks(source):
+                found = _NODE_SCAN_RE.findall(text)
+                taken = np.fromiter(map(bool, found), dtype=bool, count=len(found))
+                block_ids = np.fromstring(" ".join(filter(None, found)), dtype=np.int64, sep=" ")
+                ids.frombytes(block_ids.tobytes())
+                linenos.frombytes((np.flatnonzero(taken) + start).astype(np.int64).tobytes())
+                kept.frombytes(b"\x01" * len(block_ids))  # a taken line's interfaces are all kept
+                parse_lines(_unscanned(text, start, taken))
+        else:
+            parse_lines(_lines(source))
+    except Exception as exc:
+        # A repeated id before the failing line, or on it, is the first error.
+        _sort_ids(ids, linenos, getattr(exc, "lineno", None))
         raise
     order, declared = _sort_ids(ids, linenos)
     table = _IdTable(declared, np.frombuffer(kept, dtype=bool)[order])
@@ -240,15 +305,21 @@ def _parse_nodes(source, report: CleaningReport) -> _IdTable:
     return table
 
 
-def _sort_ids(ids: array, linenos: array) -> tuple[np.ndarray, np.ndarray]:
-    """The stable sort order of ``ids`` and the sorted ids; MalformedLine at the earliest repeated id."""
-    values = np.frombuffer(ids, dtype=np.int64)
-    order = np.argsort(values, kind="stable")
+def _sort_ids(ids: array, linenos: array, upto: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts ``ids`` by id, then by line, and the sorted ids.
+
+    MalformedLine at the earliest line whose id an earlier line declared, of the lines up to ``upto`` when given.
+    """
+    values, lines = np.frombuffer(ids, dtype=np.int64), np.frombuffer(linenos, dtype=np.int64)
+    if upto is not None:
+        before = lines <= upto
+        values, lines = values[before], lines[before]
+    order = np.lexsort((lines, values))
     ordered = values[order]
     repeats = order[1:][ordered[1:] == ordered[:-1]]
     if len(repeats):
-        first = int(repeats.min())
-        raise MalformedLine(linenos[first], f"duplicate node id N{ids[first]}")
+        first = repeats[np.argmin(lines[repeats])]
+        raise MalformedLine(int(lines[first]), f"duplicate node id N{values[first]}")
     return order, ordered
 
 
@@ -279,10 +350,15 @@ class _IdTable:
 
 
 def _geolocate(source, table: _IdTable, report: CleaningReport) -> np.ndarray:
-    """The kept nodes as a ``NODE_DTYPE`` array, located by the geo file; a later line for a node wins."""
-    geo_ids, geo_lat_lon = array("q"), array("d")
-    if source is not None:
-        for lineno, line in _lines(source):
+    """The kept nodes as a ``NODE_DTYPE`` array, located by the geo file; a later line for a node wins.
+
+    A path is scanned in blocks, and only the lines that ``_GEO_SCAN_RE`` does not take are parsed one by one, or
+    every line of a block with a coordinate out of range, so that the error names the first bad line.
+    """
+    geo_ids, geo_linenos, geo_lat_lon = array("q"), array("q"), array("d")
+
+    def parse_lines(numbered: Iterator[tuple[int, str]]) -> None:
+        for lineno, line in numbered:
             m = _GEO_RE.match(line)
             if not m:
                 raise MalformedLine(lineno, f"expected 'node.geo N<id>: ...', got {line!r}")
@@ -298,16 +374,33 @@ def _geolocate(source, table: _IdTable, report: CleaningReport) -> np.ndarray:
             except ValueError as exc:
                 raise MalformedLine(lineno, str(exc)) from None
             geo_ids.append(node_id if node_id <= MAX_ID else -1)  # -1 names no node, as ids above MAX_ID
+            geo_linenos.append(lineno)
             geo_lat_lon.extend((lat, lon))
+
+    if isinstance(source, (str, Path)):
+        for start, text, _ in _blocks(source):
+            id_texts, lats, lons = zip(*_GEO_SCAN_RE.findall(text))
+            taken = np.fromiter(map(bool, id_texts), dtype=bool, count=len(id_texts))
+            lat_lon = np.array(list(filter(None, lats + lons)), dtype=np.float64).reshape(2, -1).T
+            if (np.abs(lat_lon) <= (90.0, 180.0)).all():
+                geo_ids.frombytes(np.fromstring(" ".join(filter(None, id_texts)), dtype=np.int64, sep=" ").tobytes())
+                geo_linenos.frombytes((np.flatnonzero(taken) + start).astype(np.int64).tobytes())
+                geo_lat_lon.frombytes(lat_lon.tobytes())
+            else:
+                taken[:] = False
+            parse_lines(_unscanned(text, start, taken))
+    elif source is not None:
+        parse_lines(_lines(source))
     nodes = np.empty(len(table.kept_ids), dtype=NODE_DTYPE)
     nodes["id"] = table.kept_ids
     nodes["lat"] = nodes["lon"] = np.nan
     rows = table(np.frombuffer(geo_ids, dtype=np.int64))
     known = rows >= 0
     report.geo_for_unknown_nodes = len(rows) - int(known.sum())
-    # Reversed, a node's first line is its last in the file, the one np.unique picks.
-    rows, last = np.unique(rows[known][::-1], return_index=True)
-    lat_lon = np.frombuffer(geo_lat_lon, dtype=np.float64).reshape(-1, 2)[known][::-1][last]
+    # From the last line back, a node's first line is its last in the file, the one np.unique picks.
+    backwards = np.argsort(np.frombuffer(geo_linenos, dtype=np.int64)[known], kind="stable")[::-1]
+    rows, last = np.unique(rows[known][backwards], return_index=True)
+    lat_lon = np.frombuffer(geo_lat_lon, dtype=np.float64).reshape(-1, 2)[known][backwards][last]
     nodes["lat"][rows], nodes["lon"][rows] = lat_lon.T
     return nodes
 
@@ -328,24 +421,21 @@ class _LinkSorter:
         self.flat = array("q")
         self.huge: dict[int, int] = {}  # node references above MAX_ID, each to its negative code
 
-    def scan(self, handle) -> None:
-        """Sort the links of a file opened with universal newlines, one block ended by a newline at a time.
+    def scan(self, path) -> None:
+        """Sort the links of a file, one block of ``_blocks`` at a time.
 
         A block is taken whole, as the ends of each link, only when it ends in a newline and each of its lines is a
         link line that ``_LINK_SCAN_RE`` matches or a blank or comment line. Any other block goes through
         ``parse_lines``, with its line numbers, and so does one where strict mode meets a dangling link.
         """
-        lineno = 1
-        while text := handle.read(_CHUNK_CHARS) + handle.readline():
-            n = text.count("\n")
+        for start, text, n in _blocks(path):
             ends = _LINK_SCAN_RE.findall(text)
             whole = text[-1] == "\n" and (len(ends) == n or len(ends) + len(_SKIP_SCAN_RE.findall(text)) == n)
             if not whole or ends and not self._sort_rows(
                 np.fromstring(" ".join(chain.from_iterable(ends)), dtype=np.int64, sep=" ").reshape(-1, 2)
             ):
                 # Split at newlines alone, as reading the file does; str.splitlines also splits at form feeds.
-                self.parse_lines(_lines(text.split("\n"), lineno))
-            lineno += n
+                self.parse_lines(_lines(text.split("\n"), start))
 
     def _sort_rows(self, ends: np.ndarray, link_ids: array | None = None) -> bool:
         """Sort links given as a ``(k, 2)`` int64 array of their ends a and b; False, with nothing

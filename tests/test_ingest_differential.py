@@ -1,16 +1,19 @@
 """``parse_topology`` against ``topology_reference``, the per-line parser.
 
-Link files given as a path are scanned in blocks ended by a newline,
-and node interfaces that are dotted quads skip ``ipaddress``. On random ITDK
-text both parsers must give the same node and link array bytes, dtypes
-and shapes, the same cleaning report, and the same exception type and
-message. The text mixes lines the chunk scan takes (plain links,
-hyperedges, ASCII annotations, comments, blanks) with lines only the
-per-line parser handles (19- and 20-digit ids, Unicode digits and
-spaces, ``XN5`` references, leading form feeds, malformed lines), and
-the chunk size is patched down to a few characters so that chunk
-boundaries fall everywhere and scanned and per-line chunks alternate.
-The id table that maps node ids to rows is held to two ``_find`` calls.
+Node, geo and link files given as a path are scanned in blocks ended by
+a newline, and node interfaces that are dotted quads skip
+``ipaddress``. On random ITDK text both parsers must give the same node
+and link array bytes, dtypes and shapes, the same cleaning report, and
+the same exception type and message. The text mixes lines the block
+scans take (plain nodes, tab-form geo lines with plain coordinates,
+plain links, hyperedges, ASCII annotations, comments, blanks) with
+lines only the per-line parser handles (multicast, IPv6 and 240-255
+interfaces, 19- and 20-digit ids, Unicode digits and spaces, the space
+form of geo lines, coordinates in other spellings or out of range,
+``XN5`` references, leading form feeds, malformed lines), and the block
+size is patched down to a few characters so that block edges fall
+everywhere and scanned and per-line lines alternate. The id table that
+maps node ids to rows is held to two ``_find`` calls.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -68,6 +72,19 @@ ODD = {
 LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r"]
 SKIPPED_LINES = ["# a comment", "  # indented comment", "", "   ", "\t", "\xa0# comment after a no-break space", "\x0c"]
 MALFORMED_NODE_LINES = ["garbage", "node N1 1.1.1.1", f"node N{2**63}: 1.1.1.1", "node N" + "9" * 5000 + ": 1.1.1.1"]
+# The parts of a node line around its id and interfaces. The block scan
+# takes spaces and tabs; "N1:1.2.3.4" with no space, a Unicode space or
+# digit, and a no-break space that strip() removes go through the
+# per-line parser.
+NODE_PARTS = {
+    "lead": ["", "", "", " ", "\t", "\xa0"],
+    "gap": [" ", " ", " ", "\t", "  ", "\xa0"],
+    "sep": [" ", " ", "  ", "\t", "", "\u2003"],
+    "between": [" ", " ", " ", "\t", " \t", "\u2003"],
+    "tail": ["", "", "", " ", "\t", "\xa0"],
+}
+# Spellings of an id: as is, with a leading zero, and as Unicode digits.
+NODE_ID_FORMS = [str, str, str, lambda i: "0" + i, lambda i: i.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))]
 MALFORMED_LINES = ["garbage", "link L1 N1 N2", "link L7: N1", "link L7:", f"link L{2**63}: N1 N2",
                    "link L12345678901234567890: N1 N2"]
 
@@ -96,27 +113,92 @@ INTERFACE = {
 }
 
 
+NODE_PART = {kind: st.sampled_from(values) for kind, values in NODE_PARTS.items()}
+NODE_ID_FORM = st.sampled_from(NODE_ID_FORMS)
+
+
+def _node_line(draw, node_id: str, refused: bool) -> str:
+    interfaces = draw(st.lists(INTERFACE[refused], min_size=0 if refused else 1, max_size=3))
+    part = {kind: draw(values) for kind, values in NODE_PART.items()}
+    return (f"{part['lead']}node{part['gap']}N{draw(NODE_ID_FORM)(node_id)}:{part['sep']}"
+            + part["between"].join(interfaces) + part["tail"])
+
+
 @st.composite
 def node_text(draw) -> str:
     ids = NODE_IDS[:5] + draw(st.lists(st.sampled_from(NODE_IDS[5:]), unique=True))
-    # At most one line, about one file in five, may hold a refused address.
+    # At most one line, about one file in five, may hold a refused address or none.
     odd = draw(st.integers(0, 4 * len(ids)))
-    lines = [
-        f"node N{node_id}:  " + " ".join(draw(st.lists(INTERFACE[i == odd], min_size=1, max_size=3)))
-        for i, node_id in enumerate(ids)
-    ]
+    lines = [_node_line(draw, node_id, i == odd) for i, node_id in enumerate(ids)]
     # About one file in three repeats an id, on a line that may hold a
     # refused address too; about one in four has a malformed line. Either
     # may come before the other or before the line with a refused address.
     if draw(st.integers(0, 2)) == 0:
-        interfaces = draw(st.lists(INTERFACE[draw(st.booleans())], min_size=1, max_size=3))
-        lines.append(f"node N{draw(st.sampled_from(ids))}: " + " ".join(interfaces))
+        lines.append(_node_line(draw, draw(st.sampled_from(ids)), draw(st.booleans())))
     lines = draw(st.permutations(lines))
     if draw(st.integers(0, 3)) == 0:
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(MALFORMED_NODE_LINES)))
-    if draw(st.booleans()):
-        lines.insert(draw(st.integers(0, len(lines))), "# nodes")
-    return "".join(line + "\n" for line in lines)
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(SKIPPED))
+    return _join_lines(draw, lines)
+
+
+# The parts of a geo line. The block scan takes the tab form (one tab
+# after the colon, then a tab before each cell) with plain decimal
+# coordinates; the space form, a space or nothing after the colon, and
+# every coordinate of REFUSED_COORDS go through the per-line parser.
+# Cells before the coordinates may be empty in the tab form.
+GEO_IDS = ["1", "2", "3", "6", "99", "0002", "123456789012345678", str(ingest.MAX_ID), str(2**63), "\u0661"]
+GEO_PARTS = {
+    "tab": {"cells": ["NA", "US", "", "New York", "a\xa0b", "#"], "after": ["\t", "\t", "\t", " ", ""],
+            "between": ["\t"], "tail": ["", "", "\t0", "\tfoo bar", "\t", " ", "\xa0"]},
+    "space": {"cells": ["NA", "US", "TX", "New\xa0York"], "after": [" ", " ", "  ", "\t"],
+              "between": [" ", "  "], "tail": ["", "", " 0", " foo", " ", "\xa0"]},
+}
+GEO_PART = {form: {kind: st.sampled_from(values) for kind, values in parts.items()} for form, parts in GEO_PARTS.items()}
+LATS = ["32.78", "0", "-0", "0.0", "90", "-90", "007.5", "1.2345678901234567", "-45.000000000000001"]
+LONS = LATS + ["-96.80", "180", "-180", "179.99999999999999"]
+# Spellings that float() reads and the scan refuses, and values out of range or not numbers.
+REFUSED_COORDS = ["1e1", "1E-3", "+1", "1_0", "1.", ".5", " 5", "\u0665", "1234", "inf", "-inf", "nan", "90.5",
+                  "-180.0001", "90.00000000000001", "abc", ""]
+MALFORMED_GEO_LINES = ["garbage", "node.geo N1", "node.geo N1: NA US", "node.geo N1:\tNA\tUS\tTX\tD\t1"]
+COORD = {"lat": st.sampled_from(LATS), "lon": st.sampled_from(LONS), "refused": st.sampled_from(REFUSED_COORDS)}
+
+
+@st.composite
+def geo_line(draw) -> str:
+    form = draw(st.sampled_from(["tab", "tab", "tab", "space"]))
+    part = GEO_PART[form]
+    coords = {"lat": draw(COORD["lat"]), "lon": draw(COORD["lon"])}
+    if draw(st.integers(0, 5)) == 0:  # about one line in six has a coordinate the scan refuses
+        coords[draw(st.sampled_from(["lat", "lon"]))] = draw(COORD["refused"])
+    cells = [draw(part["cells"]) for _ in range(ingest.GEO_LAT_COL)] + [coords["lat"], coords["lon"]]
+    lead, gap = draw(st.sampled_from(["", "", " ", "\t"])), draw(st.sampled_from([" ", " ", "\t"]))
+    return (f"{lead}node.geo{gap}N{draw(st.sampled_from(GEO_IDS))}:{draw(part['after'])}"
+            + draw(part["between"]).join(cells) + draw(part["tail"]))
+
+
+GEO_LINES = st.lists(geo_line(), max_size=12)
+
+
+@st.composite
+def geo_text(draw) -> str | None:
+    if draw(st.integers(0, 5)) == 0:
+        return None
+    lines = draw(GEO_LINES)
+    if draw(st.integers(0, 5)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(MALFORMED_GEO_LINES)))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(SKIPPED))
+    return _join_lines(draw, lines)
+
+
+def _join_lines(draw, lines: list[str]) -> str:
+    """The lines, each ended by a drawn line end, the last one perhaps by none."""
+    ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
 
 
 @st.composite
@@ -145,19 +227,7 @@ def link_text(draw) -> str:
     lines = [draw(LINK_LINE) for _ in range(draw(st.integers(0, 30)))]
     if draw(st.integers(0, 5)) == 3:
         lines.append(draw(st.sampled_from(MALFORMED_LINES)))
-    ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
-    if ends and draw(st.booleans()):
-        ends[-1] = ""
-    return "".join(line + end for line, end in zip(lines, ends))
-
-
-GEO_TEXT = st.sampled_from([
-    None,
-    "node.geo N1: NA US TX Dallas 32.78 -96.80\nnode.geo N6: EU DE BE Berlin 52.5 13.4\n",
-    # A repeated node: its last line wins.
-    "node.geo N2: NA US TX Dallas 32.78 -96.80\nnode.geo N1: EU DE BE Berlin 52.5 13.4\n"
-    "node.geo N2: AS JP 13 Tokyo 35.69 139.69\n",
-])
+    return _join_lines(draw, lines)
 
 
 def _sources(form: str, texts: list[str | None], folder: Path) -> list:
@@ -261,9 +331,41 @@ EXAMPLE_NODES = "node N1: 1.1.1.1\nnode N2: 2.2.2.2\nnode N3: 3.3.3.3\n"
          geo=f"node.geo N{2**40}: NA US TX Dallas 32.78 -96.80\n",
          links=f"link L1: N1 N{2**40}\nlink L2: N{ingest.MAX_ID} N{2**62}\nlink L3: N1 N{2**41}\nlink L4: N1 N{2**63}\n",
          strict=False, form="path", chunk=ingest._CHUNK_CHARS)
+# Node and geo block scans: a line with a multicast first octet among
+# plain ones; a repeated id whose first line goes through the per-line
+# parser and whose second the scan takes, in one block, and the other way
+# round; a malformed line before a repeated id of the same block, which
+# is the first error; a malformed line right after a block edge, the
+# first line being 17 characters with its newline; a repeated id in the
+# next block after a per-line line.
+@example(nodes=EXAMPLE_NODES + "node N4: 224.1.1.1\nnode N5: 5.5.5.5\n", geo=None, links=None, strict=False, form="path",
+         chunk=ingest._CHUNK_CHARS)
+@example(nodes=EXAMPLE_NODES + "node N4: 2001:db8::1\nnode N4: 4.4.4.4\n", geo=None, links=None, strict=False,
+         form="path", chunk=ingest._CHUNK_CHARS)
+@example(nodes=EXAMPLE_NODES + "node N4: 4.4.4.4\nnode N4: 2001:db8::1\n", geo=None, links=None, strict=False,
+         form="path", chunk=ingest._CHUNK_CHARS)
+@example(nodes=EXAMPLE_NODES + "garbage\nnode N1: 1.1.1.1\n", geo=None, links=None, strict=False, form="path",
+         chunk=ingest._CHUNK_CHARS)
+@example(nodes="node N1: 1.1.1.1\ngarbage\nnode N2: 2.2.2.2\n", geo=None, links=None, strict=False, form="path",
+         chunk=17)
+@example(nodes="node N1: 1.1.1.1\nnode N2: 224.0.0.1\nnode N1: 3.3.3.3", geo=None, links=None, strict=False, form="path",
+         chunk=17)
+# A later geo line for a node wins: a per-line one after a scanned one,
+# and a scanned one after a per-line one, in one block; a latitude out of
+# range in a scanned line after a malformed line of the same block; a
+# latitude out of range in the block after a good one, the last line
+# without a newline.
+@example(nodes=EXAMPLE_NODES, geo="node.geo N1:\tNA\tUS\tTX\tD\t1\t2\nnode.geo N1: NA US TX D 3 4\n", links=None,
+         strict=False, form="path", chunk=ingest._CHUNK_CHARS)
+@example(nodes=EXAMPLE_NODES, geo="node.geo N1: NA US TX D 3 4\nnode.geo N1:\tNA\tUS\tTX\tD\t1\t2\n", links=None,
+         strict=False, form="path", chunk=ingest._CHUNK_CHARS)
+@example(nodes=EXAMPLE_NODES, geo="node.geo N2:\tNA\tUS\tTX\tD\t1\t2\ngarbage\nnode.geo N1:\tNA\tUS\tTX\tD\t91\t2\n",
+         links=None, strict=False, form="path", chunk=ingest._CHUNK_CHARS)
+@example(nodes=EXAMPLE_NODES, geo="node.geo N2:\tNA\tUS\tTX\tD\t1\t2\nnode.geo N1:\tNA\tUS\tTX\tD\t1\t-180.5",
+         links=None, strict=False, form="path", chunk=5)
 @given(
     nodes=node_text(),
-    geo=GEO_TEXT,
+    geo=geo_text(),
     links=link_text(),
     strict=st.booleans(),
     form=st.sampled_from(["path", "stringio", "list"]),
@@ -389,3 +491,72 @@ def test_sparse_node_ids_parse_without_the_table():
         got = _outcome(parse_topology, "stringio", [nodes, None, links], strict)
         assert got == _outcome(topology_reference.parse_topology, "stringio", [nodes, None, links], strict)
     assert parse_topology(io.StringIO(nodes), None, io.StringIO(links)).links.tolist() == [[0, 1]]
+
+
+def _coordinate_steps() -> list[str]:
+    """±0, ±90 and ±180, and the next decimal step beyond and before each, at 1 to 17 places."""
+    steps = ["0", "-0", "0.0", "-0.0"]
+    for limit in (90, 180):
+        for sign in ("", "-"):
+            steps += [f"{sign}{limit}", f"{sign}{limit}.0"]
+            steps += [f"{sign}{limit}.{'0' * (places - 1)}1" for places in range(1, 18)]
+            steps += [f"{sign}{limit - 1}.{'9' * places}" for places in range(1, 18)]
+    return steps
+
+
+# Decimal strings of the shape the geo scan accepts: a sign or none, 1 to 3
+# integer digits, and 1 to 17 decimals or none.
+SCANNED_COORDS = st.one_of(
+    st.sampled_from(_coordinate_steps()),
+    st.builds(
+        lambda sign, whole, decimals: sign + whole + (decimals and "." + decimals),
+        st.sampled_from(["", "-"]),
+        st.text("0123456789", min_size=1, max_size=3),
+        st.one_of(st.just(""), st.text("0123456789", min_size=1, max_size=17)),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lat=SCANNED_COORDS, lon=SCANNED_COORDS)
+def test_scanned_coordinates_read_as_float_reads_them(lat, lon):
+    """The geo scan takes each such string, and its numpy conversion gives the float64 bits that the per-line
+    parser's float() gives (the node array bytes hold them); a value out of range fails with the per-line message."""
+    nodes, geo = "node N1: 1.1.1.1\n", f"node.geo N1:\tNA\tUS\tTX\tDallas\t{lat}\t{lon}\n"
+    assert ingest._GEO_SCAN_RE.findall(geo)[0] == ("1", lat, lon)
+    got = _outcome(parse_topology, "path", [nodes, geo, None], False)
+    assert got == _outcome(topology_reference.parse_topology, "path", [nodes, geo, None], False)
+
+
+# One line of about 2x10^6 characters in each file kind, taken by the block
+# scan or sent to the per-line parser: a long annotation, a long run of
+# blanks, a long cell; and a node line of 20,000 interfaces, which the
+# scan leaves to the per-line parser rather than keep the re module's
+# backtracking state for each.
+LONG = 2_000_000
+LONG_LINES = {
+    "scanned link": ("node N1: 1.1.1.1\nnode N2: 2.2.2.2\n", None, "link L1: N1:" + "x" * LONG + " N2\n"),
+    "per-line link": ("node N1: 1.1.1.1\nnode N2: 2.2.2.2\n", None, "link L1: N1:é" + "x" * LONG + " N2\n"),
+    "scanned node": ("node N1:" + " " * LONG + "1.1.1.1\n", None, None),
+    "many-interface node": ("node N1: " + " ".join(["1.1.1.1"] * 20_000) + "\n", None, None),
+    "per-line node": ("node N1: 1.1.1.1" + " " * LONG + "2001:db8::1\n", None, None),
+    "scanned geo": ("node N1: 1.1.1.1\n", "node.geo N1:\t" + "x" * LONG + "\tUS\tTX\tD\t32.5\t-96.8\n", None),
+    "per-line geo": ("node N1: 1.1.1.1\n", "node.geo N1: " + "x" * LONG + " US TX D 32.5 -96.8\n", None),
+}
+
+
+@pytest.mark.parametrize("kind", LONG_LINES)
+def test_a_long_line_peaks_no_higher_than_in_the_line_parser(kind, tmp_path):
+    """A line longer than a block is held once by the block reader: parsing the file peaks no higher than the
+    per-line parser, in memory that tracemalloc traces, but for one block and the 8 KiB of bytes and 8 Ki
+    characters that an open text file keeps from its last read() or readline() (iterating it keeps no bytes)."""
+    sources = _sources("path", list(LONG_LINES[kind]), tmp_path)
+    peaks = []
+    for parse in (parse_topology, topology_reference.parse_topology):
+        tracemalloc.start()
+        try:
+            parse(*sources)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1] + ingest._CHUNK_CHARS + 2 * 8192, peaks
