@@ -6,18 +6,19 @@ multicast-range (224.0.0.0-239.255.255.255) interfaces, drops nodes
 left without interfaces, and drops links whose endpoints disappeared;
 every removal is counted so input totals reconcile exactly.
 
-Every parser streams its input. A node, geo or link file given as a path
-is read in blocks of about 16 KiB ended by a newline, each scanned by
-one regular expression that takes its common lines: unicast IPv4 nodes,
-tab-form geo lines with plain decimal coordinates, plain links. The
-other lines of a node or geo block, or every line of a geo block with a
-coordinate out of range or of a link block with any other line, go
-through the per-line parser with their line numbers, as open files and
-lists of lines do. The node pass ends in ``_IdTable``, the one place
+Every parser streams its input. ``_scan`` is the one reader of node, geo
+and link sources. A file given as a path is read, a leading byte-order
+mark dropped, in blocks of about 16 KiB ended by a newline, each scanned
+by one regular expression that takes its common lines: unicast IPv4
+nodes, tab-form geo lines with plain decimal coordinates, plain links.
+The other lines of a node or geo block, or every line of a geo block
+with a coordinate out of range or of a link block with any other line,
+go through the per-line parser with their line numbers, as open files
+and lists of lines do. The node pass ends in ``_IdTable``, the one place
 that maps node ids to codes: a kept node's row, or the fate of any
-other id. ``_LinkSorter._sort_rows`` alone sorts the links into kept,
-removed, self and dangling, so every count and error is the same either
-way. An interface that is a dotted quad is classified by its first
+other id. ``sort_rows`` in ``_sort_links`` alone sorts the links into
+kept, removed, self and dangling, so every count and error is the same
+either way. An interface that is a dotted quad is classified by its first
 octet; any other interface token must be an IPv6 address.
 Kept nodes and links are data, not objects: ``ParsedTopology.nodes``
 holds node id, latitude and longitude (NaN without geolocation), 24
@@ -163,29 +164,26 @@ class ParsedTopology:
     report: CleaningReport
 
 
-def _lines(source, start: int = 1) -> Iterator[tuple[int, str]]:
-    """Yield (lineno, stripped line), skipping comments and blanks.
+def _scan(source, block, parse_lines) -> None:
+    """Read a node, geo or link source into its pass: the one place that tells a path from lines.
 
-    str/Path sources are opened as files; anything else is iterated as
-    lines (file objects, io.StringIO, lists), the first numbered ``start``.
+    A path is read by ``_blocks``, and ``block(start, text, n)`` returns the numbered lines of a block that its
+    expression leaves for ``parse_lines``. Any other source (an open file, a list of lines) goes to ``parse_lines``
+    line by line, as iterating it gives them, numbered from 1, but comments and blanks.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            yield from _lines(handle)
-        return
-    for lineno, raw in enumerate(source, start=start):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+        for start, text, n in _blocks(source):
+            parse_lines(block(start, text, n))
+    elif source is not None:
+        parse_lines((i, line) for i, raw in enumerate(source, 1) if (line := raw.strip()) and not line.startswith("#"))
 
 
 def _blocks(path) -> Iterator[tuple[int, str, int]]:
-    """A UTF-8 file's text in blocks of about ``_CHUNK_CHARS`` characters ended by a newline (or the file's end),
-    each with the number of its first line and its count of newlines. The rest of a block's last line is read in
-    pieces joined once, so a line longer than a block is not held twice, as a ``readline()`` result and in the block."""
+    """A UTF-8 file's text, but a leading byte-order mark, in blocks of about ``_CHUNK_CHARS`` characters ended by a
+    newline (or the file's end), each with the number of its first line and its count of newlines. The rest of a
+    block's last line is read in pieces joined once, so a line longer than a block is not held twice."""
     lineno = 1
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         while text := handle.read(_CHUNK_CHARS):
             pieces = [text]
             while pieces[-1][-1] != "\n" and (piece := handle.readline(_CHUNK_CHARS)):
@@ -197,12 +195,13 @@ def _blocks(path) -> Iterator[tuple[int, str, int]]:
             lineno += n
 
 
-def _unscanned(text: str, start: int, taken: np.ndarray) -> Iterator[tuple[int, str]]:
-    """Yield (lineno, stripped line) for the lines of a block that ``taken`` does not flag, but comments and blanks."""
-    if taken.all():
+def _unscanned(text: str, start: int, taken: np.ndarray | None = None) -> Iterator[tuple[int, str]]:
+    """Yield (lineno, stripped line) for the lines of a block that ``taken`` does not flag, or for all of them without
+    ``taken``, but comments and blanks."""
+    if taken is not None and taken.all():
         return
     lines = text.split("\n")  # at newlines alone, as reading the file does; str.splitlines also splits at form feeds
-    for i in np.flatnonzero(~taken).tolist():
+    for i in range(len(lines)) if taken is None else np.flatnonzero(~taken).tolist():
         line = lines[i].strip()
         if line and not line.startswith("#"):
             yield start + i, line
@@ -246,13 +245,7 @@ def parse_topology(nodes_source, geo_source=None, links_source=None, *, strict: 
     if report.ipv6_interfaces:
         logger.warning("passed through %d IPv6 interfaces unvalidated", report.ipv6_interfaces)
     nodes = _geolocate(geo_source, table, report)
-
-    sorter = _LinkSorter(report, table, strict)
-    if isinstance(links_source, (str, Path)):
-        sorter.scan(links_source)
-    elif links_source is not None:
-        sorter.parse_lines(_lines(links_source))
-    return ParsedTopology(nodes=nodes, links=np.frombuffer(sorter.flat, dtype=np.int64).reshape(-1, 2), report=report)
+    return ParsedTopology(nodes=nodes, links=_sort_links(links_source, table, report, strict), report=report)
 
 
 def _parse_nodes(source, report: CleaningReport) -> _IdTable:
@@ -283,18 +276,17 @@ def _parse_nodes(source, report: CleaningReport) -> _IdTable:
                         report.ipv6_interfaces += 1
             kept.append(node_kept)
 
+    def block(start: int, text: str, n: int) -> Iterator[tuple[int, str]]:
+        found = _NODE_SCAN_RE.findall(text)
+        taken = np.fromiter(map(bool, found), dtype=bool, count=len(found))
+        block_ids = np.fromstring(" ".join(filter(None, found)), dtype=np.int64, sep=" ")
+        ids.frombytes(block_ids.tobytes())
+        linenos.frombytes((np.flatnonzero(taken) + start).astype(np.int64).tobytes())
+        kept.frombytes(b"\x01" * len(block_ids))  # a taken line's interfaces are all kept
+        return _unscanned(text, start, taken)
+
     try:
-        if isinstance(source, (str, Path)):
-            for start, text, _ in _blocks(source):
-                found = _NODE_SCAN_RE.findall(text)
-                taken = np.fromiter(map(bool, found), dtype=bool, count=len(found))
-                block_ids = np.fromstring(" ".join(filter(None, found)), dtype=np.int64, sep=" ")
-                ids.frombytes(block_ids.tobytes())
-                linenos.frombytes((np.flatnonzero(taken) + start).astype(np.int64).tobytes())
-                kept.frombytes(b"\x01" * len(block_ids))  # a taken line's interfaces are all kept
-                parse_lines(_unscanned(text, start, taken))
-        else:
-            parse_lines(_lines(source))
+        _scan(source, block, parse_lines)
     except Exception as exc:
         # A repeated id before the failing line, or on it, is the first error.
         _sort_ids(ids, linenos, getattr(exc, "lineno", None))
@@ -377,20 +369,18 @@ def _geolocate(source, table: _IdTable, report: CleaningReport) -> np.ndarray:
             geo_linenos.append(lineno)
             geo_lat_lon.extend((lat, lon))
 
-    if isinstance(source, (str, Path)):
-        for start, text, _ in _blocks(source):
-            id_texts, lats, lons = zip(*_GEO_SCAN_RE.findall(text))
-            taken = np.fromiter(map(bool, id_texts), dtype=bool, count=len(id_texts))
-            lat_lon = np.array(list(filter(None, lats + lons)), dtype=np.float64).reshape(2, -1).T
-            if (np.abs(lat_lon) <= (90.0, 180.0)).all():
-                geo_ids.frombytes(np.fromstring(" ".join(filter(None, id_texts)), dtype=np.int64, sep=" ").tobytes())
-                geo_linenos.frombytes((np.flatnonzero(taken) + start).astype(np.int64).tobytes())
-                geo_lat_lon.frombytes(lat_lon.tobytes())
-            else:
-                taken[:] = False
-            parse_lines(_unscanned(text, start, taken))
-    elif source is not None:
-        parse_lines(_lines(source))
+    def block(start: int, text: str, n: int) -> Iterator[tuple[int, str]]:
+        id_texts, lats, lons = zip(*_GEO_SCAN_RE.findall(text))
+        lat_lon = np.array(list(filter(None, lats + lons)), dtype=np.float64).reshape(2, -1).T
+        if not (np.abs(lat_lon) <= (90.0, 180.0)).all():
+            return _unscanned(text, start)
+        taken = np.fromiter(map(bool, id_texts), dtype=bool, count=len(id_texts))
+        geo_ids.frombytes(np.fromstring(" ".join(filter(None, id_texts)), dtype=np.int64, sep=" ").tobytes())
+        geo_linenos.frombytes((np.flatnonzero(taken) + start).astype(np.int64).tobytes())
+        geo_lat_lon.frombytes(lat_lon.tobytes())
+        return _unscanned(text, start, taken)
+
+    _scan(source, block, parse_lines)
     nodes = np.empty(len(table.kept_ids), dtype=NODE_DTYPE)
     nodes["id"] = table.kept_ids
     nodes["lat"] = nodes["lon"] = np.nan
@@ -405,65 +395,51 @@ def _geolocate(source, table: _IdTable, report: CleaningReport) -> np.ndarray:
     return nodes
 
 
-class _LinkSorter:
-    """Sorts link lines into kept, removed, self and dangling links.
+def _sort_links(source, table: _IdTable, report: CleaningReport, strict: bool) -> np.ndarray:
+    """The kept links, in file order, as a ``(k, 2)`` int64 array of the rows of their ends a and b in the kept nodes.
 
-    Kept links go to ``flat`` (the node rows of a and b) in file order,
-    and each removal is counted in ``report``. ``_sort_rows`` alone
-    decides a link's fate, reading the fate of both ends off ``table``
-    in one lookup; ``scan`` and ``parse_lines`` only make its rows.
+    ``sort_rows`` alone sorts links into kept, removed, self and dangling, counting each removal in ``report``, and
+    reads the fate of both ends off ``table`` in one lookup. A path's block is taken whole, as the ends of each link,
+    only when it ends in a newline and each of its lines is a link line that ``_LINK_SCAN_RE`` matches or a blank or
+    comment line. Any other block goes through ``parse_lines``, with its line numbers, and so does one where strict
+    mode meets a dangling link.
     """
+    flat = array("q")
+    huge: dict[int, int] = {}  # node references above MAX_ID, each to its negative code
 
-    def __init__(self, report: CleaningReport, table: _IdTable, strict: bool):
-        self.report = report
-        self.table = table
-        self.strict = strict
-        self.flat = array("q")
-        self.huge: dict[int, int] = {}  # node references above MAX_ID, each to its negative code
-
-    def scan(self, path) -> None:
-        """Sort the links of a file, one block of ``_blocks`` at a time.
-
-        A block is taken whole, as the ends of each link, only when it ends in a newline and each of its lines is a
-        link line that ``_LINK_SCAN_RE`` matches or a blank or comment line. Any other block goes through
-        ``parse_lines``, with its line numbers, and so does one where strict mode meets a dangling link.
-        """
-        for start, text, n in _blocks(path):
-            ends = _LINK_SCAN_RE.findall(text)
-            whole = text[-1] == "\n" and (len(ends) == n or len(ends) + len(_SKIP_SCAN_RE.findall(text)) == n)
-            if not whole or ends and not self._sort_rows(
-                np.fromstring(" ".join(chain.from_iterable(ends)), dtype=np.int64, sep=" ").reshape(-1, 2)
-            ):
-                # Split at newlines alone, as reading the file does; str.splitlines also splits at form feeds.
-                self.parse_lines(_lines(text.split("\n"), start))
-
-    def _sort_rows(self, ends: np.ndarray, link_ids: array | None = None) -> bool:
+    def sort_rows(ends: np.ndarray, link_ids: array | None = None) -> bool:
         """Sort links given as a ``(k, 2)`` int64 array of their ends a and b; False, with nothing
         counted, when strict mode meets a dangling link and no ``link_ids`` were given to name it."""
-        codes = self.table(ends)
+        codes = table(ends)
         is_kept = codes >= 0
         undeclared = codes == -2
         self_link = ends[:, 0] == ends[:, 1]
         missing = ~self_link & ~is_kept.all(axis=1)
         dangling = missing & undeclared.any(axis=1)
-        if self.strict and dangling.any():
+        if strict and dangling.any():
             if link_ids is None:
                 return False
             row = int(np.argmax(dangling))
             code = int(ends[row, 0] if undeclared[row, 0] else ends[row, 1])
-            node = code if code >= 0 else list(self.huge)[-1 - code]
+            node = code if code >= 0 else list(huge)[-1 - code]
             raise DanglingLinkEndpoint(f"link L{link_ids[row]} references undefined node N{node}")
-        report = self.report
         report.input_links += len(ends)
         report.self_links += int(self_link.sum())
         report.dangling_links += int(dangling.sum())
         report.removed_links += int((missing & ~dangling).sum())
-        self.flat.frombytes(codes[~self_link & ~missing].astype(np.int64).tobytes())
+        flat.frombytes(codes[~self_link & ~missing].astype(np.int64).tobytes())
         return True
 
-    def parse_lines(self, numbered: Iterator[tuple[int, str]]) -> None:
-        """The per-line link parser: every line, malformed ones included, to rows for ``_sort_rows``."""
-        link_ids, ends, huge = array("q"), array("q"), self.huge
+    def block(start: int, text: str, n: int) -> Iterator[tuple[int, str]]:
+        ends = _LINK_SCAN_RE.findall(text)
+        whole = text[-1] == "\n" and (len(ends) == n or len(ends) + len(_SKIP_SCAN_RE.findall(text)) == n)
+        if whole and ends:
+            whole = sort_rows(np.fromstring(" ".join(chain.from_iterable(ends)), dtype=np.int64, sep=" ").reshape(-1, 2))
+        return iter(()) if whole else _unscanned(text, start)
+
+    def parse_lines(numbered: Iterator[tuple[int, str]]) -> None:
+        """The per-line link parser: every line, malformed ones included, to rows for ``sort_rows``."""
+        link_ids, ends = array("q"), array("q")
         try:
             for lineno, line in numbered:
                 m = _LINK_RE.match(line)
@@ -479,7 +455,11 @@ class _LinkSorter:
                 link_ids.append(link_id)
                 ends.extend([n if n <= MAX_ID else huge.setdefault(n, -1 - len(huge)) for n in pair])
         finally:  # the links before a failing line come first: one may dangle
-            self._sort_rows(np.frombuffer(ends, dtype=np.int64).reshape(-1, 2), link_ids)
+            if link_ids:
+                sort_rows(np.frombuffer(ends, dtype=np.int64).reshape(-1, 2), link_ids)
+
+    _scan(source, block, parse_lines)
+    return np.frombuffer(flat, dtype=np.int64).reshape(-1, 2)
 
 
 def _find(values: np.ndarray, sorted_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

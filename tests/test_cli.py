@@ -1292,18 +1292,23 @@ class TestDuplicateComponentId:
 
 
 class TestByteOrderMark:
-    """A CSV that starts with a UTF-8 byte-order mark, as spreadsheet exports do, reads as without it."""
+    """A CSV or topology file that starts with a UTF-8 byte-order mark, as spreadsheet exports and some editors
+    write, reads as without it."""
 
-    @pytest.mark.parametrize("marked", ["stats.csv", "ixps.csv"])
+    NAMES = ("stats.csv", "ixps.csv", "topo.nodes", "topo.geo", "topo.links")
+
+    @pytest.mark.parametrize("marked", NAMES)
     def test_same_report_bytes(self, workspace, tmp_path, marked):
         reports = []
         for bom in (b"", b"\xef\xbb\xbf"):
-            files = {name: workspace / name for name in ("stats.csv", "ixps.csv")}
+            files = {name: workspace / name for name in self.NAMES}
             files[marked] = tmp_path / f"bom{len(bom)}_{marked}"
             files[marked].write_bytes(bom + (workspace / marked).read_bytes())
             out = tmp_path / f"report{len(bom)}.json"
             argv = ["--wasg", str(workspace / "wasg.geojson"), "--stats", str(files["stats.csv"])]
             argv += ["--components", f"ixp={files['ixps.csv']}", "--out", str(out)]
+            argv += ["--nodes", str(files["topo.nodes"]), "--geo", str(files["topo.geo"])]
+            argv += ["--links", str(files["topo.links"])]
             assert main(["overlap", *argv]) == 0
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from netwattzap import ingest
 from netwattzap.errors import DanglingLinkEndpoint, MalformedLine, MalformedRow, NetWattZapError
 from netwattzap.ingest import (
     NODE_DTYPE,
@@ -164,6 +165,35 @@ class TestParseTopology:
         for parse in (parse_topology, topology_reference.parse_topology):
             topo = parse(io.StringIO("node N2: 1.2.3.4"), io.StringIO(geo), None)
             assert topo.nodes.tolist() == [(2, 40.7, -74.0)], parse.__module__
+
+    def test_block_scans_take_the_common_lines(self, tmp_path, monkeypatch):
+        # Plain node lines, tab-form geo lines and link lines of a path never reach the per-line parsers,
+        # whose expressions here refuse every line; comments and blank lines do not either.
+        texts = {
+            "t.nodes": "# nodes\n\nnode N1:  1.2.3.4 5.6.7.8\nnode N2: 9.9.9.9\nnode N4:\t10.0.0.1\n",
+            "t.geo": "# geo\nnode.geo N1:\tNA\tUS\tTX\tDallas\t32.78\t-96.80\n\n"
+            "node.geo N4:\tEU\tDE\tBE\tBerlin\t52.52\t13.40\n",
+            "t.links": "# links\nlink L1: N1:1.2.3.4 N2\n\nlink L2: N2 N4 N1\nlink L3: N1 N1\nlink L4: N1 N99\n",
+        }
+        paths = []
+        for name, text in texts.items():
+            paths.append(tmp_path / name)
+            paths[-1].write_text(text, encoding="utf-8")
+        expected = parse_topology(*paths)
+
+        class Refuses:
+            def match(self, line):
+                raise AssertionError(f"per-line parser reached {line!r}")
+
+        for name in ("_NODE_RE", "_GEO_RE", "_LINK_RE"):
+            monkeypatch.setattr(ingest, name, Refuses())
+        topo = parse_topology(*paths)
+        assert topo.nodes.tobytes() == expected.nodes.tobytes()
+        assert topo.links.tolist() == expected.links.tolist() == [[0, 1], [1, 2]]
+        assert topo.report == expected.report
+        assert (topo.report.input_links, topo.report.self_links, topo.report.dangling_links) == (4, 1, 1)
+        assert topo.nodes[["lat", "lon"]][[0, 2]].tolist() == [(32.78, -96.8), (52.52, 13.4)]
+        assert np.isnan(topo.nodes["lat"][1])
 
 
 COMPONENTS_CSV = """\

@@ -729,6 +729,14 @@ class TestProblemIo:
                 {"location_rules": [{"predicate": {"continent": "EU"}, "min_count": 1}]},
                 "unknown predicate kind 'continent'",
             ),
+            (
+                {"location_rules": [{"predicate": {}, "min_count": 1}]},
+                "predicate must have exactly one key, got []",
+            ),
+            (
+                {"location_rules": [{"predicate": {"hemisphere": "northern", "bbox": [0, 0, 1, 1]}, "min_count": 1}]},
+                "predicate must have exactly one key, got ['bbox', 'hemisphere']",
+            ),
         ],
     )
     def test_refused_document_names_its_rule(self, change, message):

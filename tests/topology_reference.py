@@ -45,7 +45,7 @@ def _lines(source) -> Iterator[tuple[int, str]]:
     lines (file objects, io.StringIO, lists).
     """
     if isinstance(source, (str, Path)):
-        handle = open(source, "r", encoding="utf-8")
+        handle = open(source, "r", encoding="utf-8-sig")  # a leading byte-order mark dropped, as the library does
         close = True
     else:
         handle = source
